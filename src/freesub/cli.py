@@ -1,9 +1,12 @@
 """Command-line front end.  Deterministic, machine-readable output.
 
 Subcommands: counts, pade, reduce, pfrac, period, lemmas, reproduce.
-Exit codes: 2 invalid configuration, 3 degenerate parameters with the
-closed-form route forced, 4 numerator search window exhausted, 5 period
-horizon too short, 6 golden reproduction mismatch.
+Exit codes: 2 invalid configuration (unsupported prime included), 3
+degenerate parameters (the closed-form route forced, or a stable denominator
+that is not squarefree mod p), 4 numerator search window exhausted, 5 period
+horizon too short, 6 golden reproduction mismatch, 7 any other library error
+(a failed certification check, no Bezout identity, a broken integrality or an
+inconsistent Pade system).
 
 FREESUB_CONFIG may name a JSON file of default option values (keys matching
 the long option names); explicit flags always win.
@@ -21,8 +24,10 @@ from importlib import resources
 from .errors import (
     DegenerateParameters,
     DegreeBoundExceeded,
+    FreesubError,
     HorizonTooShort,
     InvalidCongruenceClass,
+    UnsupportedPrime,
 )
 from .exact import ModRingCtx
 from .groups import GroupFamily, free_subgroup_numbers
@@ -36,6 +41,7 @@ EXIT_DEGENERATE = 3
 EXIT_DEGREE_BOUND = 4
 EXIT_HORIZON = 5
 EXIT_GOLDEN_MISMATCH = 6
+EXIT_LIBRARY_ERROR = 7
 
 
 def _poly_str(p) -> str:
@@ -232,11 +238,11 @@ def cmd_reproduce(args) -> int:
     return EXIT_BAD_CONFIG
 
 
-def _positive(kind=int):
+def _at_least(lo: int):
     def parse(s):
-        v = kind(s)
-        if v < 1:
-            raise argparse.ArgumentTypeError("must be >= 1")
+        v = int(s)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
         return v
 
     return parse
@@ -254,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
             default=defaults.get("family", "modular3" if not family_required else None),
             required=family_required and "family" not in defaults,
         )
-        p.add_argument("--m", type=_positive(), default=defaults.get("m", 1))
+        p.add_argument("--m", type=_at_least(1), default=defaults.get("m", 1))
         p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
 
     c = sub.add_parser("counts", help="exact subgroup counts f_1..f_L")
     common(c)
-    c.add_argument("--count", type=_positive(), required=True)
+    c.add_argument("--count", type=_at_least(1), required=True)
     c.add_argument("--format", choices=["text", "json"], default=defaults.get("format", "text"))
     c.set_defaults(func=cmd_counts)
 
     c = sub.add_parser("pade", help="order-n approximant pair")
     c.add_argument("--family", choices=["modular3", "hecke4"], default=None)
-    c.add_argument("--m", type=_positive(), default=defaults.get("m", 1))
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--m", type=_at_least(1), default=defaults.get("m", 1))
+    c.add_argument("--n", type=_at_least(0), required=True)
     for name in "ABCDE":
         c.add_argument(f"--{name}", type=int, default=None)
     c.add_argument("--verify", action="store_true")
@@ -280,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         c = sub.add_parser(name, help=help_)
         common(c, family_required=False)
-        c.add_argument("--p", type=_positive(), required=True)
-        c.add_argument("--alpha", type=_positive(), required=True)
+        c.add_argument("--p", type=_at_least(1), required=True)
+        c.add_argument("--alpha", type=_at_least(1), required=True)
         c.add_argument("--length", type=int, default=defaults.get("length"))
         c.add_argument("--window", type=int, default=defaults.get("window"))
         c.add_argument(
@@ -291,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("period", help="preperiod and minimal period mod p^alpha")
     common(c, family_required=False)
-    c.add_argument("--p", type=_positive(), required=True)
-    c.add_argument("--alpha", type=_positive(), required=True)
+    c.add_argument("--p", type=_at_least(1), required=True)
+    c.add_argument("--alpha", type=_at_least(1), required=True)
     c.add_argument("--horizon", type=int, default=None)
     c.add_argument("--length", type=int, default=defaults.get("length"))
     c.add_argument("--window", type=int, default=defaults.get("window"))
@@ -301,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("lemmas", help="denominator stability instance checks")
     common(c, family_required=False)
-    c.add_argument("--p", type=_positive(), required=True)
-    c.add_argument("--n-max", type=_positive(), required=True)
+    c.add_argument("--p", type=_at_least(1), required=True)
+    c.add_argument("--n-max", type=_at_least(1), required=True)
     c.set_defaults(func=cmd_lemmas)
 
     c = sub.add_parser("reproduce", help="regenerate a classical display and diff it")
@@ -324,6 +330,15 @@ def main(argv=None) -> int:
     except HorizonTooShort as exc:
         print(f"horizon too short: {exc}", file=sys.stderr)
         return EXIT_HORIZON
+    except UnsupportedPrime as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except DegenerateParameters as exc:
+        print(f"degenerate parameters: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except FreesubError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_LIBRARY_ERROR
     except (ValueError,) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -55,3 +55,16 @@ class HorizonTooShort(FreesubError):
 
 class InvalidCongruenceClass(FreesubError):
     """Index n is not in a congruence class covered by the divisibility lemmas."""
+
+
+class CertificationFailed(FreesubError):
+    """A result failed one of the exact checks that certify it."""
+
+
+def certify(holds: bool, what: str) -> None:
+    """Raise CertificationFailed naming `what` unless `holds`.
+
+    An explicit check, unlike `assert`, which `python -O` removes.
+    """
+    if not holds:
+        raise CertificationFailed(f"certification failed: {what}")

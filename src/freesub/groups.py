@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityViolation
+from .errors import IntegralityViolation, certify
 from .riccati import RiccatiParams, riccati_series
 
 MODULAR3 = "modular3"
@@ -59,7 +59,7 @@ def params_for(family: GroupFamily) -> RiccatiParams:
         p = RiccatiParams.of(6 * m - 2, 6 * m, 1, 1 - 6 * m + 5 * m * m, 4 * m)
     else:
         p = RiccatiParams.of(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m, 2 * m)
-    assert p.e * p.e == p.a * p.a - 4 * p.c * p.d
+    certify(p.e * p.e == p.a * p.a - 4 * p.c * p.d, "E^2 = A^2 - 4CD")
     return p
 
 
@@ -84,5 +84,5 @@ def hecke4_invariants(m: int) -> Hecke4Invariants:
     m_gamma = 4 * m
     chi = Fraction(1, 2 * m) + Fraction(1, 4 * m) - Fraction(1, m)
     mu = 1 - m_gamma * chi
-    assert chi == Fraction(-1, 4 * m) and mu == 2
+    certify(chi == Fraction(-1, 4 * m) and mu == 2, "chi = -1/(4m) and mu = 2")
     return Hecke4Invariants(m_gamma, chi, int(mu), 3 * m * m, 32 * m * m, 16 * m * m)

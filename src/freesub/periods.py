@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import HorizonTooShort
+from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx
 from .groups import MODULAR3, GroupFamily
 from .reduce import (
@@ -167,11 +167,14 @@ def analyze(
     else:
         series = expand_form(form, horizon)
         checked = reduce_series(family, ctx, 200)
-        assert series.coeffs[:200] == checked.coeffs
+        certify(
+            series.coeffs[:200] == checked.coeffs,
+            "the expanded form matches the series on 200 terms",
+        )
     use_bound = bound if (bound is not None and horizon > _DIRECT_LIMIT) else None
     report = detect_period(series, use_bound)
     if bound is not None:
-        assert bound % report.period == 0
+        certify(bound % report.period == 0, f"period {report.period} divides the order bound")
     match = None if predicted is None else report.period == predicted
     return PeriodAnalysis(report, predicted, match, bound, form)
 

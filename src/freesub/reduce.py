@@ -31,6 +31,7 @@ from .errors import (
     DegenerateParameters,
     DegreeBoundExceeded,
     UnsupportedPrime,
+    certify,
 )
 from .exact import ModRingCtx, vp_int
 from .groups import HECKE4, MODULAR3, GroupFamily, params_for
@@ -111,7 +112,7 @@ def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
         return 0, Poly.one()
     params = params_for(family)
     pair = pade_pair(params, d)
-    assert all(c.denominator == 1 for c in pair.q.coeffs)
+    certify(all(c.denominator == 1 for c in pair.q.coeffs), "Q_d has integer coefficients")
     return d, Poly([int(c) for c in pair.q.coeffs])
 
 
@@ -122,7 +123,10 @@ def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> ModSerie
     s = riccati_series(params, length, ctx)
     w = min(length, _EXACT_CHECK_WINDOW)
     exact = riccati_series(params, w)
-    assert all(int(exact.coeffs[i]) % ctx.modulus == s.coeffs[i] for i in range(w))
+    certify(
+        all(int(exact.coeffs[i]) % ctx.modulus == s.coeffs[i] for i in range(w)),
+        f"the series mod {ctx.p}^{ctx.alpha} reduces the exact series on {w} terms",
+    )
     return ModSeries(ctx, s.coeffs)
 
 
@@ -174,7 +178,10 @@ def rational_form(
         Poly([(pow(g.coeff(0), -1, ctx.modulus) * c) % ctx.modulus for c in g.coeffs], ctx)
         for g, _ in lifted.factors
     }
-    assert lifted_display == {g.map_ring(ctx) for g in gs}
+    certify(
+        lifted_display == {g.map_ring(ctx) for g in gs},
+        "Hensel lifting reproduces the display factors",
+    )
 
     den_alpha = den_mod**alpha
     numerator = _bounded_numerator(family, ctx, den_alpha, config)
@@ -206,7 +213,10 @@ def _bounded_numerator(
             numerator = Poly(num.coeffs[: last + 1], ctx)
             check = series_div(numerator, den_alpha, 2 * length)
             again = reduce_series(family, ctx, 2 * length)
-            assert check.coeffs == again.coeffs
+            certify(
+                check.coeffs == again.coeffs,
+                f"numerator / denominator reproduces the series on {2 * length} terms",
+            )
             return numerator
         length *= 2
     raise DegreeBoundExceeded(
@@ -257,10 +267,10 @@ def _partial_fractions_over(
         for _ in range(alpha):
             rest, digit = divmod(rest, g_mod)
             digits.append(digit)
-        assert rest.is_zero()
+        certify(rest.is_zero(), "the residue expands in at most alpha factor powers")
         for s in range(1, alpha + 1):
             out.append(FractionTerm(g, s, digits[alpha - s]))
-    assert (recombined % full) == (proper % full)
+    certify((recombined % full) == (proper % full), "the partial fractions recombine")
     return out
 
 

@@ -23,12 +23,14 @@ for a scalar r (`residual_const`), which factors as
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
-from .exact import ModRingCtx, pochhammer
+from .exact import ModRingCtx, mod_reduce, pochhammer
 from .poly import Poly, Series, series_div
 
 
@@ -92,51 +94,116 @@ class PadePair:
     residual_const: Fraction
 
 
+# Blocks with at most this many coefficients per operand are multiplied term
+# by term even over Z/p^alpha: below it, packing costs more than it saves.
+_SCHOOLBOOK_MAX = 8
+
+
+def _schoolbook(x: list, y: list, width: int) -> list:
+    """Terms 0..width-1 of 2*x*y, or of x*x when `x is y`.
+
+    A diagonal block (`x is y`) is its own mirror image, so it is folded:
+    each pair i < t-i is multiplied once and doubled, plus the middle square.
+    An off-diagonal block stands for itself and its mirror, hence the 2.
+    """
+    out = []
+    ny = len(y)
+    for t in range(width):
+        lo = max(0, t - ny + 1)
+        if x is y:
+            hi = (t + 1) // 2
+            v = 2 * sum(map(mul, x[lo:hi], x[t - lo : t - hi : -1]))
+            if t % 2 == 0:
+                v += x[t // 2] * x[t // 2]
+        else:
+            v = 2 * sum(map(mul, x[lo : t + 1], y[t - lo :: -1]))
+        out.append(v)
+    return out
+
+
+def _kronecker_block(modulus: int, length: int):
+    """Block product over Z/modulus by Kronecker substitution (Harvey 2009).
+
+    Each operand, residues in [0, modulus), is packed into one integer with a
+    fixed slot of `slot` bytes per coefficient; one big-integer product then
+    does the whole block, and the slots of the result are its coefficients.
+    A slot holds 2 * length * (modulus - 1)^2, the largest coefficient of a
+    doubled block with at most `length` terms per operand, so no slot carries
+    into the next.  Same contract as `_schoolbook`.
+    """
+    slot = (2 * modulus.bit_length() + length.bit_length() + 1 + 7) // 8
+
+    def pack(values: list) -> int:
+        return int.from_bytes(b"".join([v.to_bytes(slot, "little") for v in values]), "little")
+
+    def block(x: list, y: list, width: int) -> list:
+        if len(x) <= _SCHOOLBOOK_MAX:
+            return _schoolbook(x, y, width)
+        packed = pack(x)
+        prod = packed * packed if x is y else packed * pack(y) << 1
+        buf = prod.to_bytes((len(x) + len(y)) * slot, "little")
+        return [int.from_bytes(buf[i : i + slot], "little") for i in range(0, width * slot, slot)]
+
+    return block
+
+
+def _online_square(f: list, count: int, block) -> Iterator:
+    """Yield S_n = sum_{i+j=n} f_i f_j for n = 0..count-1, each as soon as
+    f_n has been appended to `f` (relaxed multiplication, van der Hoeven,
+    "Relax, but don't be too lazy", JSC 34, 2002).
+
+    Square blocks of power-of-two size tile the quadrant of index pairs. At
+    step n, for each size s = 2^k with s | n+2 and 2s <= n+2, the rows
+    [s-1, 2s-1) meet the columns [n+1-s, n+1). Such a block has largest index
+    n and smallest index sum n, so it can be added once f_n is known and S_n
+    is complete right after. The block with n+1-s = s-1 lies on the diagonal;
+    every other one also stands for its mirror image. Sums at index `count`
+    or beyond are never needed, so operands and results are cut there.
+    """
+    s = [0] * count
+    for n in range(count):
+        size = 1
+        while (n + 2) % size == 0 and n + 2 >= 2 * size:
+            width = min(2 * size - 1, count - n)
+            take = min(size, width)
+            x = f[size - 1 : size - 1 + take]
+            col = n + 1 - size
+            y = x if col == size - 1 else f[col : col + take]
+            s[n : n + width] = map(add, s[n : n + width], block(x, y, width))
+            size *= 2
+        yield s[n]
+        s[n] = 0  # release the sum early: it is never read again
+
+
 def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> Series:
     """The unique solution series with F(0) = 1, to `length` coefficients.
 
     Over Z/p^alpha the same recurrence is run on reduced parameters; this is
-    well-defined because the recurrence never divides.
+    well-defined because the recurrence never divides. Integer parameters
+    keep integer coefficients; other rational ones give Fractions. The
+    convolution comes from `_online_square`, whose block product is the only
+    part that depends on the ring.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    consts = (params.a, params.b, params.c, params.d)
     if ctx is not None:
-        from .exact import mod_reduce
-
-        m_ = ctx.modulus
-        a = mod_reduce(params.a, ctx).value
-        b = mod_reduce(params.b, ctx).value
-        c = mod_reduce(params.c, ctx).value
-        d = mod_reduce(params.d, ctx).value
-        f = [1]
-        for m in range(1, length):
-            acc = (a + b * (m - 1)) * f[m - 1]
-            if m == 1:
-                acc += d
-            # convolution sum_{i+j=m-1} f_i f_j, folded by symmetry
-            pairs = m // 2
-            conv = 2 * sum(map(int.__mul__, f[:pairs], f[m - 1 : m - 1 - pairs : -1]))
-            if m % 2 == 1:
-                mid = f[(m - 1) // 2]
-                conv += mid * mid
-            f.append((acc + c * conv) % m_)
-        return Series.of(f, ctx)
-    integral = params.a.denominator == params.b.denominator == 1 and (
-        params.c.denominator == params.d.denominator == 1
-    )
-    if integral:
-        a, b, c, d = (int(params.a), int(params.b), int(params.c), int(params.d))
-        f: list = [1]
+        a, b, c, d = (mod_reduce(v, ctx).value for v in consts)
+        one, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
+    elif all(v.denominator == 1 for v in consts):
+        a, b, c, d = (int(v) for v in consts)
+        one, modulus, block = 1, None, _schoolbook
     else:
-        a, b, c, d = params.a, params.b, params.c, params.d
-        f = [Fraction(1)]
-    for m in range(1, length):
-        acc = (a + b * (m - 1)) * f[m - 1]
-        if m == 1:
-            acc += d
-        conv = sum(f[i] * f[m - 1 - i] for i in range(m))
-        f.append(acc + c * conv)
-    return Series.of(f)
+        a, b, c, d = consts
+        one, modulus, block = Fraction(1), None, _schoolbook
+    f = [one]
+    for n, s_n in enumerate(_online_square(f, length - 1, block)):
+        # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0]
+        v = (a + b * n) * f[n] + c * s_n
+        if n == 0:
+            v += d
+        f.append(v if modulus is None else v % modulus)
+    return Series.of(f, ctx)
 
 
 def residual_constant(params: RiccatiParams, n: int) -> Fraction:
@@ -395,8 +462,6 @@ def pair_series(pair: PadePair, length: int, ctx: ModRingCtx | None = None) -> S
     """Series expansion of P/Q, exactly or reduced into Z/p^alpha."""
     if ctx is None:
         return series_div(pair.p, pair.q, length)
-    from .exact import mod_reduce
-
     p = Poly([mod_reduce(c, ctx).value for c in pair.p.coeffs], ctx)
     q = Poly([mod_reduce(c, ctx).value for c in pair.q.coeffs], ctx)
     return series_div(p, q, length)

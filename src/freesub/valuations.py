@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DegenerateParameters, InvalidCongruenceClass
+from .errors import DegenerateParameters, InvalidCongruenceClass, certify
 from .exact import pochhammer, vp_rational
 from .groups import MODULAR3, GroupFamily, params_for
 from .riccati import pade_coeff_q
@@ -132,14 +132,14 @@ def _term(case: ValuationCase, level: int) -> int:
 
 def legendre_vp_sum(case: ValuationCase) -> int:
     """Evaluate the floor-term sum, truncated at the first level l with
-    p^l > 6(n+k+1); one further term is asserted to vanish."""
+    p^l > 6(n+k+1); one further term is checked to vanish."""
     cutoff = 6 * (case.n + case.k + 1)
     total = 0
     level = 1
     while case.p ** (level - 1) <= cutoff:
         total += _term(case, level)
         level += 1
-    assert _term(case, level) == 0, "truncation level too small"
+    certify(_term(case, level) == 0, "the floor sum vanishes past the truncation level")
     return total
 
 

@@ -3,8 +3,17 @@ import json
 import jsonschema
 import pytest
 
+import freesub.cli
+import freesub.reduce
 from freesub.cli import main
+from freesub.errors import (
+    CertificationFailed,
+    IntegralityViolation,
+    NotCoprime,
+    SingularPadeSystem,
+)
 from freesub.periods import PERIOD_SCHEMA
+from freesub.poly import Factorization, Series
 from freesub.reduce import JSON_SCHEMA
 
 
@@ -165,3 +174,65 @@ def test_env_config_defaults(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "counts", "--count", "2")
     assert code == 0
     assert json.loads(out)["values"] == [5, 60]
+
+
+def test_pade_negative_n_exit2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pade", "--family", "modular3", "--n", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--n" in out.err
+
+
+def test_unsupported_prime_exit2(capsys):
+    code, out, err = run(capsys, "reduce", "--p", "3", "--alpha", "1")
+    assert code == 2 and out == ""
+    assert "p >= 5" in err
+
+
+def test_not_squarefree_mod_p_exit3(capsys, monkeypatch):
+    # report a repeated factor mod p, the degenerate case `reduce` raises
+    real = freesub.reduce.factor_mod_p
+
+    def repeated(f, seed=0):
+        fact = real(f, seed)
+        (g, _), *rest = fact.factors
+        return Factorization(fact.unit, ((g, 2), *rest))
+
+    monkeypatch.setattr(freesub.reduce, "factor_mod_p", repeated)
+    code, out, err = run(capsys, "reduce", "--p", "13", "--alpha", "1")
+    assert code == 3 and out == ""
+    assert "squarefree" in err
+
+
+def test_failed_certification_exit7(capsys, monkeypatch):
+    # a wrong quotient makes the doubled-horizon check fail for real
+    real = freesub.reduce.series_div
+
+    def skewed(num, den, length):
+        s = real(num, den, length)
+        return Series.of((s.coeffs[0] + 1, *s.coeffs[1:]), s.ring)
+
+    monkeypatch.setattr(freesub.reduce, "series_div", skewed)
+    code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "2")
+    assert code == 7 and out == ""
+    assert err.startswith("CertificationFailed:")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        CertificationFailed("check"),
+        NotCoprime("inputs share a factor"),
+        IntegralityViolation("not an integer"),
+        SingularPadeSystem("inconsistent"),
+    ],
+)
+def test_other_library_errors_exit7(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(freesub.cli, "rational_form", fail)
+    code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "1")
+    assert code == 7 and out == ""
+    assert err.startswith(type(error).__name__)

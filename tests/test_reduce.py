@@ -4,10 +4,11 @@ import random
 import jsonschema
 import pytest
 
-from freesub.errors import DegreeBoundExceeded, UnsupportedPrime
+import freesub.reduce
+from freesub.errors import CertificationFailed, DegreeBoundExceeded, UnsupportedPrime
 from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily
-from freesub.poly import Poly
+from freesub.poly import Poly, Series
 from freesub.reduce import (
     JSON_SCHEMA,
     ModSeries,
@@ -236,3 +237,37 @@ def test_denominator_stability():
             for j, c in enumerate(qn):
                 ref = q_base.coeff(j) if j <= d else 0
                 assert (c - ref) % p == 0
+
+
+def test_reduce_series_checks_the_exact_window(monkeypatch):
+    # the mod p^alpha series must reduce the exact one on its first terms
+    real = freesub.reduce.riccati_series
+
+    def skewed(params, length, ctx=None):
+        s = real(params, length, ctx)
+        if ctx is None:
+            return s
+        return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
+
+    monkeypatch.setattr(freesub.reduce, "riccati_series", skewed)
+    with pytest.raises(CertificationFailed, match="exact series"):
+        reduce_series(M1, ModRingCtx(7, 2), 30)
+
+
+def test_numerator_checks_the_doubled_horizon(monkeypatch):
+    # the reduced series past the search length must match numerator / D^alpha;
+    # skew only the second, doubled-horizon call
+    real = freesub.reduce.reduce_series
+    calls = []
+
+    def skewed(family, ctx, length):
+        s = real(family, ctx, length)
+        calls.append(length)
+        if len(calls) == 1:
+            return s
+        return ModSeries(ctx, (*s.coeffs[:-1], (s.coeffs[-1] + 1) % ctx.modulus))
+
+    monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
+    with pytest.raises(CertificationFailed, match="terms"):
+        rational_form(M1, ModRingCtx(7, 2))
+    assert calls[1] == 2 * calls[0]
