@@ -7,13 +7,15 @@ immutable after construction, so everything here is safe to use from
 concurrent tasks.
 """
 
-from .exact import ModElem, ModRingCtx, mod_inverse, mod_reduce, pochhammer, vp_rational
+from .exact import ModRingCtx, mod_reduce, pochhammer, vp_rational
 from .groups import (
     GroupFamily,
     SubgroupSeries,
+    congruence_classes,
     free_subgroup_numbers,
     hecke4_invariants,
     params_for,
+    stable_degree,
 )
 from .poly import (
     Factorization,
@@ -26,7 +28,6 @@ from .poly import (
 )
 from .periods import PeriodReport, analyze, detect_period, order_bound, predicted_period
 from .reduce import (
-    ModSeries,
     RationalFormModPA,
     ReduceConfig,
     denominator_base,

@@ -26,15 +26,14 @@ from .errors import (
     DegreeBoundExceeded,
     FreesubError,
     HorizonTooShort,
-    InvalidCongruenceClass,
     UnsupportedPrime,
 )
 from .exact import ModRingCtx
-from .groups import GroupFamily, free_subgroup_numbers
+from .groups import GroupFamily, congruence_classes, free_subgroup_numbers
 from .periods import analyze, analysis_json_dict
-from .reduce import ReduceConfig, emit, rational_form, to_json_dict
+from .reduce import ReduceConfig, _latex_factor, _poly_str, emit, rational_form, to_json_dict
 from .riccati import RiccatiParams, build_pade, verify_gosper, verify_identity
-from .valuations import congruence_classes, lemma_divisibility
+from .valuations import lemma_divisibility
 
 EXIT_BAD_CONFIG = 2
 EXIT_DEGENERATE = 3
@@ -42,22 +41,6 @@ EXIT_DEGREE_BOUND = 4
 EXIT_HORIZON = 5
 EXIT_GOLDEN_MISMATCH = 6
 EXIT_LIBRARY_ERROR = 7
-
-
-def _poly_str(p) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*z")
-        else:
-            parts.append(f"{c}*z^{i}")
-    return " + ".join(parts)
 
 
 def _env_defaults() -> dict:
@@ -138,8 +121,6 @@ def cmd_pfrac(args) -> int:
         print(json.dumps(to_json_dict(form)["fractions"]))
     else:
         for t in form.fractions:
-            from .reduce import _latex_factor
-
             print(f"({_latex_factor(t.factor)})^{t.exponent}: {_poly_str(t.residue)}")
     return 0
 
@@ -171,10 +152,7 @@ def cmd_lemmas(args) -> int:
     for n in range(1, args.n_max + 1):
         if n % args.p not in classes:
             continue
-        try:
-            ok = lemma_divisibility(fam, args.p, n)
-        except InvalidCongruenceClass:  # pragma: no cover
-            continue
+        ok = lemma_divisibility(fam, args.p, n)
         print(f"n={n}: {'OK' if ok else 'FAIL'}")
         failures += 0 if ok else 1
     return 1 if failures else 0
@@ -288,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(c, family_required=False)
         c.add_argument("--p", type=_at_least(1), required=True)
         c.add_argument("--alpha", type=_at_least(1), required=True)
-        c.add_argument("--length", type=int, default=defaults.get("length"))
-        c.add_argument("--window", type=int, default=defaults.get("window"))
+        c.add_argument("--length", type=_at_least(1), default=defaults.get("length"))
+        c.add_argument("--window", type=_at_least(1), default=defaults.get("window"))
         c.add_argument(
             "--format", choices=["text", "json", "latex"], default=defaults.get("format", "text")
         )
@@ -299,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(c, family_required=False)
     c.add_argument("--p", type=_at_least(1), required=True)
     c.add_argument("--alpha", type=_at_least(1), required=True)
-    c.add_argument("--horizon", type=int, default=None)
-    c.add_argument("--length", type=int, default=defaults.get("length"))
-    c.add_argument("--window", type=int, default=defaults.get("window"))
+    c.add_argument("--horizon", type=_at_least(1), default=None)
+    c.add_argument("--length", type=_at_least(1), default=defaults.get("length"))
+    c.add_argument("--window", type=_at_least(1), default=defaults.get("window"))
     c.add_argument("--format", choices=["text", "json"], default=defaults.get("format", "text"))
     c.set_defaults(func=cmd_period)
 

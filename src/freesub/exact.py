@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonInvertible, NonInvertibleDenominator, RingMismatch
+from .errors import NonInvertibleDenominator
 
 Rational = Fraction | int
 
@@ -78,83 +78,12 @@ class ModRingCtx:
     def modulus(self) -> int:
         return self.p**self.alpha
 
-    def elem(self, value: int) -> "ModElem":
-        return ModElem(value % self.modulus, self)
-
-    @property
-    def zero(self) -> "ModElem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "ModElem":
-        return self.elem(1)
-
     def __repr__(self):
         return f"Z/{self.p}^{self.alpha}"
 
 
-@dataclass(frozen=True)
-class ModElem:
-    """Canonical residue in [0, p^alpha)."""
-
-    value: int
-    ctx: ModRingCtx
-
-    def _coerce(self, other) -> "ModElem":
-        if isinstance(other, ModElem):
-            if other.ctx != self.ctx:
-                raise RingMismatch(f"{self.ctx} vs {other.ctx}")
-            return other
-        if isinstance(other, int):
-            return self.ctx.elem(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModElem((self.value + o.value) % self.ctx.modulus, self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModElem((self.value - o.value) % self.ctx.modulus, self.ctx)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModElem((self.value * o.value) % self.ctx.modulus, self.ctx)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModElem(-self.value % self.ctx.modulus, self.ctx)
-
-    def __pow__(self, e: int):
-        return ModElem(pow(self.value, e, self.ctx.modulus), self.ctx)
-
-    def inverse(self) -> "ModElem":
-        return mod_inverse(self)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} ({self.ctx})"
-
-
-def mod_reduce(q: Rational, ctx: ModRingCtx) -> ModElem:
-    """Image of a p-integral rational in Z/p^alpha.
+def mod_reduce(q: Rational, ctx: ModRingCtx) -> int:
+    """Image of a p-integral rational in Z/p^alpha, as a residue in [0, p^alpha).
 
     Raises NonInvertibleDenominator when p divides the denominator.
     """
@@ -164,12 +93,4 @@ def mod_reduce(q: Rational, ctx: ModRingCtx) -> ModElem:
             f"denominator {q.denominator} not invertible mod {ctx.p}^{ctx.alpha}"
         )
     inv = pow(q.denominator, -1, ctx.modulus)
-    return ctx.elem(q.numerator * inv)
-
-
-def mod_inverse(x: ModElem) -> ModElem:
-    """Multiplicative inverse in Z/p^alpha; raises NonInvertible if p | x."""
-    try:
-        return x.ctx.elem(pow(x.value, -1, x.ctx.modulus))
-    except ValueError:
-        raise NonInvertible(f"{x.value} not invertible mod {x.ctx.modulus}") from None
+    return q.numerator * inv % ctx.modulus

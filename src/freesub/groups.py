@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityViolation, certify
+from .errors import IntegralityViolation, UnsupportedPrime, certify
+from .exact import is_prime
 from .riccati import RiccatiParams, riccati_series
 
 MODULAR3 = "modular3"
@@ -61,6 +62,25 @@ def params_for(family: GroupFamily) -> RiccatiParams:
         p = RiccatiParams.of(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m, 2 * m)
     certify(p.e * p.e == p.a * p.a - 4 * p.c * p.d, "E^2 = A^2 - 4CD")
     return p
+
+
+def stable_degree(family: GroupFamily, p: int) -> int:
+    """Degree d of the denominator Q_d that Q_n settles to mod p for n in a
+    stable congruence class: (p-1)//6 for modular3, (p-1)//4 for hecke4.
+
+    Raises UnsupportedPrime unless p is a prime >= 5 (modular3) or >= 3
+    (hecke4).  The collapse to d = 0 when p divides m is left to callers.
+    """
+    lowest, parts = (5, 6) if family.kind == MODULAR3 else (3, 4)
+    if p < lowest or not is_prime(p):
+        raise UnsupportedPrime(f"{family.kind} needs a prime p >= {lowest}, not {p}")
+    return (p - 1) // parts
+
+
+def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
+    """The two residues d and -1-d of n mod p for which Q_n stabilises to Q_d."""
+    d = stable_degree(family, p)
+    return d, p - 1 - d
 
 
 def free_subgroup_numbers(family: GroupFamily, length: int) -> SubgroupSeries:

@@ -17,14 +17,8 @@ from math import gcd
 from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx
 from .groups import MODULAR3, GroupFamily
-from .reduce import (
-    ModSeries,
-    RationalFormModPA,
-    ReduceConfig,
-    expand_form,
-    rational_form,
-    reduce_series,
-)
+from .poly import Series
+from .reduce import RationalFormModPA, ReduceConfig, expand_form, rational_form, reduce_series
 
 # safety margin: a period T is confirmed only if the window past the
 # preperiod spans at least MARGIN * T coefficients
@@ -65,7 +59,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def detect_period(series: ModSeries, certificate_bound: int | None = None) -> PeriodReport:
+def detect_period(series: Series, certificate_bound: int | None = None) -> PeriodReport:
     """Minimal (preperiod, period) of the window, exhaustively or over the
     divisors of a certified bound.  Raises HorizonTooShort when nothing is
     confirmed with the safety margin."""
@@ -81,15 +75,16 @@ def detect_period(series: ModSeries, certificate_bound: int | None = None) -> Pe
             continue
         mu = _min_preperiod(coeffs, T)
         if n - mu >= _MARGIN * T:
-            return PeriodReport(series.ctx, mu, T, n, certificate_bound)
+            return PeriodReport(series.ring, mu, T, n, certificate_bound)
     raise HorizonTooShort(
         f"no period confirmed with margin {_MARGIN} in {n} terms"
     )
 
 
 def predicted_period(family: GroupFamily, p: int, alpha: int) -> int | None:
-    """Known minimal periods; None where no classical value is recorded."""
-    if family.kind != MODULAR3:
+    """Quoted minimal periods, recorded for PSL2(Z) itself (modular3, m = 1)
+    only; None elsewhere."""
+    if family.kind != MODULAR3 or family.m != 1:
         return None
     if p == 7:
         return 6 * 7 ** (alpha - 1)

@@ -235,16 +235,9 @@ class Series:
             cs = [int(c) % m for c in cs]
         return cls(tuple(cs), ring)
 
-    @classmethod
-    def from_poly(cls, p: Poly, length: int) -> "Series":
-        return cls.of(p.coeffs, p.ring, length)
-
     @property
     def length(self) -> int:
         return len(self.coeffs)
-
-    def truncate(self, length: int) -> "Series":
-        return Series.of(self.coeffs, self.ring, length)
 
     def mul(self, other: "Series | Poly") -> "Series":
         """Product truncated to self's length."""

@@ -30,30 +30,20 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateParameters,
     DegreeBoundExceeded,
-    UnsupportedPrime,
     certify,
 )
 from .exact import ModRingCtx, vp_int
-from .groups import HECKE4, MODULAR3, GroupFamily, params_for
+from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
 from .riccati import pade_pair, pair_series, riccati_series
-from .valuations import congruence_classes
 
 # window on which the direct mod-p^alpha recurrence is cross-checked against
 # reduction of the exact integer series
 _EXACT_CHECK_WINDOW = 50
 
-
-@dataclass(frozen=True)
-class ModSeries:
-    """Coefficients of the reduced series, canonical residues, explicit length."""
-
-    ctx: ModRingCtx
-    coeffs: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.coeffs)
+# on a failed zero-run the numerator search doubles its length up to this
+# many times before DegreeBoundExceeded propagates
+_MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -84,30 +74,20 @@ class ReduceConfig:
     """Search-window knobs for the numerator hunt.
 
     length/window of None mean the defaults L = alpha*d + 2*p*alpha + 64 and
-    W = alpha*d + 32; on a failed zero-run the length doubles up to
-    max_doublings times before DegreeBoundExceeded propagates.
+    W = alpha*d + 32.
     """
 
     length: int | None = None
     window: int | None = None
-    max_doublings: int = 6
     seed: int = 0
 
 
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
     """Degree d and the exact integer stable denominator Q_d.
 
-    d is (p-1)/6 or (p-5)/6 for modular3 (by p mod 6), (p-1)/4 or (p-3)/4
-    for hecke4 (by p mod 4), and 0 when p divides m.
+    d is `stable_degree(family, p)`, and 0 when p divides m.
     """
-    if family.kind == MODULAR3 and p < 5:
-        raise UnsupportedPrime("modular3 reduction needs p >= 5")
-    if family.kind == HECKE4 and p < 3:
-        raise UnsupportedPrime("hecke4 reduction needs p >= 3")
-    if family.kind == MODULAR3:
-        d = (p - 1) // 6 if p % 6 == 1 else (p - 5) // 6
-    else:
-        d = (p - 1) // 4 if p % 4 == 1 else (p - 3) // 4
+    d = stable_degree(family, p)
     if family.m % p == 0 or d == 0:
         return 0, Poly.one()
     params = params_for(family)
@@ -116,7 +96,7 @@ def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
     return d, Poly([int(c) for c in pair.q.coeffs])
 
 
-def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> ModSeries:
+def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> Series:
     """The counting series (constant term included) reduced mod p^alpha,
     computed directly by the monic recurrence over Z/p^alpha."""
     params = params_for(family)
@@ -127,7 +107,7 @@ def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> ModSerie
         all(int(exact.coeffs[i]) % ctx.modulus == s.coeffs[i] for i in range(w)),
         f"the series mod {ctx.p}^{ctx.alpha} reduces the exact series on {w} terms",
     )
-    return ModSeries(ctx, s.coeffs)
+    return s
 
 
 def _balanced(v: int, p: int) -> int:
@@ -162,7 +142,7 @@ def rational_form(
     d, q_base = denominator_base(family, p)
 
     if d == 0:
-        poly_part = _polynomial_tail(family, ctx, config)
+        poly_part = _bounded_numerator(family, ctx, Poly.one(ctx), config)
         return RationalFormModPA(ctx, family, 0, q_base, poly_part, ())
 
     gs, mod_p_factors = _display_factors(q_base, p, config.seed)
@@ -202,12 +182,12 @@ def _bounded_numerator(
     """Multiply the series by the denominator power and certify that the
     result is a polynomial: a zero-run of the configured width must follow
     the last nonzero coefficient, and dividing back must reproduce the
-    series on a doubled horizon."""
-    d = den_alpha.degree // ctx.alpha if ctx.alpha else den_alpha.degree
+    series on a doubled horizon.  With the denominator 1 (d = 0) this
+    certifies that the reduced series itself terminates."""
+    d = den_alpha.degree // ctx.alpha
     length, window = _search_plan(d, ctx, config)
-    for _ in range(config.max_doublings + 1):
-        series = reduce_series(family, ctx, length)
-        num = Series.of(series.coeffs, ctx).mul(den_alpha)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        num = reduce_series(family, ctx, length).mul(den_alpha)
         last = max((i for i, c in enumerate(num.coeffs) if c), default=-1)
         if length - 1 - last >= window:
             numerator = Poly(num.coeffs[: last + 1], ctx)
@@ -218,21 +198,6 @@ def _bounded_numerator(
                 f"numerator / denominator reproduces the series on {2 * length} terms",
             )
             return numerator
-        length *= 2
-    raise DegreeBoundExceeded(
-        f"no zero-run of width {window} within {length} terms; "
-        "raise the search length (config length / --length)"
-    )
-
-
-def _polynomial_tail(family: GroupFamily, ctx: ModRingCtx, config: ReduceConfig) -> Poly:
-    """d = 0 case: the reduced series itself must terminate."""
-    length, window = _search_plan(0, ctx, config)
-    for _ in range(config.max_doublings + 1):
-        series = reduce_series(family, ctx, length)
-        last = max((i for i, c in enumerate(series.coeffs) if c), default=-1)
-        if length - 1 - last >= window:
-            return Poly(series.coeffs[: last + 1], ctx)
         length *= 2
     raise DegreeBoundExceeded(
         f"no zero-run of width {window} within {length} terms; "
@@ -287,7 +252,7 @@ def partial_fractions(
     return _partial_fractions_over(numerator, gs, ctx, alpha)
 
 
-def expand_form(form: RationalFormModPA, length: int) -> ModSeries:
+def expand_form(form: RationalFormModPA, length: int) -> Series:
     """Series expansion of poly_part + sum residue/factor^s to `length`
     terms; the linear recurrences involved make this cheap even for very
     long horizons."""
@@ -302,7 +267,7 @@ def expand_form(form: RationalFormModPA, length: int) -> ModSeries:
         piece = series_div(term.residue, den, length)
         for i, c in enumerate(piece.coeffs):
             acc[i] = (acc[i] + c) % ctx.modulus
-    return ModSeries(ctx, tuple(acc))
+    return Series(tuple(acc), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +275,7 @@ def expand_form(form: RationalFormModPA, length: int) -> ModSeries:
 # ---------------------------------------------------------------------------
 
 
-def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> ModSeries:
+def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Series:
     """Reduce the explicit approximant P_n/Q_n instead of the recurrence.
 
     n is the smallest index in the stable congruence class of p whose
@@ -336,7 +301,7 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> ModSe
         if n % p == target and acc >= alpha:
             break
     pair = pade_pair(params, n)
-    return ModSeries(ctx, pair_series(pair, length, ctx).coeffs)
+    return pair_series(pair, length, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
         raise ValueError("length must be >= 1")
     consts = (params.a, params.b, params.c, params.d)
     if ctx is not None:
-        a, b, c, d = (mod_reduce(v, ctx).value for v in consts)
+        a, b, c, d = (mod_reduce(v, ctx) for v in consts)
         one, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
     elif all(v.denominator == 1 for v in consts):
         a, b, c, d = (int(v) for v in consts)
@@ -462,6 +462,6 @@ def pair_series(pair: PadePair, length: int, ctx: ModRingCtx | None = None) -> S
     """Series expansion of P/Q, exactly or reduced into Z/p^alpha."""
     if ctx is None:
         return series_div(pair.p, pair.q, length)
-    p = Poly([mod_reduce(c, ctx).value for c in pair.p.coeffs], ctx)
-    q = Poly([mod_reduce(c, ctx).value for c in pair.q.coeffs], ctx)
+    p = Poly([mod_reduce(c, ctx) for c in pair.p.coeffs], ctx)
+    q = Poly([mod_reduce(c, ctx) for c in pair.q.coeffs], ctx)
     return series_div(p, q, length)

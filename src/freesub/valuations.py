@@ -27,7 +27,7 @@ from math import comb, factorial
 
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
 from .exact import pochhammer, vp_rational
-from .groups import MODULAR3, GroupFamily, params_for
+from .groups import MODULAR3, GroupFamily, congruence_classes, params_for
 from .riccati import pade_coeff_q
 
 VARIANTS = ("expp", "expp2", "expp3", "expp4")
@@ -182,32 +182,6 @@ def qnk_transformed(family: GroupFamily, n: int, k: int) -> Fraction:
     return Fraction((-1) ** n) * (6 * family.m) ** (n - k) * total
 
 
-def denominator_degree(family: GroupFamily, p: int) -> int:
-    """Degree d of the stable denominator mod p (0 when p divides m)."""
-    if family.kind == MODULAR3:
-        if p < 5:
-            raise ValueError("modular3 needs p >= 5")
-        d = (p - 1) // 6 if p % 6 == 1 else (p - 5) // 6
-    else:
-        if p < 3:
-            raise ValueError("hecke4 needs p >= 3")
-        d = (p - 1) // 4 if p % 4 == 1 else (p - 3) // 4
-    if family.m % p == 0:
-        return 0
-    return d
-
-
-def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
-    """The two residues of n mod p for which Q_n stabilises to Q_d."""
-    if family.kind == MODULAR3:
-        if p % 6 == 1:
-            return ((p - 1) // 6, 5 * (p - 1) // 6)
-        return ((p - 5) // 6, (5 * p - 1) // 6 % p)
-    if p % 4 == 1:
-        return ((p - 1) // 4, 3 * (p - 1) // 4)
-    return ((p - 3) // 4, (3 * p - 1) // 4 % p)
-
-
 def lemma_divisibility(family: GroupFamily, p: int, n: int) -> bool:
     """Instance check: for n in a stable congruence class, the coefficients
     of Q_n agree with Q_d mod p up to degree d and vanish mod p beyond it.
@@ -221,11 +195,8 @@ def lemma_divisibility(family: GroupFamily, p: int, n: int) -> bool:
             f"n = {n} is not = {classes[0]} or {classes[1]} (mod {p})"
         )
     params = params_for(family)
-    if family.kind == MODULAR3:
-        d_full = (p - 1) // 6 if p % 6 == 1 else (p - 5) // 6
-    else:
-        d_full = (p - 1) // 4 if p % 4 == 1 else (p - 3) // 4
-    d = denominator_degree(family, p)
+    d_full = classes[0]
+    d = 0 if family.m % p == 0 else d_full
     qn = [pade_coeff_q(params, n, j) for j in range(n + 1)]
     qd = [pade_coeff_q(params, d_full, j) for j in range(d_full + 1)]
     for j in range(n + 1):

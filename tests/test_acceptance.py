@@ -17,7 +17,7 @@ import pytest
 from conftest import random_integer_params
 from test_riccati import p1, p2, p3, q1, q2, q3
 from freesub.exact import ModRingCtx
-from freesub.groups import GroupFamily
+from freesub.groups import GroupFamily, congruence_classes
 from freesub.periods import analyze
 from freesub.poly import Poly
 from freesub.reduce import pade_route, rational_form, reduce_series
@@ -32,7 +32,6 @@ from freesub.riccati import (
 )
 from freesub.valuations import (
     ValuationCase,
-    congruence_classes,
     legendre_vp_sum,
     lemma_divisibility,
     vp_pochhammer_ratio,

@@ -113,6 +113,33 @@ def test_period_text(capsys):
     assert "period=12" in out and "predicted=12" in out and "match=yes" in out
 
 
+def test_period_quotes_no_period_for_lifts(capsys):
+    # the quoted periods are for PSL2(Z) itself; the m = 2 lift has period 6
+    code, out, _ = run(
+        capsys, "period", "--family", "modular3", "--m", "2", "--p", "13", "--alpha", "1"
+    )
+    assert code == 0
+    assert "period=6 " in out and "predicted=n/a match=n/a" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--p", "7", "--alpha", "1", "--length", "0"),
+        ("reduce", "--p", "7", "--alpha", "1", "--window", "0"),
+        ("pfrac", "--p", "7", "--alpha", "1", "--window", "-1"),
+        ("period", "--p", "7", "--alpha", "1", "--length", "0"),
+        ("period", "--p", "7", "--alpha", "1", "--window", "0"),
+        ("period", "--p", "7", "--alpha", "1", "--horizon", "0"),
+    ],
+)
+def test_search_knobs_below_one_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_period_json_schema(capsys):
     code, out, _ = run(
         capsys, "period", "--family", "modular3", "--p", "7", "--alpha", "2", "--format", "json"
@@ -138,6 +165,15 @@ def test_lemmas(capsys):
     lines = [l for l in out.splitlines() if l.startswith("n=")]
     assert lines and all(l.endswith("OK") for l in lines)
     assert "evidence, not proof" in out
+
+
+@pytest.mark.parametrize(
+    "family,p", [("modular3", "3"), ("modular3", "25"), ("hecke4", "9")]
+)
+def test_lemmas_bad_prime_exit2(capsys, family, p):
+    code, out, err = run(capsys, "lemmas", "--family", family, "--p", p, "--n-max", "30")
+    assert code == 2 and out == ""
+    assert "prime" in err
 
 
 def test_reproduce_golden_displays(capsys):

@@ -12,7 +12,7 @@ from freesub.periods import (
     order_bound,
     predicted_period,
 )
-from freesub.reduce import ModSeries, rational_form, reduce_series
+from freesub.reduce import rational_form, reduce_series
 
 M1 = GroupFamily("modular3", 1)
 
@@ -64,6 +64,7 @@ def test_predicted_table():
     assert predicted_period(M1, 17, 4) is None
     assert predicted_period(M1, 5, 1) is None
     assert predicted_period(GroupFamily("hecke4", 1), 7, 1) is None
+    assert predicted_period(GroupFamily("modular3", 2), 13, 1) is None
 
 
 def test_order_bound_examples():

@@ -18,7 +18,7 @@ from freesub.riccati import RiccatiParams, riccati_series
 def reference_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> tuple:
     if ctx is not None:
         m_ = ctx.modulus
-        a, b, c, d = (mod_reduce(v, ctx).value for v in (params.a, params.b, params.c, params.d))
+        a, b, c, d = (mod_reduce(v, ctx) for v in (params.a, params.b, params.c, params.d))
         f = [1]
         for m in range(1, length):
             acc = (a + b * (m - 1)) * f[m - 1]

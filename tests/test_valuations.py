@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from freesub.errors import DegenerateParameters, InvalidCongruenceClass
-from freesub.exact import vp_rational, pochhammer
-from freesub.groups import GroupFamily, params_for
+from freesub.errors import DegenerateParameters, InvalidCongruenceClass, UnsupportedPrime
+from freesub.exact import is_prime, vp_rational, pochhammer
+from freesub.groups import GroupFamily, congruence_classes, params_for, stable_degree
 from freesub.riccati import pade_coeff_q
 from freesub.valuations import (
     ValuationCase,
     _poch_ratio,
     case_summand,
-    congruence_classes,
     legendre_vp_sum,
     lemma_divisibility,
     qnk_transformed,
@@ -103,6 +102,56 @@ def test_congruence_classes():
     assert congruence_classes(h, 5) == (1, 3)
     assert congruence_classes(h, 7) == (1, 5)
     assert congruence_classes(h, 13) == (3, 9)
+
+
+def _piecewise_degree(family, p):
+    # oracle: the stable degree as first written, by p mod 6 / p mod 4, with
+    # the collapse to 0 when p divides m
+    if family.kind == "modular3":
+        d = (p - 1) // 6 if p % 6 == 1 else (p - 5) // 6
+    else:
+        d = (p - 1) // 4 if p % 4 == 1 else (p - 3) // 4
+    return 0 if family.m % p == 0 else d
+
+
+def _piecewise_classes(family, p):
+    if family.kind == "modular3":
+        if p % 6 == 1:
+            return ((p - 1) // 6, 5 * (p - 1) // 6)
+        return ((p - 5) // 6, (5 * p - 1) // 6 % p)
+    if p % 4 == 1:
+        return ((p - 1) // 4, 3 * (p - 1) // 4)
+    return ((p - 3) // 4, (3 * p - 1) // 4 % p)
+
+
+def test_stable_degree_matches_the_piecewise_oracle():
+    checked = 0
+    for p in range(3, 2000):
+        if not is_prime(p):
+            continue
+        for kind, lowest in (("modular3", 5), ("hecke4", 3)):
+            if p < lowest:
+                continue
+            for m in (1, 2, p):
+                fam = GroupFamily(kind, m)
+                d = stable_degree(fam, p)
+                assert (0 if m % p == 0 else d) == _piecewise_degree(fam, p), (kind, m, p)
+                assert congruence_classes(fam, p) == _piecewise_classes(fam, p), (kind, m, p)
+                checked += 1
+    assert checked > 1700
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("modular3", 2), ("modular3", 3), ("modular3", 4), ("modular3", 9), ("modular3", 25),
+     ("hecke4", 2), ("hecke4", 4), ("hecke4", 9), ("hecke4", 25)],
+)
+def test_stable_degree_rejects_bad_primes(kind, p):
+    fam = GroupFamily(kind, 1)
+    with pytest.raises(UnsupportedPrime):
+        stable_degree(fam, p)
+    with pytest.raises(UnsupportedPrime):
+        congruence_classes(fam, p)
 
 
 def test_lemma_divisibility_examples():
