@@ -81,6 +81,12 @@ class ReduceConfig:
     window: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("length", "window"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, not {value}")
+
 
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
     """Degree d and the exact integer stable denominator Q_d.
@@ -171,8 +177,8 @@ def rational_form(
 
 
 def _search_plan(d: int, ctx: ModRingCtx, config: ReduceConfig) -> tuple[int, int]:
-    length = config.length or ctx.alpha * d + 2 * ctx.p * ctx.alpha + 64
-    window = config.window or ctx.alpha * d + 32
+    length = ctx.alpha * d + 2 * ctx.p * ctx.alpha + 64 if config.length is None else config.length
+    window = ctx.alpha * d + 32 if config.window is None else config.window
     return length, window
 
 
@@ -187,14 +193,15 @@ def _bounded_numerator(
     d = den_alpha.degree // ctx.alpha
     length, window = _search_plan(d, ctx, config)
     for _ in range(_MAX_DOUBLINGS + 1):
-        num = reduce_series(family, ctx, length).mul(den_alpha)
+        # one series serves the search on its first half and the check on all
+        series = reduce_series(family, ctx, 2 * length)
+        num = Series(series.coeffs[:length], ctx).mul(den_alpha)
         last = max((i for i, c in enumerate(num.coeffs) if c), default=-1)
         if length - 1 - last >= window:
             numerator = Poly(num.coeffs[: last + 1], ctx)
             check = series_div(numerator, den_alpha, 2 * length)
-            again = reduce_series(family, ctx, 2 * length)
             certify(
-                check.coeffs == again.coeffs,
+                check.coeffs == series.coeffs,
                 f"numerator / denominator reproduces the series on {2 * length} terms",
             )
             return numerator

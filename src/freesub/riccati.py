@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
@@ -215,9 +215,8 @@ def residual_constant(params: RiccatiParams, n: int) -> Fraction:
     return out
 
 
-def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> Fraction:
-    """Validate the preconditions of the explicit coefficient formulas and
-    return E/B."""
+def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> None:
+    """Validate the preconditions of the explicit coefficient formulas."""
     if params.e is None:
         raise DegenerateParameters("E is not available")
     if params.e == 0:
@@ -227,39 +226,71 @@ def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> Fractio
     x = params.e / params.b
     if x.denominator == 1 and abs(x.numerator) <= n:
         raise DegenerateParameters(f"E/B = {x} collides with the index range")
-    return x
 
 
-def _coeff_sums(params: RiccatiParams, n: int, kp: int, brackets: bool):
-    """The two j-sums shared by the numerator and denominator formulas.
+def _over(den: int, v: Fraction) -> int:
+    """The numerator of v written over `den`, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
+
+
+def _coeff_sums(params: RiccatiParams, n: int, kp: int, brackets: bool) -> Fraction:
+    """The two j-sums shared by the numerator and denominator formulas,
+    combined as poch(a+, n+1) s- - poch(a-, n+1) s+ and divided by
+    poch(x - kp, 2kp + 1), where x = E/B and a-/+ = (A + 2C -/+ E)/(2B).
 
     `kp` is the internal index (the coefficient produced is the one of
-    z^(n - kp)).  With brackets=True each summand carries the extra linear
-    form needed for the numerator coefficients; at j = 0 that form
-    degenerates to A -/+ E.
+    z^(n - kp)).  The j-th summand of s-/+ is
+
+        C(kp+j, j) C(n-j, kp-j) poch(-/+x + j + 1, kp - j) poch(a-/+, j),
+
+    times, with brackets=True, the numerator's linear form
+    A -/+ E + 2j/(kp+j) (kp B +/- E); as C(kp+j, j) j/(kp+j) = C(kp+j-1, j-1),
+    C(kp+j, j) times that form needs no division.
+
+    The sums are taken in integers: over the common denominator D of x and
+    a-/+, poch(-/+x + j + 1, kp - j) D^(kp-j) is a suffix product built
+    backwards and poch(a-/+, j) D^j a prefix product built forwards, so each
+    summand is an integer over D^kp (times M, the common denominator of A, B
+    and E, with brackets). That is O(n) integer products and one Fraction per
+    coefficient, and no factor is ever divided by.
     """
-    a, b, e = params.a, params.b, params.e
+    a, b, c, e = params.a, params.b, params.c, params.e
     x = e / b
-    ap = (a + 2 * params.c + e) / (2 * b)
-    am = (a + 2 * params.c - e) / (2 * b)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
+    ap = (a + 2 * c + e) / (2 * b)
+    am = (a + 2 * c - e) / (2 * b)
+    den = lcm(x.denominator, ap.denominator, am.denominator)
+    xi = _over(den, x)
+    if brackets:
+        m = lcm(a.denominator, b.denominator, e.denominator)
+        ai, bi, ei = (_over(m, v) for v in (a, b, e))
+    else:
+        m = 1
+
+    # C(n-j, kp-j) times C(kp+j, j) and 2 C(kp+j-1, j-1), for j = 0..kp
+    weights, u_prev, u = [], 0, 1
     for j in range(kp + 1):
-        w = comb(kp + j, kp) * comb(n - j, kp - j)
-        t1 = w * pochhammer(-x + j + 1, kp - j) * pochhammer(am, j)
-        t2 = w * pochhammer(x + j + 1, kp - j) * pochhammer(ap, j)
-        if brackets:
-            if j == 0:
-                t1 *= a - e
-                t2 *= a + e
-            else:
-                base = a + Fraction(2 * kp * j, kp + j) * b
-                off = Fraction(kp - j, kp + j) * e
-                t1 *= base - off
-                t2 *= base + off
-        s1 += t1
-        s2 += t2
-    return pochhammer(ap, n + 1) * s1 - pochhammer(am, n + 1) * s2
+        w = comb(n - j, kp - j)
+        weights.append((w * u, 2 * w * u_prev))
+        u_prev, u = u, u * (kp + j + 1) // (j + 1)
+
+    def side(sign: int) -> tuple[int, int]:
+        """(s-/+ D^kp M, poch(a-/+, n+1) D^(n+1)) for sign -1 / +1."""
+        shift = _over(den, ap if sign > 0 else am)
+        lead, tail = (ai + sign * ei, kp * bi - sign * ei) if brackets else (1, 0)
+        suffix = [1]  # suffix[kp - j] = prod_{j<i<=kp} (sign X + i D)
+        for i in range(kp, 0, -1):
+            suffix.append(suffix[-1] * (sign * xi + i * den))
+        total, prefix = 0, 1
+        for j, (w_lead, w_tail) in enumerate(weights):
+            total += suffix[kp - j] * prefix * (w_lead * lead + w_tail * tail)
+            prefix *= shift + j * den
+        return total, prefix * prod(shift + i * den for i in range(kp + 1, n + 1))
+
+    s_minus, poch_am = side(-1)
+    s_plus, poch_ap = side(1)
+    # poch(x - kp, 2kp + 1) D^(2kp+1) = prod_{|i|<=kp} (X + i D)
+    divisor = prod(xi + i * den for i in range(-kp, kp + 1))
+    return Fraction(poch_ap * s_minus - poch_am * s_plus, den ** (n - kp) * m * divisor)
 
 
 def _assert_integral(params: RiccatiParams, value: Fraction) -> Fraction:
@@ -273,14 +304,8 @@ def pade_coeff_q(params: RiccatiParams, n: int, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     kp = n - k
-    x = _require_closed_form(params, kp, need_c=False)
-    denom = pochhammer(x - kp, 2 * kp + 1)
-    val = (
-        (-1) ** n
-        * params.b**k
-        * _coeff_sums(params, n, kp, brackets=False)
-        / denom
-    )
+    _require_closed_form(params, kp, need_c=False)
+    val = (-1) ** n * params.b**k * _coeff_sums(params, n, kp, brackets=False)
     return _assert_integral(params, val)
 
 
@@ -289,14 +314,8 @@ def pade_coeff_p(params: RiccatiParams, n: int, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     kp = n - k
-    x = _require_closed_form(params, kp, need_c=True)
-    denom = 2 * params.c * pochhammer(x - kp, 2 * kp + 1)
-    val = (
-        (-1) ** (n + 1)
-        * params.b**k
-        * _coeff_sums(params, n, kp, brackets=True)
-        / denom
-    )
+    _require_closed_form(params, kp, need_c=True)
+    val = (-1) ** (n + 1) * params.b**k * _coeff_sums(params, n, kp, brackets=True) / (2 * params.c)
     return _assert_integral(params, val)
 
 

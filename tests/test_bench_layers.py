@@ -1,9 +1,11 @@
 """The traced benchmark run looks up each layer by (module, attribute) at
-call time; a refactor that moves one of those names must fail here, not only
-under `bench/run.py --trace 1`."""
+call time and reads the call's arguments by name; a refactor that moves one
+of those names or renames a read argument must fail here, not only under
+`bench/run.py --trace 1`."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def _layers():
+def _bench_layers():
     spec = importlib.util.spec_from_file_location("bench_run", RUN_PY)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
@@ -21,9 +23,38 @@ def _layers():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return [(name, attr) for name, attr, *_ in module.LAYERS]
+    return module.LAYERS
 
 
-@pytest.mark.parametrize("module_name,attr", _layers())
+LAYERS = _bench_layers()
+SPANS = {(name, attr): describe for name, attr, _, describe in LAYERS}
+
+
+class _Argument(int):
+    """Stands for any argument value: an int with the attributes spans read."""
+
+    degree = length = 1
+
+
+class _RecordingArguments:
+    """The bound arguments a span function receives, recording every read."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return _Argument(1)
+
+
+@pytest.mark.parametrize("module_name,attr", [(name, attr) for name, attr, *_ in LAYERS])
 def test_traced_layer_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+@pytest.mark.parametrize("module_name,attr", list(SPANS))
+def test_traced_layer_reads_parameter_names(module_name, attr):
+    fn = getattr(importlib.import_module(module_name), attr)
+    arguments = _RecordingArguments()
+    SPANS[module_name, attr](arguments)
+    assert arguments.read <= set(inspect.signature(fn).parameters)

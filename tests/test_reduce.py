@@ -6,12 +6,14 @@ import pytest
 
 import freesub.reduce
 from freesub.errors import CertificationFailed, DegreeBoundExceeded, UnsupportedPrime
-from freesub.exact import ModRingCtx
-from freesub.groups import GroupFamily
+from freesub.exact import ModRingCtx, is_prime
+from freesub.groups import GroupFamily, params_for
 from freesub.poly import Poly, Series
+from freesub.riccati import pade_pair, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
     ReduceConfig,
+    _search_plan,
     denominator_base,
     emit,
     expand_form,
@@ -191,6 +193,20 @@ def test_degree_bound_exceeded():
         rational_form(M1, ModRingCtx(7, 5), ReduceConfig(length=8, window=100000))
 
 
+@pytest.mark.parametrize("field", ["length", "window"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_reduce_config_rejects_knobs_below_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        ReduceConfig(**{field: value})
+
+
+def test_search_plan_keeps_explicit_knobs():
+    # an explicit knob is used as given; only None selects the default
+    ctx = ModRingCtx(7, 2)
+    assert _search_plan(1, ctx, ReduceConfig()) == (2 + 28 + 64, 2 + 32)
+    assert _search_plan(1, ctx, ReduceConfig(length=1, window=1)) == (1, 1)
+
+
 def test_emit_latex_and_text():
     form = rational_form(M1, ModRingCtx(7, 5))
     latex = emit(form, "latex")
@@ -238,6 +254,29 @@ def test_denominator_stability():
                 assert (c - ref) % p == 0
 
 
+def _check_stable_denominator(family, p):
+    d, q_base = denominator_base(family, p)
+    assert d == (p - 1) // (6 if family.kind == "modular3" else 4)
+    assert q_base.degree == d and q_base.coeff(0) == 1
+    assert all(type(c) is int for c in q_base.coeffs)
+    params = params_for(family)
+    pair = pade_pair(params, d)
+    assert pair.q.coeffs == q_base.coeffs
+    assert verify_identity(pair, params)
+
+
+def test_stable_denominator_at_499():
+    _check_stable_denominator(M1, 499)
+
+
+@pytest.mark.slow
+def test_stable_denominator_every_prime_below_1000():
+    for p in range(5, 1000):
+        if is_prime(p):
+            for family in (M1, H1):
+                _check_stable_denominator(family, p)
+
+
 def test_reduce_series_checks_the_exact_window(monkeypatch):
     # the mod p^alpha series must reduce the exact one on its first terms
     real = freesub.reduce.riccati_series
@@ -255,18 +294,18 @@ def test_reduce_series_checks_the_exact_window(monkeypatch):
 
 def test_numerator_checks_the_doubled_horizon(monkeypatch):
     # the reduced series past the search length must match numerator / D^alpha;
-    # skew only the second, doubled-horizon call
+    # one series of twice the search length serves both, so skewing its last
+    # coefficient leaves the search alone and fails only the check
     real = freesub.reduce.reduce_series
     calls = []
 
     def skewed(family, ctx, length):
         s = real(family, ctx, length)
         calls.append(length)
-        if len(calls) == 1:
-            return s
         return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
 
     monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
-    with pytest.raises(CertificationFailed, match="terms"):
+    with pytest.raises(CertificationFailed, match="terms") as info:
         rational_form(M1, ModRingCtx(7, 2))
-    assert calls[1] == 2 * calls[0]
+    assert len(calls) == 1
+    assert f"on {calls[0]} terms" in str(info.value)

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import freesub.riccati
 from conftest import random_integer_params
-from freesub.errors import DegenerateParameters
+from freesub.errors import DegenerateParameters, IntegralityViolation
+from freesub.exact import pochhammer
+from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
 from freesub.poly import Poly, series_div
 from freesub.riccati import (
     RiccatiParams,
@@ -306,3 +310,142 @@ def test_approximation_order(rng):
             if pair.residual_const != 0:
                 diff = approx.coeffs[2 * n + 1] - exact.coeffs[2 * n + 1]
                 assert diff == -pair.residual_const
+
+
+# ---------------------------------------------------------------------------
+# the integer j-sums against the per-term Fraction sums they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_coeff_sums(params, n, kp, brackets):
+    """The j-sums as first written: every summand from its own pochhammer
+    products in Fraction arithmetic, O(n^2) Fraction products per
+    coefficient. Kept as the oracle for `_coeff_sums`."""
+    a, b, e = params.a, params.b, params.e
+    x = e / b
+    ap = (a + 2 * params.c + e) / (2 * b)
+    am = (a + 2 * params.c - e) / (2 * b)
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    for j in range(kp + 1):
+        w = comb(kp + j, kp) * comb(n - j, kp - j)
+        t1 = w * pochhammer(-x + j + 1, kp - j) * pochhammer(am, j)
+        t2 = w * pochhammer(x + j + 1, kp - j) * pochhammer(ap, j)
+        if brackets:
+            if j == 0:
+                t1 *= a - e
+                t2 *= a + e
+            else:
+                base = a + Fraction(2 * kp * j, kp + j) * b
+                off = Fraction(kp - j, kp + j) * e
+                t1 *= base - off
+                t2 *= base + off
+        s1 += t1
+        s2 += t2
+    return pochhammer(ap, n + 1) * s1 - pochhammer(am, n + 1) * s2
+
+
+def reference_coeffs(params, n):
+    """(P_n, Q_n) coefficients from `reference_coeff_sums`, low order first."""
+    x = params.e / params.b
+    ps, qs = [], []
+    for k in range(n + 1):
+        kp = n - k
+        denom = pochhammer(x - kp, 2 * kp + 1)
+        qs.append((-1) ** n * params.b**k * reference_coeff_sums(params, n, kp, False) / denom)
+        ps.append(
+            (-1) ** (n + 1)
+            * params.b**k
+            * reference_coeff_sums(params, n, kp, True)
+            / (2 * params.c * denom)
+        )
+    return ps, qs
+
+
+def _assert_matches_reference(params, n):
+    ps, qs = reference_coeffs(params, n)
+    pair = pade_pair(params, n)
+    assert list(pair.p.coeffs) == ps[: len(pair.p.coeffs)] and not any(ps[len(pair.p.coeffs) :])
+    assert list(pair.q.coeffs) == qs[: len(pair.q.coeffs)] and not any(qs[len(pair.q.coeffs) :])
+    assert [pade_coeff_p(params, n, k) for k in range(n + 1)] == ps
+    assert [pade_coeff_q(params, n, k) for k in range(n + 1)] == qs
+
+
+def _random_rational_params(rng):
+    """Closed-form parameters with at least one non-integral value."""
+    while True:
+        a, b, c, e = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4))
+        if b and c and e:
+            params = RiccatiParams.of(a, b, c, (a * a - e * e) / (4 * c), e)
+            if not params.is_integral():
+                return params
+
+
+@pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_sums_match_reference_families(kind, m):
+    params = params_for(GroupFamily(kind, m))
+    for n in range(31):
+        _assert_matches_reference(params, n)
+
+
+def test_integer_sums_match_reference_random(rng):
+    for _ in range(15):
+        params = random_integer_params(rng, 8)
+        for n in range(9):
+            _assert_matches_reference(params, n)
+    for _ in range(30):
+        params = _random_rational_params(rng)
+        for n in range(9):
+            x = params.e / params.b
+            if x.denominator == 1 and abs(x.numerator) <= n:
+                with pytest.raises(DegenerateParameters):
+                    pade_pair(params, n)
+            else:
+                _assert_matches_reference(params, n)
+
+
+@pytest.mark.parametrize(
+    "kind,d",
+    [
+        (MODULAR3, 16),
+        (HECKE4, 25),
+        pytest.param(MODULAR3, 33, marks=pytest.mark.slow),
+        pytest.param(HECKE4, 49, marks=pytest.mark.slow),
+        pytest.param(MODULAR3, 51, marks=pytest.mark.slow),
+    ],
+)
+def test_integer_sums_match_reference_stable_degrees(kind, d):
+    # the (family, d) of the reduce jobs at p = 101, 199, 307 (modular3) and
+    # 101, 197 (hecke4)
+    _assert_matches_reference(params_for(GroupFamily(kind, 1)), d)
+
+
+def test_closed_form_errors_are_kept():
+    no_e = RiccatiParams.of(1, 1, 1, 1)  # discriminant -3 has no rational root
+    zero_e = RiccatiParams.of(2, 1, 1, 1, 0)
+    no_c = RiccatiParams.of(3, 1, 0, 5, 3)
+    collide = RiccatiParams.of(4, 2, 1, 3, 2)  # E/B = 1
+    for params in (no_e, zero_e):
+        with pytest.raises(DegenerateParameters):
+            pade_coeff_q(params, 2, 1)
+    with pytest.raises(DegenerateParameters):
+        pade_coeff_p(no_c, 2, 1)
+    assert pade_coeff_q(no_c, 2, 1) == q1(2, 3, 1, 0, 5)
+    with pytest.raises(DegenerateParameters):
+        pade_pair(collide, 1)
+    with pytest.raises(DegenerateParameters):
+        pade_coeff_q(collide, 3, 1)
+    # kp = 0 leaves no index for E/B = 1 to collide with
+    assert pade_coeff_q(collide, 3, 3) == -(2**3) * reference_coeff_sums(collide, 3, 0, False)
+
+
+def test_integrality_check_is_kept(monkeypatch):
+    # B = 6 and 2C = 2 leave the 7 in the denominator
+    monkeypatch.setattr(freesub.riccati, "_coeff_sums", lambda *args, **kw: Fraction(1, 7))
+    with pytest.raises(IntegralityViolation):
+        pade_coeff_q(MODULAR_M1, 2, 1)
+    with pytest.raises(IntegralityViolation):
+        pade_coeff_p(MODULAR_M1, 2, 1)
+    halves = RiccatiParams.of(Fraction(1, 2), 1, 1, 0, Fraction(1, 2))
+    assert pade_coeff_q(halves, 2, 1) == Fraction(1, 7)
