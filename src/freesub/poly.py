@@ -5,18 +5,34 @@ A `Poly` is a coefficient tuple, constant term first, with no trailing zeros
 exact arithmetic (ints and Fractions mix freely) or a ModRingCtx, in which
 case coefficients are stored as canonical residues in [0, p^alpha).
 
+Arithmetic over Z/p^alpha runs on one kernel.  `kronecker` packs a list of
+residues into a single integer, one fixed slot per coefficient, so that one
+big-integer product multiplies two polynomials (Kronecker substitution,
+Harvey, JSC 44, 2009); only operands of at most `SCHOOLBOOK_MAX` terms are
+multiplied term by term.  Division with remainder multiplies by a truncated
+inverse of the reversed divisor (Newton iteration; von zur Gathen-Gerhard,
+*Modern Computer Algebra*, ch. 9), so once that inverse is known for a fixed
+modulus every remainder costs two products; power-series division runs in
+blocks through the inverse of the denominator.  Exact arithmetic stays term
+by term: its coefficients are rationals of unbounded size.
+
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
 Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
-built from.  Degrees here are small, so every algorithm favours simplicity:
-factorization is root search plus distinct-degree / seeded equal-degree
-splitting, and Hensel lifting goes one power of p at a time.
+built from.  Factorization mod p is distinct-degree factorization, with the
+Frobenius map applied as one packed linear combination and the gcds batched
+over runs of degrees, followed by Cantor-Zassenhaus equal-degree splitting;
+Hensel lifting goes one power of p at a time.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import (
     NonInvertible,
@@ -35,6 +51,126 @@ def _check_same_ring(a: Ring, b: Ring) -> Ring:
     return a
 
 
+# ---------------------------------------------------------------------------
+# the Kronecker kernel: products of residue lists over Z/modulus
+# ---------------------------------------------------------------------------
+
+# Products whose shorter operand has at most this many terms are taken term
+# by term: below it, packing costs more than it saves.  Measured on random
+# residues mod 7, 13^3 and 10007^5: packing wins from 6 terms on square
+# operands, and the series engine's power-of-two blocks are fastest packed
+# from 8 terms.
+SCHOOLBOOK_MAX = 5
+
+
+def kronecker(modulus: int, terms: int):
+    """(pack, unpack) for Kronecker substitution over Z/modulus.
+
+    `pack(values)` writes residues in [0, modulus) into one integer, one
+    fixed slot of whole bytes per value, constant term lowest; `unpack(x,
+    count)` reads the first `count` slots of x back as integers.  A slot
+    holds terms * (modulus - 1)^2, so the product of two packed lists, or a
+    sum of up to `terms` such products per slot, carries nothing from one
+    slot into the next: its slots are the coefficients of the product,
+    unreduced.
+
+    Slots of at most 8 bytes pass through an array of 64-bit words, whose
+    bytes are moved to and from the slots by strided slice copies; that
+    keeps the per-value work in C.  Wider slots convert value by value.
+    """
+    slot = (2 * modulus.bit_length() + terms.bit_length() + 7) // 8
+
+    if slot > 8:
+
+        def pack(values) -> int:
+            return int.from_bytes(b"".join([v.to_bytes(slot, "little") for v in values]), "little")
+
+        def unpack(x: int, count: int) -> list:
+            size = count * slot
+            buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+            return [int.from_bytes(buf[i : i + slot], "little") for i in range(0, size, slot)]
+
+        return pack, unpack
+
+    def pack(values) -> int:
+        words = array("Q", values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+        buf = bytearray(len(words) * slot)
+        for j in range(slot):
+            buf[j::slot] = raw[j::8]
+        return int.from_bytes(buf, "little")
+
+    def unpack(x: int, count: int) -> list:
+        size = count * slot
+        buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        raw = bytearray(8 * count)
+        for j in range(slot):
+            raw[j::8] = buf[j::slot]
+        words = array("Q", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
+
+    return pack, unpack
+
+
+def _convolve(x: list, y: list, width: int) -> list:
+    """Terms 0..width-1 of x*y, term by term; any coefficient type."""
+    if len(x) > len(y):
+        x, y = y, x
+    out = [0] * width
+    for i, a in enumerate(x[:width]):
+        if a:
+            seg = y[: width - i]
+            end = i + len(seg)
+            out[i:end] = map(add, out[i:end], map(mul, seg, repeat(a)))
+    return out
+
+
+def _product(x: list, y: list, modulus: int, width: int) -> list:
+    """Terms 0..width-1 of x*y over Z/modulus, as residues; x and y hold
+    residues.  One packed product unless an operand is short."""
+    square = x is y
+    x, y = x[:width], y[:width]
+    short = min(len(x), len(y))
+    if short <= SCHOOLBOOK_MAX:
+        return [v % modulus for v in _convolve(x, y, width)]
+    pack, unpack = kronecker(modulus, short)
+    px = pack(x)
+    return [v % modulus for v in unpack(px * px if square else px * pack(y), width)]
+
+
+def _inverse(h: list, modulus: int, n: int) -> list:
+    """Terms 0..n-1 of 1/h over Z/modulus, by Newton iteration: each step
+    doubles the precision with two products.  Raises ValueError when h[0]
+    is not a unit."""
+    g = [pow(h[0], -1, modulus)]
+    while len(g) < n:
+        t, s = len(g), min(2 * len(g), n)
+        # h*g = 1 + z^t e, and g - z^t g e is right to 2t terms
+        e = _product(h, g, modulus, s)[t:]
+        g += [-v % modulus for v in _product(g, e, modulus, s - t)]
+    return g
+
+
+def _divmod_residues(a: list, f: list, finv: list, modulus: int) -> tuple[list, list]:
+    """(q, r) with a = q*f + r over Z/modulus and len(r) = len(f) - 1.
+
+    `finv` holds at least len(a) - len(f) + 1 terms of 1/rev(f): the
+    reversed quotient is rev(a) * finv to that many terms, whatever the
+    actual degree of a.  Lists may carry trailing zeros.
+    """
+    k = len(f) - 1
+    t = len(a) - k
+    if t <= 0:
+        return [], a + [0] * (k - len(a))
+    q = _product(a[k:][::-1], finv, modulus, t)[::-1]
+    r = [(u - v) % modulus for u, v in zip(a, _product(q, f, modulus, k))]
+    return q, r
+
+
 class Poly:
     __slots__ = ("coeffs", "ring")
 
@@ -48,6 +184,17 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "ring", ring)
+
+    @classmethod
+    def _residues(cls, cs: list, ring: ModRingCtx) -> "Poly":
+        """A Poly from a fresh list of residues in [0, modulus); no
+        reduction, trailing zeros are dropped in place."""
+        out = object.__new__(cls)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(out, "coeffs", tuple(cs))
+        object.__setattr__(out, "ring", ring)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -110,13 +257,11 @@ class Poly:
         ring = _check_same_ring(self.ring, other.ring)
         if self.is_zero() or other.is_zero():
             return Poly.zero(ring)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out, ring)
+        a, b = list(self.coeffs), list(other.coeffs)
+        width = len(a) + len(b) - 1
+        if ring is None:
+            return Poly(_convolve(a, b, width))
+        return Poly._residues(_product(a, b, ring.modulus, width), ring)
 
     def scale(self, c) -> "Poly":
         return Poly([c * a for a in self.coeffs], self.ring)
@@ -178,22 +323,16 @@ class Poly:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if ring is not None:
+            m = ring.modulus
+            a, f = list(self.coeffs), list(den.coeffs)
             try:
-                lead_inv = pow(den.leading(), -1, ring.modulus)
+                finv = _inverse(f[::-1], m, max(len(a) - len(f) + 1, 1))
             except ValueError:
                 raise NonInvertible(
                     f"leading coefficient {den.leading()} not invertible in {ring}"
                 ) from None
-            m = ring.modulus
-            rem = list(self.coeffs)
-            q = [0] * max(0, len(rem) - len(den.coeffs) + 1)
-            for i in range(len(rem) - len(den.coeffs), -1, -1):
-                c = (rem[i + len(den.coeffs) - 1] * lead_inv) % m
-                if c:
-                    q[i] = c
-                    for j, d in enumerate(den.coeffs):
-                        rem[i + j] = (rem[i + j] - c * d) % m
-            return Poly(q, ring), Poly(rem[: len(den.coeffs) - 1], ring)
+            q, r = _divmod_residues(a, f, finv, m)
+            return Poly._residues(q, ring), Poly._residues(r, ring)
         lead = Fraction(den.leading())
         rem = [Fraction(c) for c in self.coeffs]
         q = [Fraction(0)] * max(0, len(rem) - len(den.coeffs) + 1)
@@ -242,45 +381,57 @@ class Series:
     def mul(self, other: "Series | Poly") -> "Series":
         """Product truncated to self's length."""
         ring = _check_same_ring(self.ring, other.ring)
-        oc = other.coeffs
-        L = self.length
-        out = [0] * L
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(oc):
-                if i + j >= L:
-                    break
-                out[i + j] += a * b
-        return Series.of(out, ring, L)
+        x, y, L = list(self.coeffs), list(other.coeffs), self.length
+        if ring is None:
+            return Series.of(_convolve(x, y, L))
+        return Series(tuple(_product(x, y, ring.modulus, L)), ring)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)}, ring={self.ring})"
 
 
+# Power-series division over Z/p^alpha produces this many terms per block.
+# Measured at 100000 terms with denominators of degree 1 to 60 mod 7^5, 23
+# and 10007^5: 1024 is at or near the fastest, and below 256 the per-block
+# work dominates.
+_DIVISION_BLOCK = 1024
+
+
 def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
     """Power-series quotient to the given truncation length.
 
-    Requires an invertible constant term in the denominator.
+    Requires an invertible constant term in the denominator.  Over
+    Z/p^alpha the quotient comes in blocks of B terms: the terms already
+    known enter the next block only through D times its last deg(D) terms,
+    and the block is (numerator - that carry) / D mod z^B, one product with
+    the packed inverse of D mod z^B.
     """
     ring = _check_same_ring(num.ring, den.ring)
     nc, dc = num.coeffs, den.coeffs
     d0 = dc[0] if dc else 0
     if ring is not None:
+        m = ring.modulus
         try:
-            inv0 = pow(d0, -1, ring.modulus)
+            pow(d0, -1, m)
         except ValueError:
             raise NonInvertibleConstantTerm(
                 f"constant term {d0} not invertible in {ring}"
             ) from None
-        m = ring.modulus
-        out = [0] * length
-        for i in range(length):
-            acc = nc[i] if i < len(nc) else 0
-            for j in range(1, min(i, len(dc) - 1) + 1):
-                acc -= dc[j] * out[i - j]
-            out[i] = (acc * inv0) % m
-        return Series.of(out, ring)
+        block = max(1, min(length, _DIVISION_BLOCK))
+        dc = list(dc)
+        k = len(dc) - 1
+        pack, unpack = kronecker(m, block)
+        inv = pack(_inverse(dc, m, block))
+        out: list = []
+        for i0 in range(0, length, block):
+            width = min(block, length - i0)
+            # numerator minus carry vanishes past its first `span` terms
+            span = min(width, max(k, len(nc) - i0))
+            lo = max(0, i0 - k)
+            carry = _product(dc, out[lo:i0], m, i0 - lo + span)[i0 - lo :]
+            rhs = [(u - v) % m for u, v in zip(list(nc[i0 : i0 + span]) + [0] * span, carry)]
+            out += [v % m for v in unpack(pack(rhs) * inv, width)]
+        return Series(tuple(out), ring)
     if d0 == 0:
         raise NonInvertibleConstantTerm("constant term is zero")
     inv0 = Fraction(1) / Fraction(d0)
@@ -339,20 +490,58 @@ def _ext_gcd_fp(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return g, s0.scale(inv), t0.scale(inv)
 
 
+def _mulmod(f: Poly):
+    """(x, y) -> x*y mod f on residue lists of at most deg f terms.  The
+    inverse of rev(f) is computed once, so each call is three products."""
+    m = f.ring.modulus
+    fc = list(f.coeffs)
+    finv = _inverse(fc[::-1], m, max(len(fc) - 2, 1))
+
+    def mulmod(x: list, y: list) -> list:
+        return _divmod_residues(_product(x, y, m, len(x) + len(y) - 1), fc, finv, m)[1]
+
+    return mulmod
+
+
 def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    out = Poly.one(base.ring)
-    base = base % mod
+    mulmod = _mulmod(mod)
+    out, b = [1], list((base % mod).coeffs)
     while e:
         if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
+            out = mulmod(out, b)
         e >>= 1
-    return out
+        if e:
+            b = mulmod(b, b)
+    return Poly._residues(out, base.ring)
+
+
+def _frobenius(f: Poly):
+    """h -> h^p mod f over F_p, on residue lists of at most deg f terms.
+
+    Over F_p, h(z)^p = h(z^p), so h^p mod f is the combination of the rows
+    z^(p j) mod f, j < deg f, with the coefficients of h.  The rows are
+    packed once (deg f products mod f); each call is then one sum of
+    scalar multiples of packed rows and one unpack.
+    """
+    p, k = f.ring.p, f.degree
+    mulmod = _mulmod(f)
+    zp = list(_pow_mod(Poly.x(f.ring), p, f).coeffs)
+    pack, unpack = kronecker(p, k)
+    rows, row = [], [1]
+    for _ in range(k):
+        rows.append(pack(row))
+        row = mulmod(row, zp)
+
+    def frobenius(h: list) -> list:
+        return [v % p for v in unpack(sum(map(mul, h, rows)), k)]
+
+    return frobenius
 
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus split of a squarefree product of irreducibles of
-    equal degree d over F_p, p odd."""
+    equal degree d over F_p, p odd: for a random r, r^((p^d-1)/2) - 1 is
+    divisible by about half of the factors."""
     p = f.ring.p
     if f.degree == d:
         return [f]
@@ -361,34 +550,47 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         r = Poly([rng.randrange(p) for _ in range(f.degree)], f.ring)
         if r.degree < 1:
             continue
-        g = _gcd_fp(r, f)
+        g = _gcd_fp(_pow_mod(r, exponent, f) - Poly.one(f.ring), f)
         if 0 < g.degree < f.degree:
-            pass
-        else:
-            t = _pow_mod(r, exponent, f)
-            g = _gcd_fp(t - Poly.one(f.ring), f)
-            if not (0 < g.degree < f.degree):
-                continue
-        rest = f // g
-        return _equal_degree_split(g, d, rng) + _equal_degree_split(rest, d, rng)
+            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
 def _factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
-    """Distinct-degree stage, then equal-degree splits.  Linear factors are
-    assumed to have been stripped already (root search)."""
-    p = f.ring.p
+    """Irreducible factors of a squarefree monic f: distinct-degree stage,
+    then equal-degree splits.
+
+    h_i = z^(p^i) mod f comes from the Frobenius map.  The gcd with f is
+    taken once per run of degrees d..2d-1, on the product of the h_i - z mod
+    f (von zur Gathen-Shoup, Comput. Complexity 2, 1992), so there are
+    O(log deg f) of them.  A nontrivial one is split by gcds with each
+    h_i - z in increasing i: every factor of lower degree is gone by then,
+    so each takes exactly the factors of degree i.  The maps stay mod the
+    input f; gcds with what is left of f are unaffected.
+    """
+    if f.degree < 2:
+        return [f] if f.degree == 1 else []
+    ring, p = f.ring, f.ring.p
+    frobenius, mulmod = _frobenius(f), _mulmod(f)
     out: list[Poly] = []
-    x = Poly.x(f.ring)
-    d = 2
-    h = _pow_mod(x, p, f)  # x^(p^1) mod f
+    h, d = [0, 1], 1  # h = z^(p^(d-1)) mod f
     while f.degree >= 2 * d:
-        h = _pow_mod(h, p, f)  # x^(p^d) mod f
-        g = _gcd_fp(h - x, f)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            f = f // g
-            h = h % f
-        d += 1
+        end = min(2 * d - 1, f.degree // 2)
+        shifted, run = [], [1]
+        for _ in range(d, end + 1):
+            h = frobenius(h)
+            hz = list(h)
+            hz[1] = (hz[1] - 1) % p
+            shifted.append(Poly._residues(list(hz), ring))
+            run = mulmod(run, hz)
+        g = _gcd_fp(Poly._residues(run, ring), f)
+        for i, hz in zip(range(d, end + 1), shifted):
+            if g.degree < i:
+                break
+            gi = _gcd_fp(g, hz)
+            if gi.degree > 0:
+                out.extend(_equal_degree_split(gi, i, rng))
+                g, f = g // gi, f // gi
+        d = end + 1
     if f.degree > 0:
         out.append(f)
     return out
@@ -412,18 +614,8 @@ def factor_mod_p(f: Poly, seed: int = 0) -> Factorization:
     work, unit = f.monic()
     found: dict[Poly, int] = {}
 
-    def record(g: Poly, mult: int):
-        found[g] = found.get(g, 0) + mult
-
-    # exhaustive root search for linear factors
-    for a in range(p):
-        lin = Poly([-a, 1], ring)
-        while work.degree >= 1 and work.eval(a) == 0:
-            work = work // lin
-            record(lin, 1)
-
-    # remaining factors have degree >= 2; peel multiplicities via the
-    # derivative, handling the p-th-power case where it vanishes
+    # peel multiplicities via the derivative, handling the p-th-power case
+    # where it vanishes
     mult_scale = 1
     while work.degree > 0:
         der = work.derivative()
@@ -438,7 +630,7 @@ def factor_mod_p(f: Poly, seed: int = 0) -> Factorization:
             while (work % g).is_zero():
                 work = work // g
                 e += 1
-            record(g, e * mult_scale)
+            found[g] = found.get(g, 0) + e * mult_scale
 
     factors = sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit, tuple(factors))

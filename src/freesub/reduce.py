@@ -187,24 +187,23 @@ def _bounded_numerator(
 ) -> Poly:
     """Multiply the series by the denominator power and certify that the
     result is a polynomial: a zero-run of the configured width must follow
-    the last nonzero coefficient, and dividing back must reproduce the
-    series on a doubled horizon.  With the denominator 1 (d = 0) this
-    certifies that the reduced series itself terminates."""
+    the last nonzero coefficient, and the product must vanish past it on a
+    doubled horizon.  As D(0) is a unit, S D^alpha = N mod z^(2L) says
+    exactly that N / D^alpha reproduces S on 2L terms.  With the
+    denominator 1 (d = 0) this certifies that the reduced series itself
+    terminates."""
     d = den_alpha.degree // ctx.alpha
     length, window = _search_plan(d, ctx, config)
     for _ in range(_MAX_DOUBLINGS + 1):
-        # one series serves the search on its first half and the check on all
-        series = reduce_series(family, ctx, 2 * length)
-        num = Series(series.coeffs[:length], ctx).mul(den_alpha)
-        last = max((i for i, c in enumerate(num.coeffs) if c), default=-1)
+        # one product serves the search on its first half and the check on all
+        product = reduce_series(family, ctx, 2 * length).mul(den_alpha).coeffs
+        last = max((i for i, c in enumerate(product[:length]) if c), default=-1)
         if length - 1 - last >= window:
-            numerator = Poly(num.coeffs[: last + 1], ctx)
-            check = series_div(numerator, den_alpha, 2 * length)
             certify(
-                check.coeffs == series.coeffs,
+                not any(product[last + 1 :]),
                 f"numerator / denominator reproduces the series on {2 * length} terms",
             )
-            return numerator
+            return Poly(product[: last + 1], ctx)
         length *= 2
     raise DegreeBoundExceeded(
         f"no zero-run of width {window} within {length} terms; "

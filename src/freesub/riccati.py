@@ -31,7 +31,7 @@ from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
 from .exact import ModRingCtx, mod_reduce, pochhammer
-from .poly import Poly, Series, series_div
+from .poly import SCHOOLBOOK_MAX, Poly, Series, kronecker, series_div
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -94,11 +94,6 @@ class PadePair:
     residual_const: Fraction
 
 
-# Blocks with at most this many coefficients per operand are multiplied term
-# by term even over Z/p^alpha: below it, packing costs more than it saves.
-_SCHOOLBOOK_MAX = 8
-
-
 def _schoolbook(x: list, y: list, width: int) -> list:
     """Terms 0..width-1 of 2*x*y, or of x*x when `x is y`.
 
@@ -124,25 +119,19 @@ def _schoolbook(x: list, y: list, width: int) -> list:
 def _kronecker_block(modulus: int, length: int):
     """Block product over Z/modulus by Kronecker substitution (Harvey 2009).
 
-    Each operand, residues in [0, modulus), is packed into one integer with a
-    fixed slot of `slot` bytes per coefficient; one big-integer product then
-    does the whole block, and the slots of the result are its coefficients.
-    A slot holds 2 * length * (modulus - 1)^2, the largest coefficient of a
-    doubled block with at most `length` terms per operand, so no slot carries
-    into the next.  Same contract as `_schoolbook`.
+    Each operand, residues in [0, modulus), is packed by `poly.kronecker`;
+    one big-integer product then does the whole block, and the slots of the
+    result are its coefficients.  The slots hold 2 * length * (modulus - 1)^2,
+    the largest coefficient of a doubled block with at most `length` terms
+    per operand.  Same contract as `_schoolbook`.
     """
-    slot = (2 * modulus.bit_length() + length.bit_length() + 1 + 7) // 8
-
-    def pack(values: list) -> int:
-        return int.from_bytes(b"".join([v.to_bytes(slot, "little") for v in values]), "little")
+    pack, unpack = kronecker(modulus, 2 * length)
 
     def block(x: list, y: list, width: int) -> list:
-        if len(x) <= _SCHOOLBOOK_MAX:
+        if len(x) <= SCHOOLBOOK_MAX:
             return _schoolbook(x, y, width)
         packed = pack(x)
-        prod = packed * packed if x is y else packed * pack(y) << 1
-        buf = prod.to_bytes((len(x) + len(y)) * slot, "little")
-        return [int.from_bytes(buf[i : i + slot], "little") for i in range(0, width * slot, slot)]
+        return unpack(packed * packed if x is y else packed * pack(y) << 1, width)
 
     return block
 
@@ -393,18 +382,24 @@ def build_pade(params: RiccatiParams, n: int, allow_fallback: bool = True):
 
 
 def _identity_lhs(pair: PadePair, params: RiccatiParams) -> Poly:
-    a, b, c, d = params.a, params.b, params.c, params.d
-    p, q = pair.p, pair.q
-    one_minus_az = Poly([1, -a])
-    z = Poly([0, 1])
-    z2 = Poly([0, 0, 1])
+    """The left side of the defining identity, computed in integers over one
+    common denominator: with P = P'/N, Q = Q'/N and the constants A, B, C, D
+    integers over M, the left side is quadratic in P, Q and linear in the
+    constants, so it is an integer polynomial over N^2 M."""
+    consts = (params.a, params.b, params.c, params.d)
+    den = lcm(*(Fraction(v).denominator for v in pair.p.coeffs + pair.q.coeffs))
+    m = lcm(*(v.denominator for v in consts))
+    p = Poly([_over(den, Fraction(v)) for v in pair.p.coeffs])
+    q = Poly([_over(den, Fraction(v)) for v in pair.q.coeffs])
+    a, b, c, d = (_over(m, v) for v in consts)
     wronskian = p.derivative() * q - p * q.derivative()
-    return (
-        one_minus_az * p * q
-        - z2.scale(b) * wronskian
-        - z.scale(c) * p * p
-        - Poly([1, d]) * q * q
+    lhs = (
+        Poly([m, -a]) * p * q
+        - Poly([0, 0, b]) * wronskian
+        - Poly([0, c]) * p * p
+        - Poly([m, d]) * q * q
     )
+    return Poly([Fraction(v, den * den * m) for v in lhs.coeffs])
 
 
 def verify_identity(pair: PadePair, params: RiccatiParams) -> bool:

@@ -242,14 +242,20 @@ def test_not_squarefree_mod_p_exit3(capsys, monkeypatch):
 
 
 def test_failed_certification_exit7(capsys, monkeypatch):
-    # a wrong quotient makes the doubled-horizon check fail for real
-    real = freesub.reduce.series_div
+    # one reduced-series coefficient skewed past the numerator makes the
+    # product check S * D^alpha = N mod z^(2L) fail for real; the check
+    # divides nothing, so series_div must not be reached
+    real = freesub.reduce.reduce_series
 
-    def skewed(num, den, length):
-        s = real(num, den, length)
-        return Series.of((s.coeffs[0] + 1, *s.coeffs[1:]), s.ring)
+    def skewed(family, ctx, length):
+        s = real(family, ctx, length)
+        return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
 
-    monkeypatch.setattr(freesub.reduce, "series_div", skewed)
+    def no_division(num, den, length):
+        raise AssertionError("the numerator check must not divide")
+
+    monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
+    monkeypatch.setattr(freesub.reduce, "series_div", no_division)
     code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "2")
     assert code == 7 and out == ""
     assert err.startswith("CertificationFailed:")

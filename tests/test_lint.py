@@ -18,3 +18,26 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _package_trees():
+    for path in sorted(Path(freesub.__file__).parent.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_one_packing_helper():
+    # Kronecker packing (int <-> bytes) lives in poly.kronecker alone: a
+    # second packer would carry its own slot bound, and a slot too narrow
+    # corrupts products without any error
+    inside, outside = [], []
+    for path, tree in _package_trees():
+        helper = set()
+        if path.name == "poly.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "kronecker":
+                    helper |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                (inside if id(node) in helper else outside).append(f"{path.name}:{node.lineno}")
+    assert inside
+    assert outside == []

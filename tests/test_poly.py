@@ -8,16 +8,19 @@ from freesub.errors import (
     NotCoprime,
     RingMismatch,
 )
-from freesub.exact import ModRingCtx
+from freesub.exact import ModRingCtx, is_prime
+from freesub.groups import GroupFamily
 from freesub.poly import (
     Factorization,
     Poly,
     Series,
+    _pow_mod,
     ext_gcd_coprime,
     factor_mod_p,
     hensel_lift,
     series_div,
 )
+from freesub.reduce import denominator_base
 
 
 def test_basic_arithmetic():
@@ -187,3 +190,273 @@ def test_ext_gcd_lifted(p, alpha):
         u, v = ext_gcd_coprime(f, g, ctx)
         assert u * f + v * g == one
         assert u.degree < 1 and v.degree < 1
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel against the schoolbook loops it replaced, kept here as
+# oracles: products, division with remainder, powers mod f, series products
+# and series quotients over Z/p^alpha
+# ---------------------------------------------------------------------------
+
+# 7 and 13^3 pack through 64-bit words; 10007^5 needs slots wider than one
+KERNEL_RINGS = [ModRingCtx(7, 1), ModRingCtx(13, 3), ModRingCtx(10007, 5)]
+
+
+def school_mul(a: Poly, b: Poly) -> Poly:
+    if a.is_zero() or b.is_zero():
+        return Poly.zero(a.ring)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out, a.ring)
+
+
+def school_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    m = num.ring.modulus
+    lead_inv = pow(den.leading(), -1, m)
+    rem = list(num.coeffs)
+    q = [0] * max(0, len(rem) - len(den.coeffs) + 1)
+    for i in range(len(rem) - len(den.coeffs), -1, -1):
+        c = (rem[i + len(den.coeffs) - 1] * lead_inv) % m
+        if c:
+            q[i] = c
+            for j, d in enumerate(den.coeffs):
+                rem[i + j] = (rem[i + j] - c * d) % m
+    return Poly(q, num.ring), Poly(rem[: len(den.coeffs) - 1], num.ring)
+
+
+def school_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    out = Poly.one(base.ring)
+    base = school_divmod(base, mod)[1]
+    while e:
+        if e & 1:
+            out = school_divmod(school_mul(out, base), mod)[1]
+        base = school_divmod(school_mul(base, base), mod)[1]
+        e >>= 1
+    return out
+
+
+def school_series_mul(s: Series, other) -> Series:
+    out = [0] * s.length
+    for i, a in enumerate(s.coeffs):
+        for j, b in enumerate(other.coeffs):
+            if i + j >= s.length:
+                break
+            out[i + j] += a * b
+    return Series.of(out, s.ring, s.length)
+
+
+def school_series_div(num, den, length: int) -> Series:
+    m = num.ring.modulus
+    nc, dc = num.coeffs, den.coeffs
+    inv0 = pow(dc[0], -1, m)
+    out = [0] * length
+    for i in range(length):
+        acc = nc[i] if i < len(nc) else 0
+        for j in range(1, min(i, len(dc) - 1) + 1):
+            acc -= dc[j] * out[i - j]
+        out[i] = (acc * inv0) % m
+    return Series.of(out, num.ring)
+
+
+def _random_poly(rng: random.Random, ring: ModRingCtx, degree: int, unit_lead=False) -> Poly:
+    """degree -1 is the zero polynomial; a unit leading coefficient that is
+    not 1 makes a non-monic divisor."""
+    m = ring.modulus
+    coeffs = [rng.randrange(m) for _ in range(degree + 1)]
+    if degree >= 0:
+        lead = rng.randrange(1, m)
+        while unit_lead and lead % ring.p == 0:
+            lead = rng.randrange(1, m)
+        coeffs[-1] = lead
+    return Poly(coeffs, ring)
+
+
+def _kernel_degrees(rng: random.Random) -> list[int]:
+    # every degree around the schoolbook cutoff, then a spread up to 200
+    return list(range(-1, 12)) + [rng.randint(12, 200) for _ in range(12)] + [200]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_kernel_products_match_schoolbook(ring):
+    rng = random.Random(ring.modulus)
+    m = ring.modulus
+    for da in _kernel_degrees(rng):
+        for db in (-1, 0, 1, 5, 6, rng.randint(0, 200), 200):
+            a, b = _random_poly(rng, ring, da), _random_poly(rng, ring, db)
+            assert a * b == school_mul(a, b)
+    # every coefficient at m - 1 gives the largest slot sums: no carry
+    top = Poly([m - 1] * 201, ring)
+    assert top * top == school_mul(top, top)
+    assert top * Poly([m - 1] * 3, ring) == school_mul(top, Poly([m - 1] * 3, ring))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_kernel_divmod_matches_schoolbook(ring):
+    rng = random.Random(ring.modulus + 1)
+    for da in _kernel_degrees(rng):
+        for df in (0, 1, 2, 5, 6, 7, rng.randint(0, 200), 200):
+            a = _random_poly(rng, ring, da)
+            f = _random_poly(rng, ring, df, unit_lead=True)
+            assert divmod(a, f) == school_divmod(a, f)
+    top = Poly([ring.modulus - 1] * 201, ring)
+    assert divmod(top, Poly([1] * 40, ring)) == school_divmod(top, Poly([1] * 40, ring))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_kernel_pow_mod_matches_schoolbook(ring):
+    rng = random.Random(ring.modulus + 2)
+    for df in (1, 2, 5, 6, 7, 30, 200):
+        f = _random_poly(rng, ring, df, unit_lead=True)
+        for db in (-1, 0, 3, df - 1, df + 4):
+            base = _random_poly(rng, ring, db)
+            for e in (0, 1, 2, 13, rng.randrange(1, 1 << (12 if df < 100 else 4))):
+                assert _pow_mod(base, e, f) == school_pow_mod(base, e, f)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_kernel_series_products_match_schoolbook(ring):
+    rng = random.Random(ring.modulus + 3)
+    m = ring.modulus
+    for length in (1, 2, 5, 6, 7, 64, 200, 300):
+        for db in (-1, 0, 1, 5, 6, 40, 200, 320):
+            s = Series.of([rng.randrange(m) for _ in range(length)], ring)
+            b = _random_poly(rng, ring, db)
+            assert s.mul(b) == school_series_mul(s, b)
+            assert s.mul(s) == school_series_mul(s, s)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_kernel_series_div_matches_schoolbook(ring):
+    rng = random.Random(ring.modulus + 4)
+    m = ring.modulus
+    for dd in (0, 1, 4, 5, 6, 7, 40, 200):
+        den = Poly([rng.choice([1, m - 1, 2])] + [rng.randrange(m) for _ in range(dd)], ring)
+        for dn in (-1, 0, 3, 50, 200):
+            num = _random_poly(rng, ring, dn)
+            # lengths below, at and past one division block
+            for length in (1, 2, 7, 200, 1023, 1024, 1025, 2500):
+                assert series_div(num, den, length) == school_series_div(num, den, length)
+
+
+# ---------------------------------------------------------------------------
+# factor_mod_p against the algorithm it replaced: exhaustive root search,
+# one gcd per degree, and powers of z taken by repeated squaring
+# ---------------------------------------------------------------------------
+
+
+def _reference_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()[0]
+
+
+def _reference_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    out = Poly.one(base.ring)
+    base = base % mod
+    while e:
+        if e & 1:
+            out = (out * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return out
+
+
+def _reference_equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+    p = f.ring.p
+    if f.degree == d:
+        return [f]
+    exponent = (p**d - 1) // 2
+    while True:
+        r = Poly([rng.randrange(p) for _ in range(f.degree)], f.ring)
+        if r.degree < 1:
+            continue
+        g = _reference_gcd(r, f)
+        if not 0 < g.degree < f.degree:
+            t = _reference_pow_mod(r, exponent, f)
+            g = _reference_gcd(t - Poly.one(f.ring), f)
+            if not 0 < g.degree < f.degree:
+                continue
+        rest = f // g
+        return _reference_equal_degree_split(g, d, rng) + _reference_equal_degree_split(rest, d, rng)
+
+
+def _reference_factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
+    p = f.ring.p
+    out: list[Poly] = []
+    x = Poly.x(f.ring)
+    d = 2
+    h = _reference_pow_mod(x, p, f)
+    while f.degree >= 2 * d:
+        h = _reference_pow_mod(h, p, f)
+        g = _reference_gcd(h - x, f)
+        if g.degree > 0:
+            out.extend(_reference_equal_degree_split(g, d, rng))
+            f = f // g
+            h = h % f
+        d += 1
+    if f.degree > 0:
+        out.append(f)
+    return out
+
+
+def reference_factor_mod_p(f: Poly, seed: int = 0) -> Factorization:
+    ring, p = f.ring, f.ring.p
+    rng = random.Random(seed)
+    work, unit = f.monic()
+    found: dict[Poly, int] = {}
+    for a in range(p):
+        lin = Poly([-a, 1], ring)
+        while work.degree >= 1 and work.eval(a) == 0:
+            work = work // lin
+            found[lin] = found.get(lin, 0) + 1
+    mult_scale = 1
+    while work.degree > 0:
+        der = work.derivative()
+        if der.is_zero():
+            work = Poly(work.coeffs[::p], ring)
+            mult_scale *= p
+            continue
+        sqf = work // _reference_gcd(work, der)
+        for g in _reference_factor_squarefree_monic(sqf, rng):
+            e = 0
+            while (work % g).is_zero():
+                work = work // g
+                e += 1
+            found[g] = found.get(g, 0) + e * mult_scale
+    factors = sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return Factorization(unit, tuple(factors))
+
+
+def _stable_denominators(lo: int, hi: int):
+    for p in range(lo, hi):
+        if is_prime(p):
+            for kind in ("modular3", "hecke4"):
+                _, q = denominator_base(GroupFamily(kind, 1), p)
+                yield q.map_ring(ModRingCtx(p, 1))
+
+
+def test_factor_matches_reference_on_stable_denominators():
+    for q in _stable_denominators(5, 200):
+        assert factor_mod_p(q) == reference_factor_mod_p(q)
+
+
+@pytest.mark.slow
+def test_factor_matches_reference_on_stable_denominators_below_1000():
+    for q in _stable_denominators(200, 1000):
+        assert factor_mod_p(q) == reference_factor_mod_p(q)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_factor_matches_reference_with_multiplicities(p):
+    # repeated factors, p-th powers and roots of every multiplicity
+    ctx = ModRingCtx(p, 1)
+    rng = random.Random(p)
+    for trial in range(12):
+        f = Poly([rng.randrange(1, p)], ctx)
+        for _ in range(rng.randint(1, 4)):
+            g = Poly([rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1], ctx)
+            f = f * g ** rng.choice([1, 1, 2, 3, p, p + 1])
+        assert factor_mod_p(f, seed=trial) == reference_factor_mod_p(f, seed=trial)
+        assert factor_mod_p(f, seed=trial).expand(ctx) == f

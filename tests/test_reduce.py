@@ -294,18 +294,27 @@ def test_reduce_series_checks_the_exact_window(monkeypatch):
 
 def test_numerator_checks_the_doubled_horizon(monkeypatch):
     # the reduced series past the search length must match numerator / D^alpha;
-    # one series of twice the search length serves both, so skewing its last
-    # coefficient leaves the search alone and fails only the check
+    # one product S * D^alpha of twice the search length serves both, so
+    # skewing the series past its first half leaves the search alone and
+    # fails only the check, at the first and at the last term it covers
     real = freesub.reduce.reduce_series
-    calls = []
 
-    def skewed(family, ctx, length):
-        s = real(family, ctx, length)
-        calls.append(length)
-        return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
+    def no_division(num, den, length):
+        raise AssertionError("the numerator check must not divide")
 
-    monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
-    with pytest.raises(CertificationFailed, match="terms") as info:
-        rational_form(M1, ModRingCtx(7, 2))
-    assert len(calls) == 1
-    assert f"on {calls[0]} terms" in str(info.value)
+    monkeypatch.setattr(freesub.reduce, "series_div", no_division)
+    for position in ("first", "last"):
+        calls = []
+
+        def skewed(family, ctx, length):
+            s = real(family, ctx, length)
+            calls.append(length)
+            cs = list(s.coeffs)
+            cs[length // 2 if position == "first" else -1] += 1
+            return Series.of(cs, ctx)
+
+        monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
+        with pytest.raises(CertificationFailed, match="terms") as info:
+            rational_form(M1, ModRingCtx(7, 2))
+        assert len(calls) == 1
+        assert f"on {calls[0]} terms" in str(info.value)
