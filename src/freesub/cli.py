@@ -47,10 +47,14 @@ def _env_defaults() -> dict:
     path = os.environ.get("FREESUB_CONFIG")
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SystemExit(EXIT_BAD_CONFIG)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the JSON value is not an object")
+    except (OSError, ValueError) as exc:
+        print(f"invalid configuration: FREESUB_CONFIG={path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_CONFIG) from None
     return data
 
 

@@ -5,8 +5,8 @@ detect_period scans candidate periods T in increasing order and, for each,
 finds the minimal preperiod on the available window; a candidate is accepted
 only when the window covers at least three full periods past the preperiod.
 When a certified bound is supplied (a known multiple of the true period,
-derived from the rational form), only its divisors need testing, which keeps
-very long horizons tractable.
+derived from the rational form), only its divisors need testing: the scan
+skips every other candidate, which keeps very long horizons tractable.
 """
 
 from __future__ import annotations
@@ -47,29 +47,17 @@ def _min_preperiod(coeffs, T: int) -> int:
     return i + 1
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def detect_period(series: Series, certificate_bound: int | None = None) -> PeriodReport:
-    """Minimal (preperiod, period) of the window, exhaustively or over the
-    divisors of a certified bound.  Raises HorizonTooShort when nothing is
-    confirmed with the safety margin."""
+    """Minimal (preperiod, period) of the window.  Candidates T run upward
+    to a third of the window; with a certified bound only its divisors are
+    tested, and the scan stays bounded by the window however large the
+    bound.  Raises HorizonTooShort when nothing is confirmed with the
+    safety margin."""
     coeffs = series.coeffs
     n = len(coeffs)
-    if certificate_bound is not None:
-        candidates = [t for t in _divisors(certificate_bound) if _MARGIN * t <= n]
-    else:
-        candidates = range(1, n // _MARGIN + 1)
-    for T in candidates:
+    for T in range(1, n // _MARGIN + 1):
+        if certificate_bound is not None and certificate_bound % T:
+            continue
         # cheap prefilter before the full backward scan
         if coeffs[n - T : n] != coeffs[n - 2 * T : n - T]:
             continue
@@ -166,8 +154,7 @@ def analyze(
             series.coeffs[:200] == checked.coeffs,
             "the expanded form matches the series on 200 terms",
         )
-    use_bound = bound if (bound is not None and horizon > _DIRECT_LIMIT) else None
-    report = detect_period(series, use_bound)
+    report = detect_period(series, bound)
     if bound is not None:
         certify(bound % report.period == 0, f"period {report.period} divides the order bound")
     match = None if predicted is None else report.period == predicted

@@ -21,7 +21,9 @@ Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
 built from.  Factorization mod p is distinct-degree factorization, with the
 Frobenius map applied as one packed linear combination and the gcds batched
 over runs of degrees, followed by Cantor-Zassenhaus equal-degree splitting;
-Hensel lifting goes one power of p at a time.
+Hensel lifting goes one power of p at a time, each factor against its own
+cofactor.  Bezout cofactors over Z/p^alpha come by Newton iteration for the
+inverse of f mod g, which needs the leading coefficient of g to be a unit.
 """
 
 from __future__ import annotations
@@ -472,22 +474,20 @@ def _gcd_fp(a: Poly, b: Poly) -> Poly:
     return a.monic()[0]
 
 
-def _ext_gcd_fp(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g the monic gcd over F_p."""
+def _ext_gcd_fp(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(g, u) with u*a = g mod b, g the monic gcd over F_p: the extended
+    Euclidean algorithm, tracking the cofactor of a only."""
     ring = a.ring
     r0, r1 = a, b
     s0, s1 = Poly.one(ring), Poly.zero(ring)
-    t0, t1 = Poly.zero(ring), Poly.one(ring)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
-        return r0, s0, t0
+        return r0, s0
     g, lead = r0.monic()
-    inv = pow(lead, -1, ring.modulus)
-    return g, s0.scale(inv), t0.scale(inv)
+    return g, s0.scale(pow(lead, -1, ring.modulus))
 
 
 def _mulmod(f: Poly):
@@ -645,29 +645,25 @@ def _lift_to(poly: Poly, ctx: ModRingCtx) -> Poly:
     return Poly([int(c) for c in poly.coeffs], ctx)
 
 
-def _hensel_pair(f: Poly, g: Poly, h: Poly, ctx: ModRingCtx) -> tuple[Poly, Poly]:
-    """Lift a coprime factorization f = g*h from mod p to mod p^alpha.
+def _hensel_factor(f: Poly, g: Poly, h: Poly, ctx: ModRingCtx) -> Poly:
+    """The monic lift G of g that divides f over Z/p^alpha.
 
-    f is monic over Z/p^alpha; g, h monic over Z/p with g*h = f mod p.
-    One linear step per power of p.
+    f is monic over Z/p^alpha; g, h monic and coprime over Z/p with
+    g*h = f mod p.  One linear step per power of p: if G divides f mod p^k,
+    the remainder of f by G is p^k e, and G + p^k (e / h mod g) divides f
+    mod p^(k+1).
     """
     fp = ModRingCtx(ctx.p, 1)
-    gbar, hbar = g, h
-    d, u, v = _ext_gcd_fp(gbar, hbar)
+    d, h_inv = _ext_gcd_fp(h, g)
     if d.degree != 0:
         raise NotCoprime("factors share a common divisor mod p")
-    G, H = _lift_to(gbar, ctx), _lift_to(hbar, ctx)
+    G = _lift_to(g, ctx)
     pk = ctx.p
     while pk < ctx.modulus:
-        err = f - G * H
-        e = Poly([c // pk for c in err.coeffs], fp)
-        ve = v * e
-        q, s = divmod(ve, gbar)
-        t = u * e + q * hbar
-        G = G + _lift_to(s, ctx).scale(pk)
-        H = H + _lift_to(t, ctx).scale(pk)
+        e = Poly([c // pk for c in (f % G).coeffs], fp)
+        G = G + _lift_to(h_inv * e % g, ctx).scale(pk)
         pk *= ctx.p
-    return G, H
+    return G
 
 
 def hensel_lift(factors: list[Poly], target: Poly) -> Factorization:
@@ -675,41 +671,24 @@ def hensel_lift(factors: list[Poly], target: Poly) -> Factorization:
     `target` over its Z/p^alpha ring.
 
     Each lifted factor is monic, congruent to its input mod p, and the
-    product (times the unit) reproduces `target` exactly.
+    product (times the unit) reproduces `target` exactly.  Each factor is
+    lifted on its own, against its cofactor of the target; monic coprime
+    lifts are unique, so the lifts of all factors multiply to the target.
     """
     ctx = target.ring
     if ctx is None:
         raise RingMismatch("target must live in a modular ring")
     fp = ModRingCtx(ctx.p, 1)
     monic_target, unit = target.monic()
-
-    rest = list(factors)
-    while rest:
-        head, rest = rest[0], rest[1:]
-        for g in rest:
-            if _gcd_fp(head, g).degree != 0:
-                raise NotCoprime("factors share a common divisor mod p")
-    reduced = Poly([c % ctx.p for c in monic_target.coeffs], fp)
+    reduced = Poly(monic_target.coeffs, fp)
     prod = Poly.one(fp)
     for g in factors:
         prod = prod * g
     if prod != reduced:
         raise ValueError("product of factors does not match target mod p")
-
-    if ctx.alpha == 1:
-        return Factorization(unit, tuple((f, 1) for f in factors))
-
-    def lift_list(f: Poly, gs: list[Poly]) -> list[Poly]:
-        if len(gs) == 1:
-            return [f]
-        head = gs[0]
-        tail_prod = Poly.one(fp)
-        for g in gs[1:]:
-            tail_prod = tail_prod * g
-        G, H = _hensel_pair(f, head, tail_prod, ctx)
-        return [G] + lift_list(H, gs[1:])
-
-    lifted = lift_list(monic_target, list(factors))
+    # _hensel_factor raises NotCoprime unless each factor is coprime to its
+    # cofactor, that is unless the factors are pairwise coprime
+    lifted = [_hensel_factor(monic_target, g, reduced // g, ctx) for g in factors]
     return Factorization(unit, tuple((g, 1) for g in lifted))
 
 
@@ -717,33 +696,25 @@ def ext_gcd_coprime(f: Poly, g: Poly, ctx: ModRingCtx) -> tuple[Poly, Poly]:
     """Bezout cofactors u, v with u*f + v*g = 1 over Z/p^alpha,
     deg u < deg g and deg v < deg f.
 
-    Requires f and g coprime mod p; lifts the mod-p identity one power of p
-    at a time.
+    Requires f and g coprime mod p (NotCoprime otherwise) and the leading
+    coefficient of g a unit (NonInvertible otherwise); then u and v are
+    unique.  u starts as the inverse of f mod g over F_p, and each Newton
+    step u <- u*(2 - f*u) mod g squares the error 1 - f*u, so
+    ceil(log2 alpha) steps reach p^alpha; v = (1 - u*f) / g is an exact
+    division.
     """
     if f.ring != ctx or g.ring != ctx:
         raise RingMismatch("operands must live in the given ring")
+    f_mod = f % g  # NonInvertible unless g's leading coefficient is a unit
     fp = ModRingCtx(ctx.p, 1)
-    fbar = Poly([c % ctx.p for c in f.coeffs], fp)
-    gbar = Poly([c % ctx.p for c in g.coeffs], fp)
-    d, u0, v0 = _ext_gcd_fp(fbar, gbar)
-    if d.degree != 0 or d.is_zero():
+    gbar = Poly(g.coeffs, fp)
+    d, u0 = _ext_gcd_fp(Poly(f_mod.coeffs, fp), gbar)
+    if d.degree != 0:
         raise NotCoprime("inputs are not coprime mod p")
-    # normalize so u0*f + v0*g = 1 mod p with deg u0 < deg g
-    if gbar.degree > 0:
-        q, u0 = divmod(u0, gbar)
-        v0 = v0 + q * fbar
-    u = _lift_to(u0, ctx)
-    v = _lift_to(v0, ctx)
-    pk = ctx.p
-    one = Poly.one(ctx)
-    while pk < ctx.modulus:
-        err = one - (u * f + v * g)
-        e = Poly([c // pk for c in err.coeffs], fp)
-        q, s = divmod(u0 * e, gbar)
-        t = v0 * e + q * fbar
-        u = u + _lift_to(s, ctx).scale(pk)
-        v = v + _lift_to(t, ctx).scale(pk)
-        pk *= ctx.p
-    if not (u * f + v * g == one):
+    u, two = _lift_to(u0 % gbar, ctx), Poly([2], ctx)
+    for _ in range((ctx.alpha - 1).bit_length()):
+        u = u * (two - f_mod * u) % g
+    v, r = divmod(Poly.one(ctx) - u * f, g)
+    if not r.is_zero():
         raise NotCoprime("Bezout lift failed")  # pragma: no cover
     return u, v

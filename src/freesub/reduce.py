@@ -211,13 +211,34 @@ def _bounded_numerator(
     )
 
 
+def _recombine(terms, ctx: ModRingCtx) -> tuple[Poly, Poly]:
+    """(N, D^alpha) with sum residue/factor^s = N / D^alpha, where D is the
+    product of the terms' distinct factors and alpha their largest exponent.
+
+    Per factor g the terms join by Horner's rule into sum residue_s *
+    g^(alpha - s) over g^alpha; the factors then add as plain fractions.
+    """
+    alpha = max((t.exponent for t in terms), default=0)
+    residues = {(t.factor, t.exponent): t.residue for t in terms}
+    num, den = Poly.zero(ctx), Poly.one(ctx)
+    for g in dict.fromkeys(t.factor for t in terms):
+        g_mod = g.map_ring(ctx)
+        part = Poly.zero(ctx)
+        for s in range(1, alpha + 1):
+            part = part * g_mod + residues.get((g, s), Poly.zero(ctx))
+        g_alpha = g_mod**alpha
+        num, den = num * g_alpha + part * den, den * g_alpha
+    return num, den
+
+
 def _partial_fractions_over(
     proper: Poly, gs: list[Poly], ctx: ModRingCtx, alpha: int
 ) -> list[FractionTerm]:
     """Split proper/(prod g^alpha) into residue/g^s terms, s = 1..alpha.
 
     Works factor by factor through Bezout inverses; zero residues are kept
-    so every (factor, exponent) slot up to alpha is present.
+    so every (factor, exponent) slot up to alpha is present.  The emitted
+    terms are certified to recombine to proper/(prod g^alpha).
     """
     from .poly import ext_gcd_coprime
 
@@ -225,23 +246,20 @@ def _partial_fractions_over(
     full = Poly.one(ctx)
     for g in gs:
         full = full * (g.map_ring(ctx) ** alpha)
-    recombined = Poly.zero(ctx)
     for g in gs:
         g_mod = g.map_ring(ctx)
         g_alpha = g_mod**alpha
         others = full // g_alpha
         u, _ = ext_gcd_coprime(others, g_alpha, ctx)
-        part = (proper * u) % g_alpha
-        recombined = recombined + part * others
+        rest = (proper * u) % g_alpha
         digits = []
-        rest = part
         for _ in range(alpha):
             rest, digit = divmod(rest, g_mod)
             digits.append(digit)
         certify(rest.is_zero(), "the residue expands in at most alpha factor powers")
         for s in range(1, alpha + 1):
             out.append(FractionTerm(g, s, digits[alpha - s]))
-    certify((recombined % full) == (proper % full), "the partial fractions recombine")
+    certify(_recombine(out, ctx) == (proper, full), "the partial fractions recombine")
     return out
 
 
@@ -260,20 +278,10 @@ def partial_fractions(
 
 def expand_form(form: RationalFormModPA, length: int) -> Series:
     """Series expansion of poly_part + sum residue/factor^s to `length`
-    terms; the linear recurrences involved make this cheap even for very
-    long horizons."""
-    ctx = form.ctx
-    acc = [0] * length
-    for i, c in enumerate(form.poly_part.coeffs[:length]):
-        acc[i] = c
-    for term in form.fractions:
-        if term.residue.is_zero():
-            continue
-        den = term.factor.map_ring(ctx) ** term.exponent
-        piece = series_div(term.residue, den, length)
-        for i, c in enumerate(piece.coeffs):
-            acc[i] = (acc[i] + c) % ctx.modulus
-    return Series(tuple(acc), ctx)
+    terms: the fractions join into one N/D^alpha, and the expansion is one
+    power-series quotient (poly_part * D^alpha + N) / D^alpha."""
+    num, den = _recombine(form.fractions, form.ctx)
+    return series_div(form.poly_part * den + num, den, length)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def _bench_layers():
+def _bench_module():
     spec = importlib.util.spec_from_file_location("bench_run", RUN_PY)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
@@ -23,10 +23,11 @@ def _bench_layers():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.LAYERS
+    return module
 
 
-LAYERS = _bench_layers()
+BENCH = _bench_module()
+LAYERS = BENCH.LAYERS
 SPANS = {(name, attr): describe for name, attr, _, describe in LAYERS}
 
 
@@ -58,3 +59,20 @@ def test_traced_layer_reads_parameter_names(module_name, attr):
     arguments = _RecordingArguments()
     SPANS[module_name, attr](arguments)
     assert arguments.read <= set(inspect.signature(fn).parameters)
+
+
+def test_coverage_jobs_and_probes_call_every_layer(capsys):
+    # the benchmark's cheap jobs must reach every wrapped name, so a refactor
+    # that routes around one (say, expand_form no longer calling
+    # freesub.reduce.series_div) fails here and not only under --trace 1
+    from freesub.cli import main
+
+    tracer = BENCH.Tracer()
+    with BENCH.traced(tracer):
+        for argv in BENCH.COVERAGE:
+            assert main([*argv, "--seed", "0"]) == 0
+        for argv, code in BENCH.PROBES:
+            assert main([*argv, "--seed", "0"]) == code
+    capsys.readouterr()
+    called = {target for target, _ in tracer.target_calls}
+    assert [f"{name}.{attr}" for name, attr, *_ in LAYERS if f"{name}.{attr}" not in called] == []

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -210,6 +211,32 @@ def test_env_config_defaults(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "counts", "--count", "2")
     assert code == 0
     assert json.loads(out)["values"] == [5, 60]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"format": "json",', '["format", "json"]'],
+    ids=["missing-file", "malformed-json", "not-an-object"],
+)
+def test_env_config_error_exit2(capsys, tmp_path, monkeypatch, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--count", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith("invalid configuration: FREESUB_CONFIG") and out.err.count("\n") == 1
+
+
+def test_short_horizon_with_a_large_order_bound_exit5(capsys):
+    # the order bound at p = 101 has 27 digits: the scan must test the
+    # candidates in the 1000-term window, not enumerate the bound's divisors
+    start = time.perf_counter()
+    code, out, err = run(capsys, "period", "--p", "101", "--alpha", "1", "--horizon", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == "" and "horizon too short" in err
 
 
 def test_pade_negative_n_exit2(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import jsonschema
 import pytest
 
@@ -53,6 +55,24 @@ def test_detect_with_certificate_bound():
     series = reduce_series(M1, ModRingCtx(7, 2), 400)
     report = detect_period(series, certificate_bound=294)
     assert report.period == 42 and report.certificate == 294
+
+
+def test_detect_with_a_huge_certificate_bound_stays_in_the_window():
+    # a bound of 42 digits has divisors far past the window; the scan must
+    # not enumerate them, only test the candidates the window can confirm
+    series = reduce_series(M1, ModRingCtx(7, 2), 400)
+    bound = 42 * (10**40 + 1)
+    start = time.perf_counter()
+    report = detect_period(series, certificate_bound=bound)
+    elapsed = time.perf_counter() - start
+    plain = detect_period(series)
+    assert (report.preperiod, report.period, report.verified_horizon) == (
+        plain.preperiod,
+        plain.period,
+        plain.verified_horizon,
+    )
+    assert report.certificate == bound
+    assert elapsed < 0.25
 
 
 def test_predicted_table():
@@ -116,3 +136,12 @@ def test_p17_alpha2_detected_value():
     assert res.predicted == 18 * 16 * 17
     assert res.predicted % res.report.period == 0
     assert res.match is False
+
+
+def test_p17_alpha3_measured_values():
+    # the README's numbers: the quoted 471648 is 17 times the minimal period
+    res = analyze(M1, ModRingCtx(17, 3))
+    assert res.report.period == 27744 and res.report.preperiod == 30
+    assert res.report.verified_horizon == 1886638
+    assert res.order_bound == 1414944
+    assert res.predicted == 471648 and res.match is False

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from freesub.errors import (
+    NonInvertible,
     NonInvertibleConstantTerm,
     NotCoprime,
     RingMismatch,
@@ -14,6 +15,8 @@ from freesub.poly import (
     Factorization,
     Poly,
     Series,
+    _ext_gcd_fp,
+    _lift_to,
     _pow_mod,
     ext_gcd_coprime,
     factor_mod_p,
@@ -460,3 +463,69 @@ def test_factor_matches_reference_with_multiplicities(p):
             f = f * g ** rng.choice([1, 1, 2, 3, p, p + 1])
         assert factor_mod_p(f, seed=trial) == reference_factor_mod_p(f, seed=trial)
         assert factor_mod_p(f, seed=trial).expand(ctx) == f
+
+
+# ---------------------------------------------------------------------------
+# Bezout cofactors by Newton iteration against the linear lift they replaced,
+# kept here as the oracle
+# ---------------------------------------------------------------------------
+
+
+def linear_lift_ext_gcd(f: Poly, g: Poly, ctx: ModRingCtx) -> tuple[Poly, Poly]:
+    """u*f + v*g = 1 with deg u < deg g: the mod-p identity lifted one power
+    of p at a time."""
+    fp = ModRingCtx(ctx.p, 1)
+    fbar = Poly([c % ctx.p for c in f.coeffs], fp)
+    gbar = Poly([c % ctx.p for c in g.coeffs], fp)
+    d, u0 = _ext_gcd_fp(fbar, gbar)
+    if d.degree != 0 or d.is_zero():
+        raise NotCoprime("inputs are not coprime mod p")
+    # the mod-p identity u0*f + v0*g = 1 with deg u0 < deg g
+    u0 = u0 % gbar
+    v0 = (Poly.one(fp) - u0 * fbar) // gbar
+    u = _lift_to(u0, ctx)
+    v = _lift_to(v0, ctx)
+    pk = ctx.p
+    one = Poly.one(ctx)
+    while pk < ctx.modulus:
+        err = one - (u * f + v * g)
+        e = Poly([c // pk for c in err.coeffs], fp)
+        q, s = divmod(u0 * e, gbar)
+        t = v0 * e + q * fbar
+        u = u + _lift_to(s, ctx).scale(pk)
+        v = v + _lift_to(t, ctx).scale(pk)
+        pk *= ctx.p
+    return u, v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5, 6])
+def test_ext_gcd_matches_linear_lift(p, alpha):
+    # alpha = 2, 3, 4, 5 are the first values needing 1, 2, 2, 3 Newton steps
+    ctx = ModRingCtx(p, alpha)
+    rng = random.Random(100 * p + alpha)
+    one = Poly.one(ctx)
+    # constant g, deg f > deg g, equal degrees, deg f < deg g, and f = 0
+    shapes = [(3, 0), (0, 0), (5, 2), (7, 1), (3, 3), (1, 4), (2, 6), (-1, 0)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(8)]
+    coprime = 0
+    for df, dg in shapes:
+        f = _random_poly(rng, ctx, df)
+        g = _random_poly(rng, ctx, dg, unit_lead=True)
+        try:
+            expected = linear_lift_ext_gcd(f, g, ctx)
+        except NotCoprime:
+            with pytest.raises(NotCoprime):
+                ext_gcd_coprime(f, g, ctx)
+            continue
+        coprime += 1
+        u, v = ext_gcd_coprime(f, g, ctx)
+        assert (u, v) == expected
+        assert u * f + v * g == one and u.degree < g.degree
+    assert coprime >= len(shapes) // 2
+
+
+def test_ext_gcd_needs_a_unit_leading_coefficient():
+    ctx = ModRingCtx(7, 3)
+    with pytest.raises(NonInvertible):
+        ext_gcd_coprime(Poly([2, 1], ctx), Poly([1, 3, 7], ctx), ctx)

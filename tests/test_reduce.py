@@ -8,7 +8,7 @@ import freesub.reduce
 from freesub.errors import CertificationFailed, DegreeBoundExceeded, UnsupportedPrime
 from freesub.exact import ModRingCtx, is_prime
 from freesub.groups import GroupFamily, params_for
-from freesub.poly import Poly, Series
+from freesub.poly import Poly, Series, series_div
 from freesub.riccati import pade_pair, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
@@ -156,6 +156,50 @@ def test_reconstruction(family, p, alpha):
     L = 2 * (ctx.alpha * form.d + 2 * p * ctx.alpha + 64)
     series = reduce_series(family, ctx, L)
     assert expand_form(form, L).coeffs == series.coeffs
+
+
+def per_fraction_expand_form(form, length: int) -> Series:
+    """The expansion before the fractions were joined into one N/D^alpha: one
+    series quotient per nonzero fraction, summed term by term."""
+    ctx = form.ctx
+    acc = [0] * length
+    for i, c in enumerate(form.poly_part.coeffs[:length]):
+        acc[i] = c
+    for term in form.fractions:
+        if term.residue.is_zero():
+            continue
+        den = term.factor.map_ring(ctx) ** term.exponent
+        piece = series_div(term.residue, den, length)
+        for i, c in enumerate(piece.coeffs):
+            acc[i] = (acc[i] + c) % ctx.modulus
+    return Series(tuple(acc), ctx)
+
+
+@pytest.mark.parametrize(
+    "family,p,alpha",
+    [(M1, 7, 5), (M1, 13, 3), (M1, 19, 1), (M1, 23, 1), (M1, 5, 3), (H1, 13, 2), (H1, 17, 2)],
+)
+def test_expand_form_matches_per_fraction_expansion(family, p, alpha):
+    form = rational_form(family, ModRingCtx(p, alpha))
+    assert expand_form(form, 5000) == per_fraction_expand_form(form, 5000)
+
+
+def test_certificate_covers_the_emitted_residues(monkeypatch):
+    # skew the first residue as its term is emitted; the recombination check
+    # must read the terms that leave the split, not the parts before it
+    real = freesub.reduce.FractionTerm
+    skewed = []
+
+    def skew_first(factor, exponent, residue):
+        if not skewed:
+            skewed.append(exponent)
+            residue = residue + Poly([1], residue.ring)
+        return real(factor, exponent, residue)
+
+    monkeypatch.setattr(freesub.reduce, "FractionTerm", skew_first)
+    with pytest.raises(CertificationFailed, match="the partial fractions recombine"):
+        rational_form(M1, ModRingCtx(7, 2))
+    assert skewed
 
 
 def test_partial_fraction_roundtrip():
