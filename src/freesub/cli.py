@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from importlib import resources
+from typing import NoReturn
 
 from .errors import (
     DegenerateParameters,
@@ -43,6 +44,12 @@ EXIT_GOLDEN_MISMATCH = 6
 EXIT_LIBRARY_ERROR = 7
 
 
+def _config_error(message) -> NoReturn:
+    path = os.environ["FREESUB_CONFIG"]
+    print(f"invalid configuration: FREESUB_CONFIG={path}: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_BAD_CONFIG)
+
+
 def _env_defaults() -> dict:
     path = os.environ.get("FREESUB_CONFIG")
     if not path:
@@ -53,8 +60,7 @@ def _env_defaults() -> dict:
         if not isinstance(data, dict):
             raise ValueError("the JSON value is not an object")
     except (OSError, ValueError) as exc:
-        print(f"invalid configuration: FREESUB_CONFIG={path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_CONFIG) from None
+        _config_error(exc)
     return data
 
 
@@ -191,33 +197,28 @@ def cmd_reproduce(args) -> int:
         kind, m, p, alpha, golden_file = _PRESETS[name]
         form = rational_form(GroupFamily(kind, m), ModRingCtx(p, alpha), ReduceConfig(seed=args.seed))
         actual = emit(form, "latex")
-        golden = _golden_text(golden_file)
-        if _whitespace_insensitive_equal(golden, actual):
-            print(f"{name}: OK")
-            return 0
-        print(_diff(golden, actual))
-        return EXIT_GOLDEN_MISMATCH
-    if name == "periods-17":
-        alphas = (1, 2) if args.tier == "fast" else (1, 2, 3)
+    elif name == "periods-17":
+        golden_file = "periods_17.txt"
         lines = []
-        for alpha in alphas:
+        for alpha in (1, 2, 3):
             res = analyze(GroupFamily("modular3", 1), ModRingCtx(17, alpha))
             lines.append(f"p=17 alpha={alpha} period={res.report.period}")
         actual = "\n".join(lines)
-        golden_lines = _golden_text("periods_17.txt").splitlines()
-        golden = "\n".join(golden_lines[: len(alphas)])
-        if _whitespace_insensitive_equal(golden, actual):
-            print(f"{name}: OK")
-            return 0
-        print(_diff(golden, actual))
+    else:
+        print(f"unknown preset {name!r}; choose from {sorted(_PRESETS) + ['periods-17']}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    golden = _golden_text(golden_file)
+    if _whitespace_insensitive_equal(golden, actual):
+        print(f"{name}: OK")
+        return 0
+    print(_diff(golden, actual))
+    if name == "periods-17":
         print(
             "note: the quoted minimal periods for 17^2 and 17^3 are not attained; "
             "the detected values divide them (see README)",
             file=sys.stderr,
         )
-        return EXIT_GOLDEN_MISMATCH
-    print(f"unknown preset {name!r}; choose from {sorted(_PRESETS) + ['periods-17']}", file=sys.stderr)
-    return EXIT_BAD_CONFIG
+    return EXIT_GOLDEN_MISMATCH
 
 
 def _at_least(lo: int):
@@ -262,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=defaults.get("seed", 0))
     c.set_defaults(func=cmd_pade)
 
-    for name, fn, help_ in (
-        ("reduce", cmd_reduce, "rational form of the series mod p^alpha"),
-        ("pfrac", cmd_pfrac, "partial fractions of the reduced form"),
+    for name, fn, formats, help_ in (
+        ("reduce", cmd_reduce, ["text", "json", "latex"], "rational form of the series mod p^alpha"),
+        ("pfrac", cmd_pfrac, ["text", "json"], "partial fractions of the reduced form"),
     ):
         c = sub.add_parser(name, help=help_)
         common(c, family_required=False)
@@ -272,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--alpha", type=_at_least(1), required=True)
         c.add_argument("--length", type=_at_least(1), default=defaults.get("length"))
         c.add_argument("--window", type=_at_least(1), default=defaults.get("window"))
-        c.add_argument(
-            "--format", choices=["text", "json", "latex"], default=defaults.get("format", "text")
-        )
+        c.add_argument("--format", choices=formats, default=defaults.get("format", "text"))
         c.set_defaults(func=fn)
 
     c = sub.add_parser("period", help="preperiod and minimal period mod p^alpha")
@@ -295,15 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("reproduce", help="regenerate a classical display and diff it")
     c.add_argument("name")
-    c.add_argument("--tier", choices=["fast", "slow"], default=defaults.get("tier", "fast"))
     c.add_argument("--seed", type=int, default=defaults.get("seed", 0))
     c.set_defaults(func=cmd_reproduce)
 
+    # argparse checks choices on the command line only; main checks the
+    # options whose default is a config value
+    for c in sub.choices.values():
+        c.set_defaults(
+            config_choices={
+                a.dest: a.choices
+                for a in c._actions
+                if a.choices and a.dest in defaults and a.default == defaults[a.dest]
+            }
+        )
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, choices in args.config_choices.items():
+        value = getattr(args, dest)
+        if value not in choices:
+            _config_error(f"{dest}={value!r} is not one of {', '.join(choices)}")
     try:
         return args.func(args)
     except DegreeBoundExceeded as exc:

@@ -1,18 +1,15 @@
-"""Eventual-period detection for the reduced counting sequences, with the
-classical predicted values and a certified order bound.
+"""Eventual periods of the reduced counting sequences, with the classical
+predicted values and a certified order bound.
 
-detect_period scans candidate periods T in increasing order and, for each,
-finds the minimal preperiod on the available window; a candidate is accepted
-only when the window covers at least three full periods past the preperiod.
-When a certified bound is supplied (a known multiple of the true period,
-derived from the rational form), only its divisors need testing: the scan
-skips every other candidate, which keeps very long horizons tractable.
+`analyze` reads every period off one series, the expansion of the rational
+form, which the numerator check in `reduce` proves equal to the series mod
+p^alpha to every order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx
@@ -23,10 +20,6 @@ from .reduce import RationalFormModPA, ReduceConfig, expand_form, rational_form,
 # safety margin: a period T is confirmed only if the window past the
 # preperiod spans at least MARGIN * T coefficients
 _MARGIN = 3
-
-# horizons up to this length use the direct recurrence; longer ones expand
-# the (already verified) rational form, which costs O(length * degree)
-_DIRECT_LIMIT = 40_000
 
 
 @dataclass(frozen=True)
@@ -85,16 +78,6 @@ def predicted_period(family: GroupFamily, p: int, alpha: int) -> int | None:
     return None
 
 
-def _ceil_log(p: int, x: int) -> int:
-    """Smallest e >= 0 with p^e >= x."""
-    e = 0
-    v = 1
-    while v < x:
-        v *= p
-        e += 1
-    return e
-
-
 def order_bound(form: RationalFormModPA) -> int:
     """A certified multiple of the eventual period of the expanded form.
 
@@ -107,14 +90,11 @@ def order_bound(form: RationalFormModPA) -> int:
         raise ValueError("order bound needs at least one denominator factor")
     p, alpha = form.ctx.p, form.ctx.alpha
     bound = 1
-    seen = set()
-    for t in form.fractions:
-        if t.factor in seen:
-            continue
-        seen.add(t.factor)
-        dp = t.factor.degree
-        b = (p**dp - 1) * p ** (alpha - 1 + _ceil_log(p, alpha * dp))
-        bound = bound * b // gcd(bound, b)
+    for g in dict.fromkeys(t.factor for t in form.fractions):
+        e = 0  # ceil(log_p(alpha * d'))
+        while p**e < alpha * g.degree:
+            e += 1
+        bound = lcm(bound, (p**g.degree - 1) * p ** (alpha - 1 + e))
     return bound
 
 
@@ -137,7 +117,11 @@ def analyze(
     detection, and comparison against the predicted value.
 
     The horizon defaults to the polynomial-part degree plus four times the
-    predicted period (or the order bound when no prediction exists).
+    predicted period (or the order bound when no prediction exists).  The
+    series is the expansion of the certified form, cross-checked against
+    the direct recurrence on 200 terms.  D(0) = 1 and the leading
+    coefficient of D is a unit mod p, so the proper part is purely periodic
+    and the preperiod is at most deg(poly_part) + 1; that is certified too.
     """
     form = rational_form(family, ctx, config)
     bound = order_bound(form) if form.d >= 1 else None
@@ -145,18 +129,19 @@ def analyze(
     if horizon is None:
         t_est = predicted or bound or 1
         horizon = form.poly_part.degree + 1 + (_MARGIN + 1) * t_est + 16
-    if horizon <= _DIRECT_LIMIT:
-        series = reduce_series(family, ctx, horizon)
-    else:
-        series = expand_form(form, horizon)
-        checked = reduce_series(family, ctx, 200)
-        certify(
-            series.coeffs[:200] == checked.coeffs,
-            "the expanded form matches the series on 200 terms",
-        )
+    series = expand_form(form, horizon)
+    checked = reduce_series(family, ctx, min(horizon, 200))
+    certify(
+        series.coeffs[: checked.length] == checked.coeffs,
+        f"the expanded form matches the series on {checked.length} terms",
+    )
     report = detect_period(series, bound)
     if bound is not None:
         certify(bound % report.period == 0, f"period {report.period} divides the order bound")
+    certify(
+        report.preperiod <= form.poly_part.degree + 1,
+        f"preperiod {report.preperiod} is at most deg(poly_part) + 1",
+    )
     match = None if predicted is None else report.period == predicted
     return PeriodAnalysis(report, predicted, match, bound, form)
 

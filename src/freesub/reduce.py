@@ -13,9 +13,9 @@ polynomial).  The pipeline here is:
      integer polynomials is the working denominator (any lift of the mod-p
      denominator serves, and this one matches the classical displays);
   3. multiply the reduced series by D^alpha, find where the coefficients
-     become identically zero (a verified zero-run), divide back and check
-     against the series again, then split into polynomial part plus partial
-     fractions over the factor powers.
+     become identically zero (a verified zero-run), check that the product
+     vanishes on enough terms to prove the form to every order, then split
+     into polynomial part plus partial fractions over the factor powers.
 
 A second, independent route reduces the explicit approximant P_n/Q_n for an
 n chosen so the residual constant vanishes mod p^alpha; by uniqueness of the
@@ -123,7 +123,8 @@ def _balanced(v: int, p: int) -> int:
 
 def _display_factors(q_base: Poly, p: int, seed: int) -> tuple[list[Poly], Factorization]:
     """Irreducible factors of q_base mod p as small integer polynomials with
-    constant term 1 and balanced coefficients."""
+    constant term 1 and balanced coefficients, by degree, then by
+    coefficients mod p."""
     fp = ModRingCtx(p, 1)
     fact = factor_mod_p(q_base.map_ring(fp), seed=seed)
     out = []
@@ -133,11 +134,8 @@ def _display_factors(q_base: Poly, p: int, seed: int) -> tuple[list[Poly], Facto
         c0 = g.coeff(0)
         inv = pow(c0, -1, p)
         out.append(Poly([_balanced(inv * c, p) for c in g.coeffs]))
+    out.sort(key=lambda g: (g.degree, tuple(c % p for c in g.coeffs[1:])))
     return out, fact
-
-
-def _factor_order_key(g: Poly, p: int):
-    return (g.degree, tuple(c % p for c in g.coeffs[1:]))
 
 
 def rational_form(
@@ -152,7 +150,6 @@ def rational_form(
         return RationalFormModPA(ctx, family, 0, q_base, poly_part, ())
 
     gs, mod_p_factors = _display_factors(q_base, p, config.seed)
-    gs.sort(key=lambda g: _factor_order_key(g, p))
     den = Poly.one()
     for g in gs:
         den = den * g
@@ -185,23 +182,27 @@ def _search_plan(d: int, ctx: ModRingCtx, config: ReduceConfig) -> tuple[int, in
 def _bounded_numerator(
     family: GroupFamily, ctx: ModRingCtx, den_alpha: Poly, config: ReduceConfig
 ) -> Poly:
-    """Multiply the series by the denominator power and certify that the
-    result is a polynomial: a zero-run of the configured width must follow
-    the last nonzero coefficient, and the product must vanish past it on a
-    doubled horizon.  As D(0) is a unit, S D^alpha = N mod z^(2L) says
-    exactly that N / D^alpha reproduces S on 2L terms.  With the
-    denominator 1 (d = 0) this certifies that the reduced series itself
-    terminates."""
+    """Multiply the series S by den = D^alpha and certify that the product
+    is a polynomial N: a zero-run of the configured width must follow its
+    last nonzero coefficient among the first L, and it must vanish past
+    that on K = 2 max(L, deg den + 1) terms.  As den(0) = 1, G = N / den
+    then reproduces S on K terms, which proves G = S mod p^alpha to every
+    order.  With M = max(deg N, deg den) and the ODE Phi(H) = (1 - Az) H -
+    B z^2 H' - C z H^2 - 1 - D z, den^2 Phi(G) is a polynomial of degree
+    <= 2M + 1 < K that vanishes mod z^K, hence mod p^alpha; the recurrence
+    is monic in each new coefficient, so G is the unique solution S.  With
+    the denominator 1 (d = 0) this certifies that the series terminates."""
     d = den_alpha.degree // ctx.alpha
     length, window = _search_plan(d, ctx, config)
     for _ in range(_MAX_DOUBLINGS + 1):
-        # one product serves the search on its first half and the check on all
-        product = reduce_series(family, ctx, 2 * length).mul(den_alpha).coeffs
+        # one product serves the search on its first L terms and the check on all
+        terms = 2 * max(length, den_alpha.degree + 1)
+        product = reduce_series(family, ctx, terms).mul(den_alpha).coeffs
         last = max((i for i, c in enumerate(product[:length]) if c), default=-1)
         if length - 1 - last >= window:
             certify(
                 not any(product[last + 1 :]),
-                f"numerator / denominator reproduces the series on {2 * length} terms",
+                f"numerator / denominator reproduces the series on {terms} terms",
             )
             return Poly(product[: last + 1], ctx)
         length *= 2
@@ -269,7 +270,6 @@ def partial_fractions(
     """Partial fractions of numerator/(D^alpha) where D is the product of
     the balanced constant-term-1 factors of q_base mod p."""
     gs, _ = _display_factors(q_base, ctx.p, seed)
-    gs.sort(key=lambda g: _factor_order_key(g, ctx.p))
     degsum = sum(g.degree for g in gs)
     if numerator.degree >= alpha * degsum:
         raise ValueError("numerator must be a proper fraction numerator")

@@ -6,6 +6,7 @@ of those names or renames a read argument must fail here, not only under
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -76,3 +77,16 @@ def test_coverage_jobs_and_probes_call_every_layer(capsys):
     capsys.readouterr()
     called = {target for target, _ in tracer.target_calls}
     assert [f"{name}.{attr}" for name, attr, *_ in LAYERS if f"{name}.{attr}" not in called] == []
+
+
+def test_periods_coverage_and_probe_outputs_match_the_recorded_digests():
+    # the bench gates every job's exit code and stdout SHA-256; run the
+    # periods workload with the coverage jobs and probes against the
+    # recorded values, so a changed output fails tier-1 and not only the bench
+    import freesub.cli
+
+    expected = json.loads(BENCH.EXPECTED.read_text(encoding="utf-8"))["jobs"]
+    jobs = BENCH.load_jobs("periods", expected)
+    assert len(jobs) == len(BENCH.WORKLOADS["periods"]) + len(BENCH.COVERAGE) + len(BENCH.PROBES)
+    outcomes = [BENCH.run_job(freesub.cli, job, seed=0) for job in jobs]
+    assert [o.describe() for o in outcomes if not o.ok] == []

@@ -187,9 +187,10 @@ def test_reproduce_golden_displays(capsys):
 def test_reproduce_periods17_mismatch_is_reported(capsys):
     # the quoted value for 17^2 is not the minimal period; the preset
     # surfaces the diff and exits 6
-    code, out, err = run(capsys, "reproduce", "periods-17", "--tier", "fast")
+    code, out, err = run(capsys, "reproduce", "periods-17")
     assert code == 6
     assert "period=1632" in out and "period=4896" in out
+    assert "period=27744" in out
     assert "divide" in err
 
 
@@ -211,6 +212,55 @@ def test_env_config_defaults(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "counts", "--count", "2")
     assert code == 0
     assert json.loads(out)["values"] == [5, 60]
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ({"format": "xml"}, ("counts", "--count", "2")),
+        ({"format": "xml"}, ("period", "--p", "7", "--alpha", "1")),
+        ({"format": "latex"}, ("counts", "--count", "2")),
+    ],
+    ids=["xml-counts", "xml-period", "latex-counts"],
+)
+def test_env_config_outside_choices_exit2(capsys, tmp_path, monkeypatch, config, argv):
+    # argparse checks choices on the command line only; a config value must
+    # be refused for the subcommand that is run, not printed as text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "modular3", **config}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"invalid configuration: FREESUB_CONFIG={cfg}: format=")
+    assert out.err.count("\n") == 1
+
+
+def test_env_config_choice_of_another_subcommand_is_kept(capsys, tmp_path, monkeypatch):
+    # latex is a choice of reduce, so the same config serves it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "latex", "family": "modular3"}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
+    assert code == 0 and r"\frac{1}{1+2z}" in out
+    # and an explicit flag wins over it where it is not a choice
+    code, out, _ = run(capsys, "counts", "--count", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["values"] == [5, 60]
+
+
+def test_pfrac_rejects_latex_exit2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pfrac", "--p", "7", "--alpha", "5", "--format", "latex"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reproduce_has_no_tier_exit2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "periods-17", "--tier", "fast"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

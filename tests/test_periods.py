@@ -1,9 +1,12 @@
+import dataclasses
 import time
 
 import jsonschema
 import pytest
 
-from freesub.errors import HorizonTooShort
+import freesub.periods
+from freesub.cli import main
+from freesub.errors import CertificationFailed, HorizonTooShort
 from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily
 from freesub.periods import (
@@ -14,7 +17,7 @@ from freesub.periods import (
     order_bound,
     predicted_period,
 )
-from freesub.reduce import rational_form, reduce_series
+from freesub.reduce import expand_form, rational_form, reduce_series
 
 M1 = GroupFamily("modular3", 1)
 
@@ -145,3 +148,54 @@ def test_p17_alpha3_measured_values():
     assert res.report.verified_horizon == 1886638
     assert res.order_bound == 1414944
     assert res.predicted == 471648 and res.match is False
+
+
+def _check_against_the_direct_series(family, ctx):
+    # the direct recurrence is the oracle: on analyze's own horizon it must
+    # give the same report, and the certified form's expansion must equal it
+    # term for term, far past the 2L terms the numerator check covers
+    res = analyze(family, ctx)
+    horizon = res.report.verified_horizon
+    direct = reduce_series(family, ctx, horizon)
+    assert detect_period(direct, res.order_bound) == res.report
+    assert expand_form(res.form, horizon).coeffs == direct.coeffs
+    return res
+
+
+@pytest.mark.parametrize(
+    "family,p,alpha",
+    [
+        (M1, 7, 4),
+        (M1, 11, 4),
+        (M1, 13, 3),
+        (M1, 17, 2),
+        (M1, 5, 3),  # d = 0
+        (GroupFamily("modular3", 7), 7, 2),  # p | m, d = 0
+        (GroupFamily("hecke4", 1), 13, 1),
+    ],
+)
+def test_expanded_form_matches_the_direct_series(family, p, alpha):
+    _check_against_the_direct_series(family, ModRingCtx(p, alpha))
+
+
+@pytest.mark.slow
+def test_expanded_form_matches_the_direct_series_7_5():
+    res = _check_against_the_direct_series(M1, ModRingCtx(7, 5))
+    assert res.report.verified_horizon == 57666
+
+
+def test_a_preperiod_past_the_poly_part_fails_certification(monkeypatch, capsys):
+    # the proper part is purely periodic, so a detected preperiod past
+    # deg(poly_part) + 1 contradicts the certified form
+    real = freesub.periods.detect_period
+    bound = rational_form(M1, ModRingCtx(7, 2)).poly_part.degree + 1
+
+    def long_preperiod(series, certificate_bound=None):
+        return dataclasses.replace(real(series, certificate_bound), preperiod=bound + 1)
+
+    monkeypatch.setattr(freesub.periods, "detect_period", long_preperiod)
+    with pytest.raises(CertificationFailed, match="preperiod"):
+        analyze(M1, ModRingCtx(7, 2))
+    assert main(["period", "--p", "7", "--alpha", "2"]) == 7
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("CertificationFailed:")

@@ -362,3 +362,31 @@ def test_numerator_checks_the_doubled_horizon(monkeypatch):
             rational_form(M1, ModRingCtx(7, 2))
         assert len(calls) == 1
         assert f"on {calls[0]} terms" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "config,terms",
+    [
+        # the search starts at one term, but the check must still cover
+        # 2 (deg D^alpha + 1) = 14 terms to prove the form to every order
+        (ReduceConfig(length=1, window=1), 14),
+        # under the default knobs L = 3*2 + 2*13*3 + 64 = 148 > deg D^alpha,
+        # so the check covers exactly 2L
+        (ReduceConfig(), 296),
+    ],
+    ids=["short-search", "default-knobs"],
+)
+def test_numerator_check_covers_the_residual_degree(monkeypatch, config, terms):
+    calls = []
+
+    class FirstCall(Exception):
+        pass
+
+    def spy(family, ctx, length):
+        calls.append(length)
+        raise FirstCall
+
+    monkeypatch.setattr(freesub.reduce, "reduce_series", spy)
+    with pytest.raises(FirstCall):
+        rational_form(M1, ModRingCtx(13, 3), config)
+    assert calls == [terms]
