@@ -9,7 +9,8 @@ horizon too short, 6 golden reproduction mismatch, 7 any other library error
 inconsistent Pade system).
 
 FREESUB_CONFIG may name a JSON file of default option values (keys matching
-the long option names); explicit flags always win.
+the long option names); explicit flags always win.  A value is checked like
+the same text on the command line; null means no default.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _env_defaults() -> dict:
             raise ValueError("the JSON value is not an object")
     except (OSError, ValueError) as exc:
         _config_error(exc)
-    return data
+    # argparse runs an option's type on string defaults only
+    return {key: None if value is None else str(value) for key, value in data.items()}
 
 
 def _family(args) -> GroupFamily:

@@ -32,10 +32,10 @@ from .errors import (
     DegreeBoundExceeded,
     certify,
 )
-from .exact import ModRingCtx, vp_int
+from .exact import ModRingCtx, vp_rational
 from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
-from .riccati import pade_pair, pair_series, riccati_series
+from .riccati import pade_pair, pair_series, residual_factors, riccati_series
 
 # window on which the direct mod-p^alpha recurrence is cross-checked against
 # reduction of the exact integer series
@@ -303,16 +303,11 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Serie
     if family.kind == HECKE4 and (2 * m) % p == 0:
         raise ValueError("needs p coprime to 2m")
     params = params_for(family)
-    a, b, c, d_ = (int(params.a), int(params.b), int(params.c), int(params.d))
     target = congruence_classes(family, p)[0]
-    head = a + c + d_
-    acc = vp_int(head, p) if head else alpha
-    n = 0
-    while True:
-        n += 1
-        factor = n * a * b + a * c + c * d_ + n * n * b * b + 2 * n * b * c + c * c
-        acc += vp_int(factor, p) if factor else alpha
-        if n % p == target and acc >= alpha:
+    acc = 0
+    for n, factor in enumerate(residual_factors(params)):
+        acc += vp_rational(factor, p) if factor else alpha
+        if n >= 1 and n % p == target and acc >= alpha:
             break
     pair = pade_pair(params, n)
     return pair_series(pair, length, ctx)

@@ -16,9 +16,8 @@ The approximant pair (P_n, Q_n) has constant terms 1 and satisfies
 
     (1-Az) P Q - B z^2 (P'Q - PQ') - C z P^2 - (1+Dz) Q^2 = -r z^(2n+1)
 
-for a scalar r (`residual_const`), which factors as
-
-    r = (A+C+D) * prod_{l=1..n} (l A B + A C + C D + l^2 B^2 + 2 l B C + C^2).
+for a scalar r (`residual_const`): the product of the first n + 1 factors
+that `residual_factors` yields.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
@@ -195,13 +195,20 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     return Series.of(f, ctx)
 
 
+def residual_factors(params: RiccatiParams) -> Iterator[Fraction]:
+    """Yield A + C + D, then the l-th factor of the residual constant for
+    l = 1, 2, ...; r for order n is the product of the first n + 1."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    yield a + c + d
+    for l in count(1):
+        yield l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c
+
+
 def residual_constant(params: RiccatiParams, n: int) -> Fraction:
     """The scalar multiplying -z^(2n+1) in the defining identity."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    out = a + c + d
-    for l in range(1, n + 1):
-        out *= l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c
-    return out
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return prod(islice(residual_factors(params), n + 1))
 
 
 def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> None:
@@ -410,14 +417,19 @@ def verify_identity(pair: PadePair, params: RiccatiParams) -> bool:
     return lhs == expected
 
 
+def _gosper_scale(params: RiccatiParams, n: int) -> Fraction:
+    """(2n+1) (-1)^n / (C B^n (x - n)_{2n+1}) with x = E/B, the factor that
+    the certificate and both sides of the telescoped sum share."""
+    x = params.e / params.b
+    return (2 * n + 1) * Fraction((-1) ** n) / (params.c * params.b**n * pochhammer(x - n, 2 * n + 1))
+
+
 def _gosper_certificate(params: RiccatiParams, n: int, j: int) -> Fraction:
     a, b, c, e = params.a, params.b, params.c, params.e
     x = e / b
     am = (a + 2 * c - e) / (2 * b)
     return (
-        (2 * n + 1)
-        * Fraction((-1) ** n)
-        / (c * b**n * pochhammer(x - n, 2 * n + 1))
+        _gosper_scale(params, n)
         * comb(n + j - 1, n)
         * pochhammer(-x + j, n - j + 1)
         * pochhammer(am, j)
@@ -431,45 +443,22 @@ def verify_gosper(params: RiccatiParams, n: int, certificate=None) -> bool:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if params.e is None or params.b == 0 or params.c == 0:
-        raise DegenerateParameters("needs C != 0 and an explicit E")
+    _require_closed_form(params, n, need_c=True)
     a, b, c, e = params.a, params.b, params.c, params.e
     x = e / b
-    if x.denominator == 1 and abs(x.numerator) <= n:
-        raise DegenerateParameters(f"E/B = {x} collides with the index range")
     am = (a + 2 * c - e) / (2 * b)
     cert = certificate or (lambda nn, jj: _gosper_certificate(params, nn, jj))
 
-    pref = (2 * n + 1) * Fraction((-1) ** n) / (2 * c * b ** (n + 1) * pochhammer(x - n, 2 * n + 1))
+    scale = _gosper_scale(params, n)
     total = Fraction(0)
     for j in range(n + 1):
-        if j == 0:
-            bracket = 2 * c + a - e
-        else:
-            bracket = (
-                2 * c
-                + a
-                + Fraction(2 * n * j, n + j) * b
-                - Fraction(n - j, n + j) * e
-            )
-        term = (
-            pref
-            * comb(n + j, n)
-            * pochhammer(-x + j + 1, n - j)
-            * pochhammer(am, j)
-            * bracket
-        )
+        bracket = 2 * c + a + Fraction(2 * n * j, n + j) * b - Fraction(n - j, n + j) * e
+        summand = comb(n + j, n) * pochhammer(-x + j + 1, n - j) * pochhammer(am, j)
+        term = scale / (2 * b) * summand * bracket
         if term != cert(n, j + 1) - cert(n, j):
             return False
         total += term
-    rhs = (
-        (2 * n + 1)
-        * comb(2 * n, n)
-        * Fraction((-1) ** n)
-        * pochhammer(am, n + 1)
-        / (c * b**n * pochhammer(x - n, 2 * n + 1))
-    )
-    return total == rhs
+    return total == scale * comb(2 * n, n) * pochhammer(am, n + 1)
 
 
 def pair_series(pair: PadePair, length: int, ctx: ModRingCtx | None = None) -> Series:

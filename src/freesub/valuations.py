@@ -5,18 +5,33 @@ the modular3 family takes the two-sum shape
 
     q_{n,n-k} = (-1)^n (6m)^(n-k) * ( sum_j u_j  +  sum_j w_j ),
 
-    u_j = (-1)^(k+j)/k! * C(k,j) * (5/6 - j)_{n+k+1} / (2/3 - j)_{k+1}
-    w_j = (-1)^(k+j)/k! * C(k,j) * (1/6 - j)_{n+k+1} / (-2/3 - j)_{k+1}
+    u_j = (-1)^(k+j)/(j! (k-j)!) * (5/6 - j)_{n+k+1} / (2/3 - j)_{k+1}
+    w_j = (-1)^(k+j)/(j! (k-j)!) * (1/6 - j)_{n+k+1} / (-2/3 - j)_{k+1}
 
-and the p-adic valuation of each summand is a finite sum of floor terms in
-the Legendre style.  Four variants are implemented: for p = 1 (mod 6) a
-single sum over l >= 1 per summand shape, and for p = 5 (mod 6) a split into
-even and odd l (p^l is then 1 or 5 mod 6 respectively, which changes the
-integer offsets inside the floors).
+`_SHIFTS` holds the two shapes as the (top, bottom) starts at j = 0.  For a
+prime p = 1 or 5 (mod 6), the p-adic valuation of a summand is one floor sum
+over the levels q = p^l, l >= 1.  Each start x has denominator 3 or 6, a unit
+in Z_p, so with r = x mod q:
 
-This module checks those floor formulas against direct valuation of the
-exact rational summands, and checks the congruence-class divisibility of
-high Q_n coefficients by direct computation for both group families.
+  1. v_p((x)_N) = sum_q #{0 <= i < N : q | x + i}, as in Legendre's formula;
+  2. q | x + i exactly when q | r + i, so the count is the number of
+     multiples of q in [r, r + N - 1], floor((N-1+r)/q) - floor((r-1)/q);
+  3. v_p(j! (k-j)!) = sum_q floor(j/q) + floor((k-j)/q).
+
+The level-q term is therefore the count for the top rising factorial, minus
+the count for the bottom one, minus floor(j/q) + floor((k-j)/q).
+
+The offsets r depend on q mod 6.  Written out by hand they make four variants,
+kept as the public names `expp`/`expp2` (u/w shape, p = 1 mod 6) and
+`expp3`/`expp4` (u/w shape, p = 5 mod 6, where odd levels have q = 5 mod 6).
+A classical display of the w shape at those odd levels circulates with the
+offsets (2q-1)/3 and (2q-4)/3 in place of (q-2)/3 and (q-5)/3; that pair is
+shifted by (q+1)/3, not by a multiple of q, and fails the direct valuation
+cross-check.  Here r is computed from the shift, so no offset is typed out.
+
+This module checks the floor sum against direct valuation of the exact
+rational summands, and checks the congruence-class divisibility of high Q_n
+coefficients by direct computation for both group families.
 """
 
 from __future__ import annotations
@@ -26,11 +41,19 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
-from .exact import pochhammer, vp_rational
+from .exact import is_prime, pochhammer, vp_rational
 from .groups import MODULAR3, GroupFamily, congruence_classes, params_for
 from .riccati import pade_coeff_q
 
-VARIANTS = ("expp", "expp2", "expp3", "expp4")
+# the summand shapes: starts of (top)_{n+k+1} / (bottom)_{k+1} at j = 0
+_SHIFTS = {
+    "u": (Fraction(5, 6), Fraction(2, 3)),
+    "w": (Fraction(1, 6), Fraction(-2, 3)),
+}
+
+# variant -> (summand shape, p mod 6)
+_VARIANTS = {"expp": ("u", 1), "expp2": ("w", 1), "expp3": ("u", 5), "expp4": ("w", 5)}
+VARIANTS = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -46,88 +69,25 @@ class ValuationCase:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not 0 <= self.j <= self.k <= self.n:
             raise ValueError("need 0 <= j <= k <= n")
-        want = 1 if self.variant in ("expp", "expp2") else 5
+        want = _VARIANTS[self.variant][1]
         if self.p % 6 != want:
             raise ValueError(f"variant {self.variant} needs p = {want} (mod 6)")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
 
-def _floor6(num: int, den: int) -> int:
-    return num // den
-
-
-def _first_shape_term(n: int, k: int, j: int, q: int) -> int:
-    """Floor-sum summand for the u_j shape at modulus level q = p^l with
-    q = 1 (mod 6)."""
-    return (
-        -_floor6(j, q)
-        - _floor6(k - j, q)
-        + _floor6(n + k - j + (q + 5) // 6, q)
-        - _floor6(-j + (q - 1) // 6, q)
-        - _floor6(k - j + (q + 2) // 3, q)
-        + _floor6(-j + (q - 1) // 3, q)
-    )
-
-
-def _second_shape_term(n: int, k: int, j: int, q: int) -> int:
-    """Floor-sum summand for the w_j shape at level q = p^l, q = 1 (mod 6)."""
-    return (
-        -_floor6(j, q)
-        - _floor6(k - j, q)
-        + _floor6(n + k - j + (5 * q + 1) // 6, q)
-        - _floor6(-j + 5 * (q - 1) // 6, q)
-        - _floor6(k - j + 2 * (q - 1) // 3, q)
-        + _floor6(-j + (2 * q - 5) // 3, q)
-    )
-
-
-def _first_shape_term_5mod6(n: int, k: int, j: int, q: int) -> int:
-    """u_j shape at an odd level, where q = p^l = 5 (mod 6)."""
-    return (
-        -_floor6(j, q)
-        - _floor6(k - j, q)
-        + _floor6(n + k - j + 5 * (q + 1) // 6, q)
-        - _floor6(-j + (5 * q - 1) // 6, q)
-        - _floor6(k - j + 2 * (q + 1) // 3, q)
-        + _floor6(-j + (2 * q - 1) // 3, q)
-    )
-
-
-def _second_shape_term_5mod6(n: int, k: int, j: int, q: int) -> int:
-    """w_j shape at an odd level, q = 5 (mod 6).
-
-    The last floor pair counts the i in [0, k] with 3i = 3j + 2 (mod q),
-    i.e. i - j = 2*(q+1)/3 (mod q); shifting that window by exactly q gives
-    the offsets (q-2)/3 and (q-5)/3.  (A classical display of this variant
-    circulates with the offsets (2q-1)/3 and (2q-4)/3 instead; that pair is
-    shifted by (q+1)/3, not by a multiple of q, and fails the direct
-    valuation cross-check.)
-    """
-    return (
-        -_floor6(j, q)
-        - _floor6(k - j, q)
-        + _floor6(n + k - j + (q + 1) // 6, q)
-        - _floor6(-j + (q - 5) // 6, q)
-        - _floor6(k - j + (q - 2) // 3, q)
-        + _floor6(-j + (q - 5) // 3, q)
-    )
+def _multiples(x: Fraction, length: int, q: int) -> int:
+    """How many of x, x+1, ..., x+length-1 are multiples of q in Z_p."""
+    r = x.numerator * pow(x.denominator, -1, q) % q
+    return (length - 1 + r) // q - (r - 1) // q
 
 
 def _term(case: ValuationCase, level: int) -> int:
-    q = case.p**level
-    n, k, j = case.n, case.k, case.j
-    if case.variant == "expp":
-        return _first_shape_term(n, k, j, q)
-    if case.variant == "expp2":
-        return _second_shape_term(n, k, j, q)
-    # p = 5 (mod 6): even levels behave like the 1 (mod 6) formulas, odd
-    # levels use the shifted offsets
-    if case.variant == "expp3":
-        if level % 2 == 0:
-            return _first_shape_term(n, k, j, q)
-        return _first_shape_term_5mod6(n, k, j, q)
-    if level % 2 == 0:
-        return _second_shape_term(n, k, j, q)
-    return _second_shape_term_5mod6(n, k, j, q)
+    """The level-l summand of the floor sum, q = p^l."""
+    q, k, j = case.p**level, case.k, case.j
+    top, bottom = _SHIFTS[_VARIANTS[case.variant][0]]
+    top_count = _multiples(top - j, case.n + k + 1, q)
+    return top_count - _multiples(bottom - j, k + 1, q) - j // q - (k - j) // q
 
 
 def legendre_vp_sum(case: ValuationCase) -> int:
@@ -151,15 +111,17 @@ def _poch_ratio(top_start: Fraction, top_len: int, bot_start: Fraction, bot_len:
     return top / bot
 
 
+def _summand(shape: str, n: int, k: int, j: int) -> Fraction:
+    """The j-th summand u_j or w_j of the two-sum form."""
+    top, bottom = _SHIFTS[shape]
+    ratio = _poch_ratio(top - j, n + k + 1, bottom - j, k + 1)
+    return Fraction((-1) ** (k + j) * comb(k, j), factorial(k)) * ratio
+
+
 def case_summand(case: ValuationCase) -> Fraction:
     """The exact rational summand whose valuation the floor sum predicts
     (sign included; the valuation ignores it)."""
-    n, k, j = case.n, case.k, case.j
-    if case.variant in ("expp", "expp3"):
-        ratio = _poch_ratio(Fraction(5, 6) - j, n + k + 1, Fraction(2, 3) - j, k + 1)
-    else:
-        ratio = _poch_ratio(Fraction(1, 6) - j, n + k + 1, Fraction(-2, 3) - j, k + 1)
-    return Fraction((-1) ** (k + j) * comb(k, j), factorial(k)) * ratio
+    return _summand(_VARIANTS[case.variant][0], case.n, case.k, case.j)
 
 
 def vp_pochhammer_ratio(case: ValuationCase) -> int:
@@ -174,11 +136,7 @@ def qnk_transformed(family: GroupFamily, n: int, k: int) -> Fraction:
         raise ValueError("transformed coefficients exist for modular3 only")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    total = Fraction(0)
-    for j in range(k + 1):
-        w = Fraction((-1) ** (k + j) * comb(k, j), factorial(k))
-        total += w * _poch_ratio(Fraction(5, 6) - j, n + k + 1, Fraction(2, 3) - j, k + 1)
-        total += w * _poch_ratio(Fraction(1, 6) - j, n + k + 1, Fraction(-2, 3) - j, k + 1)
+    total = sum(_summand(shape, n, k, j) for j in range(k + 1) for shape in _SHIFTS)
     return Fraction((-1) ** n) * (6 * family.m) ** (n - k) * total
 
 

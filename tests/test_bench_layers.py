@@ -79,14 +79,15 @@ def test_coverage_jobs_and_probes_call_every_layer(capsys):
     assert [f"{name}.{attr}" for name, attr, *_ in LAYERS if f"{name}.{attr}" not in called] == []
 
 
-def test_periods_coverage_and_probe_outputs_match_the_recorded_digests():
-    # the bench gates every job's exit code and stdout SHA-256; run the
-    # periods workload with the coverage jobs and probes against the
-    # recorded values, so a changed output fails tier-1 and not only the bench
+@pytest.mark.parametrize("workload", list(BENCH.WORKLOADS))
+def test_coverage_and_probe_outputs_match_the_recorded_digests(workload):
+    # the bench gates every job's exit code and stdout SHA-256; run each
+    # workload with the coverage jobs and probes against the recorded
+    # values, so a changed output fails tier-1 and not only the bench
     import freesub.cli
 
     expected = json.loads(BENCH.EXPECTED.read_text(encoding="utf-8"))["jobs"]
-    jobs = BENCH.load_jobs("periods", expected)
-    assert len(jobs) == len(BENCH.WORKLOADS["periods"]) + len(BENCH.COVERAGE) + len(BENCH.PROBES)
+    jobs = BENCH.load_jobs(workload, expected)
+    assert len(jobs) == len(BENCH.WORKLOADS[workload]) + len(BENCH.COVERAGE) + len(BENCH.PROBES)
     outcomes = [BENCH.run_job(freesub.cli, job, seed=0) for job in jobs]
     assert [o.describe() for o in outcomes if not o.ok] == []

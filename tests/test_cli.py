@@ -237,6 +237,42 @@ def test_env_config_outside_choices_exit2(capsys, tmp_path, monkeypatch, config,
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ({"seed": [1]}, ("reduce", "--p", "7", "--alpha", "1")),
+        ({"m": 2.5}, ("reduce", "--p", "7", "--alpha", "1")),
+        ({"m": 2.5}, ("counts", "--count", "2")),
+        ({"window": 1.5}, ("reduce", "--p", "7", "--alpha", "1")),
+        ({"m": True}, ("reduce", "--p", "7", "--alpha", "1")),
+    ],
+    ids=["list-seed", "float-m-reduce", "float-m-counts", "float-window", "bool-m"],
+)
+def test_env_config_wrong_json_type_exit2(capsys, tmp_path, monkeypatch, config, argv):
+    # a value is checked by the option's type like the same text on the
+    # command line, whatever its JSON type
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "modular3", **config}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    (option,) = config
+    assert exc.value.code == 2 and out.out == ""
+    assert f"error: argument --{option}: invalid" in out.err
+
+
+def test_env_config_integer_and_null_values(capsys, tmp_path, monkeypatch):
+    # an integer applies like its text; null leaves the option without a default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "modular3", "m": 2, "length": None}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "counts", "--count", "2")
+    assert code == 0 and out.strip() == "20 480"
+    code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
+    assert code == 0 and out.startswith("family=modular3 m=2 p=7 alpha=1 d=1\n")
+
+
 def test_env_config_choice_of_another_subcommand_is_kept(capsys, tmp_path, monkeypatch):
     # latex is a choice of reduce, so the same config serves it
     cfg = tmp_path / "cfg.json"

@@ -136,6 +136,10 @@ def test_pade_pair_modular_order1():
     assert pair.q == Poly([1, -12])
     assert pair.residual_const == 385
     assert residual_constant(MODULAR_M1, 1) == 5 * 7 * 11
+    assert residual_constant(MODULAR_M1, 0) == 5
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            residual_constant(MODULAR_M1, n)
 
 
 def test_low_order_pairs_random(rng):
@@ -249,6 +253,38 @@ def test_gosper_examples(rng):
     assert not verify_gosper(
         MODULAR_M1, 3, certificate=lambda n, j: 2 * _gosper_certificate(MODULAR_M1, n, j)
     )
+
+
+def _raises_degenerate(fn, *args):
+    try:
+        fn(*args)
+    except DegenerateParameters:
+        return True
+    return False
+
+
+def test_gosper_degenerate_exactly_where_the_closed_form_is():
+    seen = {"E = None": 0, "E = 0": 0, "C = 0": 0, "E/B collides": 0, "defined": 0}
+    for a in range(-3, 4):
+        for b in (1, 2, -3):
+            for c in (0, 1, 2):
+                for d in (-2, 0, 1, 2):
+                    params = RiccatiParams.of(a, b, c, d)
+                    for n in range(1, 5):
+                        degenerate = _raises_degenerate(pade_pair, params, n)
+                        assert _raises_degenerate(verify_gosper, params, n) == degenerate
+                        if not degenerate:
+                            assert verify_gosper(params, n)
+                            seen["defined"] += 1
+                        elif params.e is None:
+                            seen["E = None"] += 1
+                        elif params.e == 0:
+                            seen["E = 0"] += 1
+                        elif c == 0:
+                            seen["C = 0"] += 1
+                        else:
+                            seen["E/B collides"] += 1
+    assert all(seen.values()), seen
 
 
 def test_integrality_to_n10(rng):

@@ -10,6 +10,7 @@ from freesub.riccati import pade_coeff_q
 from freesub.valuations import (
     ValuationCase,
     _poch_ratio,
+    _term,
     case_summand,
     legendre_vp_sum,
     lemma_divisibility,
@@ -27,6 +28,11 @@ def test_case_validation():
         ValuationCase(7, 3, 2, 1, "expp3")  # 7 = 1 (mod 6)
     with pytest.raises(ValueError):
         ValuationCase(7, 3, 2, 1, "bogus")
+    # Legendre's count holds for primes only: at k = j = 0 the floor sum
+    # would miss one factor of p against the direct valuation of the summand
+    for p, n, variant in ((25, 5, "expp"), (49, 12, "expp"), (35, 12, "expp3"), (55, 1, "expp")):
+        with pytest.raises(ValueError, match="not prime"):
+            ValuationCase(p, n, 0, 0, variant)
 
 
 def test_trivial_cases():
@@ -75,6 +81,95 @@ def test_oracle_equivalence_randomized(variant, primes):
             j = rng.randint(0, k)
             case = ValuationCase(p, n, k, j, variant)
             assert legendre_vp_sum(case) == vp_pochhammer_ratio(case), case
+
+
+# The four floor-sum variants as first written out by hand, one per summand
+# shape and p mod 6, with the parity dispatch for p = 5 (mod 6).  They are the
+# oracle for the floor sum that derives its offsets from the shifts.
+
+
+def _first_shape_term(n, k, j, q):
+    # u_j shape, q = p^l = 1 (mod 6)
+    return (
+        -(j // q)
+        - (k - j) // q
+        + (n + k - j + (q + 5) // 6) // q
+        - (-j + (q - 1) // 6) // q
+        - (k - j + (q + 2) // 3) // q
+        + (-j + (q - 1) // 3) // q
+    )
+
+
+def _second_shape_term(n, k, j, q):
+    # w_j shape, q = 1 (mod 6)
+    return (
+        -(j // q)
+        - (k - j) // q
+        + (n + k - j + (5 * q + 1) // 6) // q
+        - (-j + 5 * (q - 1) // 6) // q
+        - (k - j + 2 * (q - 1) // 3) // q
+        + (-j + (2 * q - 5) // 3) // q
+    )
+
+
+def _first_shape_term_5mod6(n, k, j, q):
+    # u_j shape, q = 5 (mod 6)
+    return (
+        -(j // q)
+        - (k - j) // q
+        + (n + k - j + 5 * (q + 1) // 6) // q
+        - (-j + (5 * q - 1) // 6) // q
+        - (k - j + 2 * (q + 1) // 3) // q
+        + (-j + (2 * q - 1) // 3) // q
+    )
+
+
+def _second_shape_term_5mod6(n, k, j, q):
+    # w_j shape, q = 5 (mod 6); not the circulating (2q-1)/3, (2q-4)/3 pair
+    return (
+        -(j // q)
+        - (k - j) // q
+        + (n + k - j + (q + 1) // 6) // q
+        - (-j + (q - 5) // 6) // q
+        - (k - j + (q - 2) // 3) // q
+        + (-j + (q - 5) // 3) // q
+    )
+
+
+def reference_term(case, level):
+    q = case.p**level
+    n, k, j = case.n, case.k, case.j
+    if case.variant == "expp":
+        return _first_shape_term(n, k, j, q)
+    if case.variant == "expp2":
+        return _second_shape_term(n, k, j, q)
+    # p = 5 (mod 6): q = 1 (mod 6) at even levels, 5 (mod 6) at odd ones
+    if case.variant == "expp3":
+        if level % 2 == 0:
+            return _first_shape_term(n, k, j, q)
+        return _first_shape_term_5mod6(n, k, j, q)
+    if level % 2 == 0:
+        return _second_shape_term(n, k, j, q)
+    return _second_shape_term_5mod6(n, k, j, q)
+
+
+def test_derived_floor_sum_matches_the_tabulated_variants():
+    rng = random.Random(6)
+    checked = 0
+    for p in range(5, 100):
+        if not is_prime(p):
+            continue
+        variants = ("expp", "expp2") if p % 6 == 1 else ("expp3", "expp4")
+        for variant in variants:
+            for _ in range(60):
+                n = rng.randint(0, 80)
+                k = rng.randint(0, n)
+                j = rng.randint(0, k)
+                case = ValuationCase(p, n, k, j, variant)
+                for level in range(1, 5):
+                    assert _term(case, level) == reference_term(case, level), (case, level)
+                    checked += 1
+    assert checked == 23 * 2 * 60 * 4
 
 
 def test_transformed_coefficient_examples():
