@@ -10,12 +10,13 @@ inconsistent Pade system).
 
 FREESUB_CONFIG may name a JSON file of default option values (keys matching
 the long option names); explicit flags always win.  A value is checked like
-the same text on the command line; null means no default.
+the same text on the command line; null leaves the built-in default.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import os
@@ -63,27 +64,44 @@ def _env_defaults() -> dict:
     except (OSError, ValueError) as exc:
         _config_error(exc)
     # argparse runs an option's type on string defaults only
-    return {key: None if value is None else str(value) for key, value in data.items()}
+    return {key: str(value) for key, value in data.items() if value is not None}
 
 
 def _family(args) -> GroupFamily:
     return GroupFamily(args.family, args.m)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's limit on int -> str conversion (4300 digits by
+    default), which exact counts pass from about f_1250 on; the process-wide
+    setting is restored on exit.  Interpreters before 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_counts(args) -> int:
     series = free_subgroup_numbers(_family(args), args.count)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "m": args.m,
-                    "values": list(series.values),
-                }
+    with _unlimited_int_digits():
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {
+                        "family": args.family,
+                        "m": args.m,
+                        "values": list(series.values),
+                    }
+                )
             )
-        )
-    else:
-        print(" ".join(str(v) for v in series.values))
+        else:
+            print(" ".join(str(v) for v in series.values))
     return 0
 
 

@@ -13,8 +13,13 @@ multiplied term by term.  Division with remainder multiplies by a truncated
 inverse of the reversed divisor (Newton iteration; von zur Gathen-Gerhard,
 *Modern Computer Algebra*, ch. 9), so once that inverse is known for a fixed
 modulus every remainder costs two products; power-series division runs in
-blocks through the inverse of the denominator.  Exact arithmetic stays term
-by term: its coefficients are rationals of unbounded size.
+blocks through the inverse of the denominator.
+
+Exact integer products of big coefficients go through `_karatsuba`
+(Karatsuba-Ofman, 1962): three half-size products and additions of linear
+cost, which pays once a product of two coefficients costs far more than a
+sum (`_karatsuba_pays`).  Products with a Fraction, a short operand or small
+coefficients stay term by term, and so does exact division.
 
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
 Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
@@ -34,7 +39,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     NonInvertible,
@@ -116,6 +121,82 @@ def kronecker(modulus: int, terms: int):
         return words.tolist()
 
     return pack, unpack
+
+
+def _folded(x: list, y: list, width: int, scale=1) -> list:
+    """Terms 0..width-1 of x*x when `x is y`, else of scale*x*y, each one
+    sum of products; any coefficient type.  A square is its own mirror
+    image, so it is folded: each pair i < t-i is multiplied once and
+    doubled, plus the middle square."""
+    out = []
+    ny = len(y)
+    for t in range(width):
+        lo = max(0, t - ny + 1)
+        if x is y:
+            hi = (t + 1) // 2
+            v = 2 * sum(map(mul, x[lo:hi], x[t - lo : t - hi : -1]))
+            if t % 2 == 0:
+                v += x[t // 2] * x[t // 2]
+        else:
+            v = scale * sum(map(mul, x[lo : t + 1], y[t - lo :: -1]))
+        out.append(v)
+    return out
+
+
+# Exact int products go through `_karatsuba` only when both operands have
+# more than KARATSUBA_MIN terms and some coefficient has at least
+# KARATSUBA_BITS bits; below either, a product of two coefficients costs
+# about as much as the additions and calls that Karatsuba trades for it.
+# KARATSUBA_MIN is also the recursion's leaf size and must be at least 1.
+# Measured on the series engine in both families, whose coefficients reach
+# 8.6 kbit at L = 801 and 24 kbit at L = 2001: at L = 801, 2 to 4 are equally
+# fast, 1 is about 8% slower and 8 a third to a half slower; at L = 2001, 1
+# and 2 are equally fast and 4 is 15-30% slower.  On random blocks of 4 to 64
+# terms, Karatsuba is up to 2x slower than `_folded` at 500 bits and
+# breaks even or wins from 1000 bits on blocks of 16 terms and more.
+KARATSUBA_MIN = 2
+KARATSUBA_BITS = 1000
+
+
+def _karatsuba_pays(x: list, y: list) -> bool:
+    """Whether `_karatsuba` is the faster product of the int lists x, y."""
+    if min(len(x), len(y)) <= KARATSUBA_MIN:
+        return False
+    return max(map(int.bit_length, x + y)) >= KARATSUBA_BITS
+
+
+def _karatsuba(x: list, y: list) -> list:
+    """All len(x) + len(y) - 1 terms of x*y for int lists of either sign,
+    by Karatsuba-Ofman: each operand is split into halves, and the product
+    is three half-size products joined by additions of linear cost.  A
+    square (`x is y`) recurses as three squares.  An operand that is at most
+    half as long as the other multiplies that one piece by piece."""
+    nx, ny = len(x), len(y)
+    if min(nx, ny) <= KARATSUBA_MIN:
+        return _folded(x, y, nx + ny - 1) if nx and ny else []
+    if nx < ny:
+        x, y, nx, ny = y, x, ny, nx
+    h = (nx + 1) // 2
+    if ny <= h:
+        out = [0] * (nx + ny - 1)
+        for i in range(0, nx, ny):
+            part = _karatsuba(x[i : i + ny], y)
+            out[i : i + len(part)] = map(add, out[i : i + len(part)], part)
+        return out
+    x0, x1 = x[:h], x[h:]
+    sx = list(map(add, x1, x0)) + x0[len(x1) :]
+    if x is y:
+        low, high, mid = _karatsuba(x0, x0), _karatsuba(x1, x1), _karatsuba(sx, sx)
+    else:
+        y0, y1 = y[:h], y[h:]
+        sy = list(map(add, y1, y0)) + y0[len(y1) :]
+        low, high, mid = _karatsuba(x0, y0), _karatsuba(x1, y1), _karatsuba(sx, sy)
+    # low fills terms 0..2h-2 and high starts at 2h; mid - low - high lands at h
+    mid = list(map(sub, mid, low))
+    mid[: len(high)] = map(sub, mid, high)
+    out = low + [0] + high
+    out[h : h + len(mid)] = map(add, out[h : h + len(mid)], mid)
+    return out
 
 
 def _convolve(x: list, y: list, width: int) -> list:
@@ -262,6 +343,8 @@ class Poly:
         a, b = list(self.coeffs), list(other.coeffs)
         width = len(a) + len(b) - 1
         if ring is None:
+            if all(type(c) is int for c in a + b) and _karatsuba_pays(a, b):
+                return Poly(_karatsuba(a, b))
             return Poly(_convolve(a, b, width))
         return Poly._residues(_product(a, b, ring.modulus, width), ring)
 

@@ -25,13 +25,23 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count, islice
 from math import comb, isqrt, lcm, prod
-from operator import add, mul
+from operator import add
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
 from .exact import ModRingCtx, mod_reduce, pochhammer
-from .poly import SCHOOLBOOK_MAX, Poly, Series, kronecker, series_div
+from .poly import (
+    SCHOOLBOOK_MAX,
+    Poly,
+    Series,
+    _folded,
+    _karatsuba,
+    _karatsuba_pays,
+    kronecker,
+    series_div,
+)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -94,26 +104,12 @@ class PadePair:
     residual_const: Fraction
 
 
-def _schoolbook(x: list, y: list, width: int) -> list:
-    """Terms 0..width-1 of 2*x*y, or of x*x when `x is y`.
-
-    A diagonal block (`x is y`) is its own mirror image, so it is folded:
-    each pair i < t-i is multiplied once and doubled, plus the middle square.
-    An off-diagonal block stands for itself and its mirror, hence the 2.
-    """
-    out = []
-    ny = len(y)
-    for t in range(width):
-        lo = max(0, t - ny + 1)
-        if x is y:
-            hi = (t + 1) // 2
-            v = 2 * sum(map(mul, x[lo:hi], x[t - lo : t - hi : -1]))
-            if t % 2 == 0:
-                v += x[t // 2] * x[t // 2]
-        else:
-            v = 2 * sum(map(mul, x[lo : t + 1], y[t - lo :: -1]))
-        out.append(v)
-    return out
+def _karatsuba_block(x: list, y: list, width: int) -> list:
+    """A block of `_online_square` over Z: by `poly._karatsuba` once the
+    coefficients are big enough for it to pay, term by term before."""
+    if not _karatsuba_pays(x, y):
+        return _folded(x, y, width, 2)
+    return _karatsuba(x, x if x is y else [2 * v for v in y])[:width]
 
 
 def _kronecker_block(modulus: int, length: int):
@@ -123,13 +119,14 @@ def _kronecker_block(modulus: int, length: int):
     one big-integer product then does the whole block, and the slots of the
     result are its coefficients.  The slots hold 2 * length * (modulus - 1)^2,
     the largest coefficient of a doubled block with at most `length` terms
-    per operand.  Same contract as `_schoolbook`.
+    per operand.  Blocks of at most `SCHOOLBOOK_MAX` terms are taken term by
+    term.
     """
     pack, unpack = kronecker(modulus, 2 * length)
 
     def block(x: list, y: list, width: int) -> list:
         if len(x) <= SCHOOLBOOK_MAX:
-            return _schoolbook(x, y, width)
+            return _folded(x, y, width, 2)
         packed = pack(x)
         return unpack(packed * packed if x is y else packed * pack(y) << 1, width)
 
@@ -148,6 +145,9 @@ def _online_square(f: list, count: int, block) -> Iterator:
     is complete right after. The block with n+1-s = s-1 lies on the diagonal;
     every other one also stands for its mirror image. Sums at index `count`
     or beyond are never needed, so operands and results are cut there.
+    `block(x, y, width)` returns terms 0..width-1 of x*x for a diagonal
+    block (`x is y`) and of 2*x*y for any other, which stands for itself
+    and its mirror image.
     """
     s = [0] * count
     for n in range(count):
@@ -171,7 +171,9 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     well-defined because the recurrence never divides. Integer parameters
     keep integer coefficients; other rational ones give Fractions. The
     convolution comes from `_online_square`, whose block product is the only
-    part that depends on the ring.
+    part that depends on the ring and the coefficient type: Karatsuba over
+    Z, term by term over Q, where a sum costs as much as a product, and
+    Kronecker packing over Z/p^alpha.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -181,10 +183,10 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
         one, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
     elif all(v.denominator == 1 for v in consts):
         a, b, c, d = (int(v) for v in consts)
-        one, modulus, block = 1, None, _schoolbook
+        one, modulus, block = 1, None, _karatsuba_block
     else:
         a, b, c, d = consts
-        one, modulus, block = Fraction(1), None, _schoolbook
+        one, modulus, block = Fraction(1), None, partial(_folded, scale=2)
     f = [one]
     for n, s_n in enumerate(_online_square(f, length - 1, block)):
         # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0]

@@ -91,3 +91,16 @@ def test_coverage_and_probe_outputs_match_the_recorded_digests(workload):
     assert len(jobs) == len(BENCH.WORKLOADS[workload]) + len(BENCH.COVERAGE) + len(BENCH.PROBES)
     outcomes = [BENCH.run_job(freesub.cli, job, seed=0) for job in jobs]
     assert [o.describe() for o in outcomes if not o.ok] == []
+
+
+@pytest.mark.parametrize("family", ["modular3", "hecke4"])
+def test_counts_800_matches_the_recorded_digest(family):
+    # the timed counts_exact jobs are the one check of the exact series
+    # engine at the length the benchmark times
+    import freesub.cli
+
+    expected = json.loads(BENCH.EXPECTED.read_text(encoding="utf-8"))["jobs"]
+    argv = ("counts", "--family", family, "--count", "800")
+    job = BENCH.Job(argv, "timed", **expected[BENCH.job_name(argv)])
+    outcome = BENCH.run_job(freesub.cli, job, seed=0)
+    assert outcome.ok, outcome.describe()

@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -35,6 +37,40 @@ def test_counts_bad_config_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["counts", "--family", "modular3", "--count", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_print_past_the_int_digit_limit(capsys, monkeypatch, fmt):
+    # 5001 digits, past CPython's default limit of 4300 for int -> str
+    big = 10**5000 + 7
+    monkeypatch.setattr(freesub.cli, "free_subgroup_numbers", lambda family, count: SimpleNamespace(values=(5, big)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "counts", "--family", "modular3", "--count", "2", "--format", fmt)
+        # the process-wide limit is back once the command returns
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = "1" + "0" * 4999 + "7"
+    if fmt == "json":
+        assert out == '{"family": "modular3", "m": 1, "values": [5, ' + digits + "]}\n"
+    else:
+        assert out == "5 " + digits + "\n"
+    assert code == 0 and err == ""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_1250_prints(capsys, fmt):
+    # f_1250 of modular3 has more than 4300 digits; the digits are read back
+    # as text, which no limit applies to
+    code, out, err = run(capsys, "counts", "--family", "modular3", "--count", "1250", "--format", fmt)
+    assert code == 0 and err == ""
+    digits = json.loads(out, parse_int=str)["values"] if fmt == "json" else out.split()
+    assert len(digits) == 1250 and len(digits[-1]) > 4300
+    assert digits[:3] == ["5", "60", "1105"]
 
 
 def test_counts_json(capsys):
@@ -271,6 +307,15 @@ def test_env_config_integer_and_null_values(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "20 480"
     code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
     assert code == 0 and out.startswith("family=modular3 m=2 p=7 alpha=1 d=1\n")
+
+
+def test_env_config_null_keeps_the_built_in_default(capsys, tmp_path, monkeypatch):
+    argv = ("reduce", "--family", "modular3", "--p", "7", "--alpha", "1")
+    plain = run(capsys, *argv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": None}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    assert run(capsys, *argv) == plain
 
 
 def test_env_config_choice_of_another_subcommand_is_kept(capsys, tmp_path, monkeypatch):

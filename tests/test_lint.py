@@ -41,3 +41,20 @@ def test_one_packing_helper():
                 (inside if id(node) in helper else outside).append(f"{path.name}:{node.lineno}")
     assert inside
     assert outside == []
+
+
+def test_int_digit_limit_is_set_in_cli_only():
+    # the limit on int -> str conversion is process-wide: it is lifted, and
+    # restored, in one place that prints exact counts
+    name = "set_int_max_str_digits"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+        or (isinstance(node, ast.Constant) and node.value == name)
+    ]
+    assert found
+    assert [f for f in found if not f.startswith("cli.py:")] == []

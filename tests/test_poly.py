@@ -15,7 +15,10 @@ from freesub.poly import (
     Factorization,
     Poly,
     Series,
+    _convolve,
     _ext_gcd_fp,
+    _karatsuba,
+    _karatsuba_pays,
     _lift_to,
     _pow_mod,
     ext_gcd_coprime,
@@ -193,6 +196,58 @@ def test_ext_gcd_lifted(p, alpha):
         u, v = ext_gcd_coprime(f, g, ctx)
         assert u * f + v * g == one
         assert u.degree < 1 and v.degree < 1
+
+
+# ---------------------------------------------------------------------------
+# the exact Karatsuba kernel against the term-by-term product
+# ---------------------------------------------------------------------------
+
+
+def _signed_ints(rng: random.Random, n: int, big: int = 600) -> list[int]:
+    # zeros, small values and big integers of up to `big` bits, either sign
+    return [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((0, 5, 64, big))) for _ in range(n)]
+
+
+def _karatsuba_lengths(rng: random.Random) -> list[int]:
+    # every length around the cutoff and the first odd/even splits, then a
+    # spread up to 300 with power-of-two edges
+    return list(range(0, 36)) + [63, 64, 65, 128, 129] + [rng.randint(36, 300) for _ in range(3)] + [300]
+
+
+def _full_product(x: list, y: list) -> list:
+    return _convolve(x, y, len(x) + len(y) - 1 if x and y else 0)
+
+
+def test_karatsuba_matches_convolve():
+    rng = random.Random(2002)
+    for n in _karatsuba_lengths(rng):
+        x, y = _signed_ints(rng, n), _signed_ints(rng, n)
+        assert _karatsuba(x, y) == _full_product(x, y), n
+        # `x is y` recurses as squares; a copy of x takes the product path
+        square = _karatsuba(x, x)
+        assert square == _full_product(x, list(x)) == _karatsuba(x, list(x)), n
+        # unequal lengths: short sides, about half and nearly equal
+        for m in {0, 1, 2, 3, n // 2, n // 2 + 1, max(n - 1, 0), rng.randint(0, 100)}:
+            z = _signed_ints(rng, m)
+            assert _karatsuba(x, z) == _full_product(x, z), (n, m)
+            assert _karatsuba(z, x) == _full_product(z, x), (m, n)
+
+
+def test_exact_poly_products_match_schoolbook():
+    # coefficients on both sides of KARATSUBA_BITS, so both paths run
+    rng = random.Random(1962)
+    kernel = 0
+    for n in _karatsuba_lengths(rng):
+        a = Poly(_signed_ints(rng, n, rng.choice((100, 1100))))
+        for m in {0, 1, 3, n // 2, n + 1}:
+            b = Poly(_signed_ints(rng, m, 1100))
+            kernel += _karatsuba_pays(list(a.coeffs), list(b.coeffs))
+            assert a * b == school_mul(a, b), (n, m)
+        assert a * a == school_mul(a, a), n
+        # a Fraction coefficient keeps the term-by-term product
+        c = Poly(list(a.coeffs) + [Fraction(1, 3)])
+        assert c * a == school_mul(c, a), n
+    assert kernel > 20
 
 
 # ---------------------------------------------------------------------------

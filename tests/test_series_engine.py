@@ -68,13 +68,23 @@ def test_every_length_mod_prime_power():
         assert riccati_series(params, n, ctx).coeffs == oracle[:n], n
 
 
-def test_every_length_exact_int():
+def _check_every_length_exact_int(top_exponent: int) -> None:
+    # every length cuts the last Karatsuba blocks at another place
     params = params_for(GroupFamily(HECKE4, 2))
-    lengths = _edge_lengths(9)
+    lengths = _edge_lengths(top_exponent)
     oracle = reference_series(params, lengths[-1])
     for n in lengths:
         got = riccati_series(params, n).coeffs
         assert _typed(got) == _typed(oracle[:n]), n
+
+
+def test_every_length_exact_int():
+    _check_every_length_exact_int(9)
+
+
+@pytest.mark.slow
+def test_every_length_exact_int_up_to_1025():
+    _check_every_length_exact_int(10)
 
 
 @pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
