@@ -74,8 +74,9 @@ def _family(args) -> GroupFamily:
 @contextlib.contextmanager
 def _unlimited_int_digits():
     """Lift CPython's limit on int -> str conversion (4300 digits by
-    default), which exact counts pass from about f_1250 on; the process-wide
-    setting is restored on exit.  Interpreters before 3.10.7 have no limit."""
+    default), which exact counts pass from about f_1250 on, and approximant
+    coefficients from about n = 800; the process-wide setting is restored
+    on exit.  Interpreters before 3.10.7 have no limit."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -120,17 +121,23 @@ def cmd_pade(args) -> int:
     except DegenerateParameters as exc:
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    print(f"P: {_poly_str(pair.p)}")
-    print(f"Q: {_poly_str(pair.q)}")
-    print(f"residual: {pair.residual_const}")
-    print(f"route: {route}")
+    # every line is rendered before the first is printed, so a failure
+    # leaves stdout empty rather than holding part of the answer
+    with _unlimited_int_digits():
+        lines = [
+            f"P: {_poly_str(pair.p)}",
+            f"Q: {_poly_str(pair.q)}",
+            f"residual: {pair.residual_const}",
+            f"route: {route}",
+        ]
     if args.verify:
-        print(f"identity: {'OK' if verify_identity(pair, params) else 'FAIL'}")
+        lines.append(f"identity: {'OK' if verify_identity(pair, params) else 'FAIL'}")
         try:
             ok = verify_gosper(params, args.n) if args.n >= 1 else True
-            print(f"gosper: {'OK' if ok else 'FAIL'}")
+            lines.append(f"gosper: {'OK' if ok else 'FAIL'}")
         except DegenerateParameters:
-            print("gosper: skipped (degenerate parameters)")
+            lines.append("gosper: skipped (degenerate parameters)")
+    print("\n".join(lines))
     return 0
 
 
@@ -166,7 +173,7 @@ def cmd_period(args) -> int:
         print(
             f"period={res.report.period} predicted={predicted} match={match} "
             f"preperiod={res.report.preperiod} horizon={res.report.verified_horizon} "
-            f"order_bound={res.order_bound}"
+            f"order_bound={res.order_bound}" + ("" if res.report.minimal else " minimal=no")
         )
     return 0
 

@@ -1,25 +1,45 @@
 """Eventual periods of the reduced counting sequences, with the classical
 predicted values and a certified order bound.
 
-`analyze` reads every period off one series, the expansion of the rational
-form, which the numerator check in `reduce` proves equal to the series mod
-p^alpha to every order.
+`analyze` reads the period off the certified rational form without expanding
+it.  The proper part N/D^alpha has period T exactly when D^alpha divides
+N (z^T - 1) over Z/p^alpha, and the least T is found by dividing the order
+bound by its primes while that test holds.  The proper part is purely
+periodic, so the preperiod is deg(poly_part) + 1.  The numerator check in
+`reduce` proves the form equal to the series mod p^alpha to every order, so
+this pair holds for the whole series; a scan of a prefix of the expansion
+checks it independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from .errors import HorizonTooShort, certify
-from .exact import ModRingCtx
+from .exact import ModRingCtx, factor
 from .groups import MODULAR3, GroupFamily
-from .poly import Series
-from .reduce import RationalFormModPA, ReduceConfig, expand_form, rational_form, reduce_series
+from .poly import Poly, Series, _pow_mod
+from .reduce import (
+    RationalFormModPA,
+    ReduceConfig,
+    _recombine,
+    expand_form,
+    rational_form,
+    reduce_series,
+)
 
 # safety margin: a period T is confirmed only if the window past the
 # preperiod spans at least MARGIN * T coefficients
 _MARGIN = 3
+
+# the window check scans at least this many terms, and the expansion is
+# cross-checked against the direct recurrence on as many
+_CHECK_MIN = 200
+
+# the window check expands at most this many terms; where (MARGIN + 1) * T
+# do not fit, it compares only the shifts by T that the window holds
+_WINDOW_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -29,6 +49,7 @@ class PeriodReport:
     period: int
     verified_horizon: int
     certificate: int | None = None  # order bound the period must divide
+    minimal: bool = True  # False: the least period divides `period`
 
 
 def _min_preperiod(coeffs, T: int) -> int:
@@ -98,6 +119,93 @@ def order_bound(form: RationalFormModPA) -> int:
     return bound
 
 
+def _cyclotomic_values(p: int, k: int) -> list[int]:
+    """Phi_e(p) over the divisors e of k; their product is p^k - 1."""
+    phi: dict[int, int] = {}
+    for e in range(1, k + 1):
+        if k % e == 0:
+            v = p**e - 1
+            for f, w in phi.items():
+                if e % f == 0:
+                    v //= w
+            phi[e] = v
+    return list(phi.values())
+
+
+def bound_factors(form: RationalFormModPA, bound: int) -> tuple[list[int], list[int]]:
+    """The distinct primes of the order bound, and the factors of it that
+    `exact.factor` left unsplit or unproven.  Each p^d' - 1 is split into
+    the far smaller Phi_e(p), e | d', before it is factored."""
+    p = form.ctx.p
+    primes, rest = {p} if bound % p == 0 else set(), set()
+    for k in {t.factor.degree for t in form.fractions}:
+        for v in _cyclotomic_values(p, k):
+            found, left = factor(v)
+            primes |= found.keys()
+            rest |= left.keys()
+    return sorted(primes), sorted(rest)
+
+
+def _fixes(num: Poly, den: Poly, z_t: Poly) -> bool:
+    """Whether den | num (z^T - 1), given z^T mod den."""
+    return (num * (z_t - Poly.one(den.ring)) % den).is_zero()
+
+
+def is_period(num: Poly, den: Poly, T: int) -> bool:
+    """Whether T is a period of the coefficients of num/den, where den(0) = 1,
+    the leading coefficient of den is a unit and deg num < deg den.
+
+    (1 - z^T) num/den has degree < T, that is a_(i+T) = a_i for all i,
+    exactly when it is a polynomial, that is when den | num (z^T - 1).
+    """
+    return _fixes(num, den, _pow_mod(Poly.x(den.ring), T, den))
+
+
+def _cofactor_powers(w: Poly, ms: list[int], den: Poly) -> list[Poly]:
+    """w^(M/m) mod den for each m in ms, where M is their product, by a
+    remainder tree: each level raises to exponents of log M bits in all."""
+    if len(ms) == 1:
+        return [w]
+    half = len(ms) // 2
+    low, high = ms[:half], ms[half:]
+    return _cofactor_powers(_pow_mod(w, prod(high), den), low, den) + _cofactor_powers(
+        _pow_mod(w, prod(low), den), high, den
+    )
+
+
+def least_period(
+    num: Poly, den: Poly, bound: int, primes: list[int], rest: list[int]
+) -> tuple[int, bool]:
+    """The least period T of num/den, and whether it is proven least.
+
+    The bound must pass `is_period`.  The periods are the multiples of the
+    least one, so for a prime q with q^e exactly dividing the bound, the
+    exponent of q in T is the least f for which bound / q^e * q^f passes.
+    That is what dividing T by q while T/q passes gives, but it takes one
+    power z^(bound / q^e) per prime, all from one remainder tree.  A factor
+    of `rest` is treated as a prime.  Where one is left in T, T keeps
+    primes that were not tried, as it does any part of the bound that the
+    factors miss, and T is then only a multiple of the least period.
+    """
+    certify(is_period(num, den, bound), f"the order bound {bound} is a period of the proper part")
+    parts, left = [], bound
+    for q in (*primes, *rest):
+        e = 0
+        while left % q == 0:
+            left, e = left // q, e + 1
+        if e:
+            parts.append((q, e))
+    T, minimal = left, left == 1
+    base = _pow_mod(Poly.x(den.ring), left, den)
+    for (q, e), z_t in zip(parts, _cofactor_powers(base, [q**e for q, e in parts], den)):
+        f = 0
+        while f < e and not _fixes(num, den, z_t):
+            z_t, f = _pow_mod(z_t, q, den), f + 1
+        T *= q**f
+        minimal &= f == 0 or q in primes
+    return T, minimal
+
+
 @dataclass(frozen=True)
 class PeriodAnalysis:
     report: PeriodReport
@@ -107,42 +215,87 @@ class PeriodAnalysis:
     form: RationalFormModPA
 
 
+def _window_check(
+    family: GroupFamily,
+    form: RationalFormModPA,
+    horizon: int,
+    bound: int | None,
+    preperiod: int,
+    period: int,
+) -> None:
+    """Scan a prefix of the expansion for (preperiod, period), independently
+    of the algebraic test.
+
+    The prefix holds W = min(horizon, max(200, preperiod + 4T + 16)) terms,
+    enough for `detect_period` to confirm T with its margin; it must find
+    the same pair.  Where max(200, preperiod + 4T + 16) passes
+    _WINDOW_LIMIT, the prefix holds _WINDOW_LIMIT terms instead and must
+    agree with the pair at every i with i + T inside it.  A requested
+    horizon too short for the check raises HorizonTooShort.  The prefix
+    matches the direct recurrence on its first 200 terms.
+    """
+    needed = max(_CHECK_MIN, preperiod + (_MARGIN + 1) * period + 16)
+    if needed > _WINDOW_LIMIT > horizon:
+        raise HorizonTooShort(
+            f"the window check needs {_WINDOW_LIMIT} terms, past the horizon {horizon}"
+        )
+    series = expand_form(form, min(horizon, needed, _WINDOW_LIMIT))
+    checked = reduce_series(family, form.ctx, min(series.length, _CHECK_MIN))
+    certify(
+        series.coeffs[: checked.length] == checked.coeffs,
+        f"the expanded form matches the series on {checked.length} terms",
+    )
+    if needed <= _WINDOW_LIMIT:
+        # a period not proven least keeps a factor above 10^8, past the
+        # limit, so the scan's least pair must be the same
+        report = detect_period(series, bound)
+        found = (report.preperiod, report.period)
+        certify(
+            found == (preperiod, period),
+            f"the window scan finds preperiod {preperiod} and period {period}, not {found}",
+        )
+        return
+    c = series.coeffs
+    held = range(max(preperiod - 1, 0), len(c) - period)
+    certify(
+        all((c[i] != c[i + period]) == (i < preperiod) for i in held),
+        f"the first {len(c)} terms agree with preperiod {preperiod} and period {period}",
+    )
+
+
 def analyze(
     family: GroupFamily,
     ctx: ModRingCtx,
     horizon: int | None = None,
     config: ReduceConfig = ReduceConfig(),
 ) -> PeriodAnalysis:
-    """Full pipeline: rational form, order bound, horizon policy, series,
-    detection, and comparison against the predicted value.
+    """Full pipeline: rational form, order bound, the algebraic period and
+    preperiod, the window check, and comparison against the predicted value.
 
-    The horizon defaults to the polynomial-part degree plus four times the
-    predicted period (or the order bound when no prediction exists).  The
-    series is the expansion of the certified form, cross-checked against
-    the direct recurrence on 200 terms.  D(0) = 1 and the leading
-    coefficient of D is a unit mod p, so the proper part is purely periodic
-    and the preperiod is at most deg(poly_part) + 1; that is certified too.
+    The period is the least T with D^alpha | N (z^T - 1), found by descent
+    from the order bound (`least_period`); where the bound does not factor
+    completely it is a period that the least one divides (`minimal` False).  The horizon
+    defaults to the polynomial-part degree plus four times the predicted
+    period (or the order bound when no prediction exists); the certified
+    form covers it, and every other order, and `_window_check` scans the
+    part of it that the check needs.
     """
     form = rational_form(family, ctx, config)
-    bound = order_bound(form) if form.d >= 1 else None
     predicted = predicted_period(family, ctx.p, ctx.alpha)
+    if form.d >= 1:
+        bound = order_bound(form)
+        num, den = _recombine(form.fractions, ctx)
+        period, minimal = least_period(num, den, bound, *bound_factors(form, bound))
+    else:  # no proper part: the series is a polynomial, eventually 0
+        bound, period, minimal = None, 1, True
+    # the proper part is purely periodic, so the series differs from its
+    # shift by T where the polynomial part does, last at its degree
+    preperiod = form.poly_part.degree + 1
     if horizon is None:
-        t_est = predicted or bound or 1
-        horizon = form.poly_part.degree + 1 + (_MARGIN + 1) * t_est + 16
-    series = expand_form(form, horizon)
-    checked = reduce_series(family, ctx, min(horizon, 200))
-    certify(
-        series.coeffs[: checked.length] == checked.coeffs,
-        f"the expanded form matches the series on {checked.length} terms",
-    )
-    report = detect_period(series, bound)
-    if bound is not None:
-        certify(bound % report.period == 0, f"period {report.period} divides the order bound")
-    certify(
-        report.preperiod <= form.poly_part.degree + 1,
-        f"preperiod {report.preperiod} is at most deg(poly_part) + 1",
-    )
-    match = None if predicted is None else report.period == predicted
+        horizon = form.poly_part.degree + 1 + (_MARGIN + 1) * (predicted or bound or 1) + 16
+    _window_check(family, form, horizon, bound, preperiod, period)
+    report = PeriodReport(ctx, preperiod, period, horizon, bound, minimal)
+    match = None if predicted is None else period == predicted
     return PeriodAnalysis(report, predicted, match, bound, form)
 
 
@@ -157,6 +310,7 @@ PERIOD_SCHEMA = {
         "order_bound": {"type": ["integer", "null"]},
         "predicted": {"type": ["integer", "null"]},
         "match": {"type": ["boolean", "null"]},
+        "minimal": {"const": False},
     },
     "required": [
         "p",
@@ -173,7 +327,9 @@ PERIOD_SCHEMA = {
 
 
 def analysis_json_dict(a: PeriodAnalysis) -> dict:
-    return {
+    """The report as JSON; "minimal": false appears only where the period
+    is not proven least."""
+    out = {
         "p": a.report.ctx.p,
         "alpha": a.report.ctx.alpha,
         "preperiod": a.report.preperiod,
@@ -183,3 +339,6 @@ def analysis_json_dict(a: PeriodAnalysis) -> dict:
         "predicted": a.predicted,
         "match": a.match,
     }
+    if not a.report.minimal:
+        out["minimal"] = False
+    return out

@@ -41,8 +41,8 @@ from .riccati import pade_pair, pair_series, residual_factors, riccati_series
 # reduction of the exact integer series
 _EXACT_CHECK_WINDOW = 50
 
-# on a failed zero-run the numerator search doubles its length up to this
-# many times before DegreeBoundExceeded propagates
+# on a missing or false zero-run the numerator search doubles its length up
+# to this many times before it gives up
 _MAX_DOUBLINGS = 6
 
 
@@ -191,7 +191,10 @@ def _bounded_numerator(
     B z^2 H' - C z H^2 - 1 - D z, den^2 Phi(G) is a polynomial of degree
     <= 2M + 1 < K that vanishes mod z^K, hence mod p^alpha; the recurrence
     is monic in each new coefficient, so G is the unique solution S.  With
-    the denominator 1 (d = 0) this certifies that the series terminates."""
+    the denominator 1 (d = 0) this certifies that the series terminates.
+
+    A search with no zero-run, or whose zero-run is not followed by a
+    vanishing tail (a short window can stop at a false run), doubles L."""
     d = den_alpha.degree // ctx.alpha
     length, window = _search_plan(d, ctx, config)
     for _ in range(_MAX_DOUBLINGS + 1):
@@ -199,15 +202,15 @@ def _bounded_numerator(
         terms = 2 * max(length, den_alpha.degree + 1)
         product = reduce_series(family, ctx, terms).mul(den_alpha).coeffs
         last = max((i for i, c in enumerate(product[:length]) if c), default=-1)
-        if length - 1 - last >= window:
-            certify(
-                not any(product[last + 1 :]),
-                f"numerator / denominator reproduces the series on {terms} terms",
-            )
+        zero_run = length - 1 - last >= window
+        if zero_run and not any(product[last + 1 :]):
             return Poly(product[: last + 1], ctx)
         length *= 2
+    # a zero-run on the last search whose tail never vanished is a failed
+    # check, not a short search
+    certify(not zero_run, f"numerator / denominator reproduces the series on {terms} terms")
     raise DegreeBoundExceeded(
-        f"no zero-run of width {window} within {length} terms; "
+        f"no zero-run of width {window} within {length // 2} terms; "
         "raise the search length (config length / --length)"
     )
 

@@ -1,6 +1,11 @@
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -16,8 +21,9 @@ from freesub.errors import (
     SingularPadeSystem,
 )
 from freesub.periods import PERIOD_SCHEMA
-from freesub.poly import Factorization, Series
+from freesub.poly import Factorization, Poly, Series
 from freesub.reduce import JSON_SCHEMA
+from freesub.riccati import PadePair
 
 
 def run(capsys, *argv):
@@ -86,6 +92,27 @@ def test_pade_family_shortcut(capsys):
     assert "Q: 1 + -12*z" in out
     assert "residual: 385" in out
     assert "route: closed-form" in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_pade_prints_past_the_int_digit_limit(capsys, monkeypatch):
+    # a 5001-digit coefficient, past CPython's default limit of 4300 digits:
+    # the whole answer is printed, and the process-wide limit is restored
+    big = 10**5000 + 7
+    pair = PadePair(1, Poly([1, big]), Poly([1, -big]), Fraction(big, 3))
+    monkeypatch.setattr(freesub.cli, "build_pade", lambda params, n, allow_fallback: (pair, "closed-form"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "pade", "--family", "modular3", "--n", "1")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = "1" + "0" * 4999 + "7"
+    assert code == 0 and err == ""
+    assert out == (
+        f"P: 1 + {digits}*z\nQ: 1 + -{digits}*z\nresidual: {digits}/3\nroute: closed-form\n"
+    )
 
 
 def test_pade_verify(capsys):
@@ -436,3 +463,30 @@ def test_other_library_errors_exit7(capsys, monkeypatch, error):
     code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "1")
     assert code == 7 and out == ""
     assert err.startswith(type(error).__name__)
+
+
+def _address_space_512_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "p,period",
+    [(29, 235760), (37, 135038232), (43, 136752), (101, 2342671580315945365200)],
+)
+def test_period_with_a_large_order_bound_in_bounded_resources(p, period):
+    # the period is read off the form, not off an expansion as long as the
+    # order bound (82M terms at 29, 1.5e11 at 37); a whole CLI run must end
+    # in 512 MB of address space and 20 s
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "freesub.cli", "period", "--p", str(p), "--alpha", "1"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        preexec_fn=_address_space_512_mb,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(f"period={period} ")
+    assert "minimal=no" not in result.stdout

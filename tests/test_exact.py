@@ -4,14 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import freesub.exact
 from freesub.errors import NonInvertibleDenominator
 from freesub.exact import (
+    MR_PROVEN,
     ModRingCtx,
+    factor,
     is_prime,
     mod_reduce,
     pochhammer,
+    strong_probable_prime,
     vp_rational,
 )
+from freesub.groups import GroupFamily
+from freesub.periods import bound_factors, order_bound
+from freesub.reduce import rational_form
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -72,3 +79,96 @@ def test_mod_reduce_homomorphism(q, r):
     m = ctx.modulus
     assert mod_reduce(q + r, ctx) == (mod_reduce(q, ctx) + mod_reduce(r, ctx)) % m
     assert mod_reduce(q * r, ctx) == mod_reduce(q, ctx) * mod_reduce(r, ctx) % m
+
+
+def _trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division_below_10_5():
+    for n in range(10**5):
+        assert strong_probable_prime(n) == _trial_division_prime(n), n
+        assert is_prime(n) == strong_probable_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047,  # strong pseudoprime to base 2
+        1373653,  # to bases 2, 3
+        25326001,  # to bases 2, 3, 5
+        3215031751,  # to bases 2, 3, 5, 7
+        2152302898747,  # to bases 2..11
+        3474749660383,  # to bases 2..13
+        341550071728321,  # to bases 2..17
+        3825123056546413051,  # to bases 2..23
+        318665857834031151167461,  # to bases 2..37
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
+    ],
+)
+def test_miller_rabin_rejects_strong_pseudoprimes_and_carmichael_numbers(n):
+    assert not strong_probable_prime(n)
+
+
+def test_miller_rabin_accepts_large_primes():
+    for q in (2**61 - 1, 10**18 + 9, 3317044064679887385961813):
+        assert strong_probable_prime(q)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(ValueError):
+        is_prime(MR_PROVEN)
+    # a probable prime past the proven range is kept apart from the primes
+    primes, rest = factor(2**89 - 1)
+    assert primes == {} and rest == {2**89 - 1: 1}
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [(10007, 10009), (1000003, 1000033), (99991, 4294967311), (100000007, 100000037)],
+)
+def test_rho_splits_semiprimes(p, q):
+    primes, rest = factor(p * q)
+    assert primes == {p: 1, q: 1} and rest == {}
+
+
+def test_factor_keeps_multiplicities_and_leaves_unsplit_factors_whole(monkeypatch):
+    assert factor(1) == ({}, {})
+    assert factor(2**10 * 3**4 * 10007**2) == ({2: 10, 3: 4, 10007: 2}, {})
+    monkeypatch.setattr(freesub.exact, "RHO_BUDGET", 0)
+    assert factor(12 * 10007 * 10009) == ({2: 2, 3: 1}, {10007 * 10009: 1})
+
+
+def _order_bounds(below: int):
+    for kind in ("modular3", "hecke4"):
+        for p in range(5, below):
+            if is_prime(p):
+                form = rational_form(GroupFamily(kind, 1), ModRingCtx(p, 1))
+                if form.d >= 1:
+                    bound = order_bound(form)
+                    yield (kind, p), bound, *bound_factors(form, bound)
+
+
+def test_factor_order_bounds_against_sympy():
+    # sympy is a test-only oracle; the package never imports it.  Its
+    # factorint is fast where the bound splits into small enough primes
+    # (p < 100), and takes minutes on the factors that rho leaves whole
+    # further up; up to 200 the primes and the whole factors are checked
+    # one by one, which by unique factorization gives the same answer
+    sympy = pytest.importorskip("sympy")
+    complete = 0
+    for case, bound, primes, rest in _order_bounds(200):
+        left = bound
+        for q in (*primes, *rest):
+            assert left % q == 0, case
+            while left % q == 0:
+                left //= q
+        assert left == 1, case
+        assert all(sympy.isprime(q) for q in primes), case
+        # a whole factor is left only past the proven range or unsplit,
+        # and trial division has taken every prime below 10^4 out of it
+        assert all(c >= MR_PROVEN or not sympy.isprime(c) for c in rest), case
+        assert all(c % q for c in rest for q in sympy.primerange(2, 10**4)), case
+        if case[1] < 100 and not rest:
+            assert primes == sorted(sympy.factorint(bound)), case
+        complete += not rest
+    assert complete >= 60
+

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import time
 
 import jsonschema
 import pytest
 
+import freesub.exact
 import freesub.periods
 from freesub.cli import main
 from freesub.errors import CertificationFailed, HorizonTooShort
@@ -11,13 +13,15 @@ from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily
 from freesub.periods import (
     PERIOD_SCHEMA,
+    _window_check,
     analysis_json_dict,
     analyze,
     detect_period,
+    is_period,
     order_bound,
     predicted_period,
 )
-from freesub.reduce import expand_form, rational_form, reduce_series
+from freesub.reduce import _recombine, expand_form, rational_form, reduce_series
 
 M1 = GroupFamily("modular3", 1)
 
@@ -199,3 +203,56 @@ def test_a_preperiod_past_the_poly_part_fails_certification(monkeypatch, capsys)
     assert main(["period", "--p", "7", "--alpha", "2"]) == 7
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("CertificationFailed:")
+
+
+@pytest.mark.parametrize("alpha,least,quoted", [(2, 1632, 4896), (3, 27744, 471648)])
+def test_certificate_at_17_squared_and_cubed(alpha, least, quoted):
+    # D^alpha | N (z^T - 1) holds at the measured minimal period and fails
+    # at T/q for every prime q of it; the quoted values pass as multiples
+    form = rational_form(M1, ModRingCtx(17, alpha))
+    num, den = _recombine(form.fractions, form.ctx)
+    assert least == 2**5 * 3 * 17 ** (alpha - 1)
+    assert is_period(num, den, least)
+    for q in (2, 3, 17):
+        assert not is_period(num, den, least // q)
+    assert quoted % least == 0 and is_period(num, den, quoted)
+    assert is_period(num, den, order_bound(form))
+
+
+def test_a_wrong_order_bound_fails_certification(monkeypatch):
+    # 147 = 294 / 2 is not a multiple of the period 42 mod 7^2
+    monkeypatch.setattr(freesub.periods, "order_bound", lambda form: 147)
+    with pytest.raises(CertificationFailed, match="order bound 147"):
+        analyze(M1, ModRingCtx(7, 2))
+
+
+def test_the_window_prefix_checks_the_shifts_it_holds():
+    # at 29 the window check needs more than its limit of terms, so it
+    # compares the shifts by T inside the limit: a wrong pair fails it
+    form = rational_form(M1, ModRingCtx(29, 1))
+    bound = order_bound(form)
+    _window_check(M1, form, 10**9, bound, 1, 235760)
+    for preperiod, period in ((0, 235760), (2, 235760), (1, 235761)):
+        with pytest.raises(CertificationFailed, match=f"preperiod {preperiod} and period {period}"):
+            _window_check(M1, form, 10**9, bound, preperiod, period)
+
+
+def test_a_period_not_proven_least_is_marked(monkeypatch, capsys):
+    # with no rho iterations the bound at hecke4 101 keeps two composite
+    # factors whole; T keeps them too, so it is not proven least, and says so
+    family = GroupFamily("hecke4", 1)
+    ctx = ModRingCtx(101, 1)
+    least = analyze(family, ctx)
+    assert least.report.minimal and "minimal" not in analysis_json_dict(least)
+    monkeypatch.setattr(freesub.exact, "RHO_BUDGET", 0)
+    res = analyze(family, ctx)
+    assert not res.report.minimal
+    assert dataclasses.replace(res.report, minimal=True) == least.report
+    data = analysis_json_dict(res)
+    jsonschema.validate(data, PERIOD_SCHEMA)
+    assert data["minimal"] is False
+    argv = ["period", "--family", "hecke4", "--p", "101", "--alpha", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"order_bound={res.order_bound} minimal=no\n")
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == data

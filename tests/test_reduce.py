@@ -340,7 +340,9 @@ def test_numerator_checks_the_doubled_horizon(monkeypatch):
     # the reduced series past the search length must match numerator / D^alpha;
     # one product S * D^alpha of twice the search length serves both, so
     # skewing the series past its first half leaves the search alone and
-    # fails only the check, at the first and at the last term it covers
+    # fails only the check, at the first and at the last term it covers.
+    # A failed check doubles the search like a missing zero-run does; the
+    # skew follows every doubling, so the last check fails and is reported
     real = freesub.reduce.reduce_series
 
     def no_division(num, den, length):
@@ -360,8 +362,8 @@ def test_numerator_checks_the_doubled_horizon(monkeypatch):
         monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
         with pytest.raises(CertificationFailed, match="terms") as info:
             rational_form(M1, ModRingCtx(7, 2))
-        assert len(calls) == 1
-        assert f"on {calls[0]} terms" in str(info.value)
+        assert calls == [calls[0] * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
+        assert f"on {calls[-1]} terms" in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -390,3 +392,12 @@ def test_numerator_check_covers_the_residual_degree(monkeypatch, config, terms):
     with pytest.raises(FirstCall):
         rational_form(M1, ModRingCtx(13, 3), config)
     assert calls == [terms]
+
+
+@pytest.mark.parametrize("family,p", [(M1, 13), (H1, 7), (H1, 19)], ids=["modular3-13", "hecke4-7", "hecke4-19"])
+def test_a_false_zero_run_doubles_the_search(family, p):
+    # a one-term window stops the search at a zero coefficient inside the
+    # numerator; the tail check then fails, and the search must go on with
+    # a doubled length to the form the default knobs give
+    ctx = ModRingCtx(p, 3)
+    assert rational_form(family, ctx, ReduceConfig(length=1, window=1)) == rational_form(family, ctx)
