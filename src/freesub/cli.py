@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedPrime,
 )
 from .exact import ModRingCtx
-from .groups import GroupFamily, congruence_classes, free_subgroup_numbers
+from .groups import GroupFamily, congruence_classes, free_subgroup_numbers, params_for
 from .periods import analyze, analysis_json_dict
 from .reduce import ReduceConfig, _latex_factor, _poly_str, emit, rational_form, to_json_dict
 from .riccati import RiccatiParams, build_pade, verify_gosper, verify_identity
@@ -108,8 +108,6 @@ def cmd_counts(args) -> int:
 
 def cmd_pade(args) -> int:
     if args.family is not None:
-        from .groups import params_for
-
         params = params_for(_family(args))
     else:
         if None in (args.A, args.B, args.C, args.D):

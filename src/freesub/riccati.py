@@ -194,7 +194,7 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
         if n == 0:
             v += d
         f.append(v if modulus is None else v % modulus)
-    return Series.of(f, ctx)
+    return Series(tuple(f), ctx)
 
 
 def residual_factors(params: RiccatiParams) -> Iterator[Fraction]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -30,6 +31,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# exit code and stdout digest of every command, recorded with the search
+# start alpha d + 2 p alpha + 64 that the derived start replaced; d = 0
+# forms (modular3 p = 5, p | m, hecke4 p = 3), the doubling fallback and
+# the error exits are included
+CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+
+
+def _digest(code, out) -> dict:
+    return {"exit_code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
 
 
 def test_counts(capsys):
@@ -162,6 +174,24 @@ def test_reduce_degree_bound_exit4(capsys):
     )
     assert code == 4
     assert "length" in err  # the message names the knob to raise
+
+
+def test_explicit_window_does_not_move_the_search_start(capsys):
+    # the start is derived from deg D^alpha and p alone: at 7^1 it is 35
+    # terms, so a 3000-term window with no --length gives up after six
+    # doublings; an explicit length long enough still answers
+    code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "1", "--window", "3000")
+    assert (code, out) == (4, "")
+    assert "no zero-run of width 3000 within 2240 terms" in err
+    command = "reduce --family modular3 --p 7 --alpha 1 --length 3100 --window 3000 --format json"
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and _digest(code, out) == CLI_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_stdout_matches_the_recorded_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert _digest(code, out) == CLI_DIGESTS[command]
 
 
 def test_pfrac(capsys):

@@ -13,7 +13,6 @@ from freesub.riccati import pade_pair, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
     ReduceConfig,
-    _search_plan,
     denominator_base,
     emit,
     expand_form,
@@ -244,11 +243,85 @@ def test_reduce_config_rejects_knobs_below_one(field, value):
         ReduceConfig(**{field: value})
 
 
-def test_search_plan_keeps_explicit_knobs():
-    # an explicit knob is used as given; only None selects the default
+def _spy_on_attempts(monkeypatch) -> list:
+    """Record the length of every reduce_series call of the numerator search."""
+    calls = []
+    real = freesub.reduce.reduce_series
+
+    def spy(family, ctx, length):
+        calls.append(length)
+        return real(family, ctx, length)
+
+    monkeypatch.setattr(freesub.reduce, "reduce_series", spy)
+    return calls
+
+
+def test_search_plan_keeps_explicit_knobs(monkeypatch):
+    # None selects the default start L = deg D^alpha + p (alpha - 1) + W + 1
+    # with W = deg D^alpha + 32, here 2 + 7 + 34 + 1 = 44, and the first
+    # product covers 2L terms; an explicit knob is used as given
     ctx = ModRingCtx(7, 2)
-    assert _search_plan(1, ctx, ReduceConfig()) == (2 + 28 + 64, 2 + 32)
-    assert _search_plan(1, ctx, ReduceConfig(length=1, window=1)) == (1, 1)
+    calls = _spy_on_attempts(monkeypatch)
+    form = rational_form(M1, ctx)
+    assert calls == [88]
+    calls.clear()
+    assert rational_form(M1, ctx, ReduceConfig(length=50)) == form
+    assert calls == [100]
+    calls.clear()
+    # length 1 is raised to deg D^alpha + 1 = 3 for the check only, and the
+    # one-term window stops at the first zero, so the search doubles
+    assert rational_form(M1, ctx, ReduceConfig(length=1, window=1)) == form
+    assert calls[0] == 6 and len(calls) > 1
+    calls.clear()
+    # an explicit window does not move the start: 88 terms, then doublings
+    # up to 64 x 44 terms
+    with pytest.raises(DegreeBoundExceeded, match="no zero-run of width 5000 within 2816 terms"):
+        rational_form(M1, ctx, ReduceConfig(window=5000))
+    assert calls == [88 * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
+
+
+def _first_attempt_finds(monkeypatch, family, p, alphas):
+    """Every default search over the given alphas ends on its first
+    reduce_series call, which is never longer than the 2 (alpha d + 2 p
+    alpha + 64) terms of the start it replaced."""
+    calls = _spy_on_attempts(monkeypatch)
+    for alpha in alphas:
+        calls.clear()
+        form = rational_form(family, ModRingCtx(p, alpha))
+        assert len(calls) == 1, (family, p, alpha, calls)
+        assert calls[0] <= 2 * (alpha * form.d + 2 * p * alpha + 64), (family, p, alpha, calls)
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if is_prime(p)]
+
+
+# deg N <= deg D^alpha + p (alpha - 1) is measured, not proven: these grids
+# keep it checked, so a form past it shows here and not only as a slower run
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["modular3", "hecke4"])
+def test_default_search_ends_on_its_first_attempt(monkeypatch, kind, m):
+    for p in _primes(5, 60):
+        _first_attempt_finds(monkeypatch, GroupFamily(kind, m), p, (1, 2, 3))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 11])
+@pytest.mark.parametrize("kind", ["modular3", "hecke4"])
+def test_default_search_ends_on_its_first_attempt_full_grid_slow_tier(monkeypatch, kind, m):
+    for p in _primes(5, 320):
+        top = 5 if p < 40 else 3 if p < 110 else 2
+        _first_attempt_finds(monkeypatch, GroupFamily(kind, m), p, range(1, top + 1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "family,p,alpha",
+    [(M1, 997, 3), (M1, 499, 3), (M1, 7, 8), (M1, 11, 7), (H1, 997, 2)],
+    ids=["modular3-997^3", "modular3-499^3", "modular3-7^8", "modular3-11^7", "hecke4-997^2"],
+)
+def test_default_search_ends_on_its_first_attempt_large_slow_tier(monkeypatch, family, p, alpha):
+    _first_attempt_finds(monkeypatch, family, p, (alpha,))
 
 
 def test_emit_latex_and_text():
@@ -372,9 +445,9 @@ def test_numerator_checks_the_doubled_horizon(monkeypatch):
         # the search starts at one term, but the check must still cover
         # 2 (deg D^alpha + 1) = 14 terms to prove the form to every order
         (ReduceConfig(length=1, window=1), 14),
-        # under the default knobs L = 3*2 + 2*13*3 + 64 = 148 > deg D^alpha,
+        # under the default knobs L = 6 + 13*2 + (6 + 32) + 1 = 71 > deg D^alpha,
         # so the check covers exactly 2L
-        (ReduceConfig(), 296),
+        (ReduceConfig(), 142),
     ],
     ids=["short-search", "default-knobs"],
 )
