@@ -19,7 +19,7 @@ from math import lcm, prod
 from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx, factor
 from .groups import MODULAR3, GroupFamily
-from .poly import Poly, Series, _pow_mod
+from .poly import Poly, Series, _mulmod, _pow_mod
 from .reduce import (
     RationalFormModPA,
     ReduceConfig,
@@ -146,9 +146,11 @@ def bound_factors(form: RationalFormModPA, bound: int) -> tuple[list[int], list[
     return sorted(primes), sorted(rest)
 
 
-def _fixes(num: Poly, den: Poly, z_t: Poly) -> bool:
-    """Whether den | num (z^T - 1), given z^T mod den."""
-    return (num * (z_t - Poly.one(den.ring)) % den).is_zero()
+def _fixes(num: list, z_t: list, mulmod) -> bool:
+    """Whether den | num (z^T - 1), given z^T mod den, mulmod = _mulmod(den)
+    and deg num < deg den: then num z^T = num mod den."""
+    r = mulmod(num, z_t)
+    return r == num + [0] * (len(r) - len(num))
 
 
 def is_period(num: Poly, den: Poly, T: int) -> bool:
@@ -158,18 +160,20 @@ def is_period(num: Poly, den: Poly, T: int) -> bool:
     (1 - z^T) num/den has degree < T, that is a_(i+T) = a_i for all i,
     exactly when it is a polynomial, that is when den | num (z^T - 1).
     """
-    return _fixes(num, den, _pow_mod(Poly.x(den.ring), T, den))
+    mulmod = _mulmod(den)
+    return _fixes(list(num.coeffs), _pow_mod([0, 1], T, mulmod), mulmod)
 
 
-def _cofactor_powers(w: Poly, ms: list[int], den: Poly) -> list[Poly]:
-    """w^(M/m) mod den for each m in ms, where M is their product, by a
-    remainder tree: each level raises to exponents of log M bits in all."""
+def _cofactor_powers(w: list, ms: list[int], mulmod) -> list[list]:
+    """w^(M/m) mod den for each m in ms, where M is their product and
+    mulmod = _mulmod(den), by a remainder tree: each level raises to
+    exponents of log M bits in all."""
     if len(ms) == 1:
         return [w]
     half = len(ms) // 2
     low, high = ms[:half], ms[half:]
-    return _cofactor_powers(_pow_mod(w, prod(high), den), low, den) + _cofactor_powers(
-        _pow_mod(w, prod(low), den), high, den
+    return _cofactor_powers(_pow_mod(w, prod(high), mulmod), low, mulmod) + _cofactor_powers(
+        _pow_mod(w, prod(low), mulmod), high, mulmod
     )
 
 
@@ -186,8 +190,13 @@ def least_period(
     of `rest` is treated as a prime.  Where one is left in T, T keeps
     primes that were not tried, as it does any part of the bound that the
     factors miss, and T is then only a multiple of the least period.
+    Every power is taken mod den through one inverse of rev(den).
     """
-    certify(is_period(num, den, bound), f"the order bound {bound} is a period of the proper part")
+    mulmod, nc = _mulmod(den), list(num.coeffs)
+    certify(
+        _fixes(nc, _pow_mod([0, 1], bound, mulmod), mulmod),
+        f"the order bound {bound} is a period of the proper part",
+    )
     parts, left = [], bound
     for q in (*primes, *rest):
         e = 0
@@ -196,11 +205,11 @@ def least_period(
         if e:
             parts.append((q, e))
     T, minimal = left, left == 1
-    base = _pow_mod(Poly.x(den.ring), left, den)
-    for (q, e), z_t in zip(parts, _cofactor_powers(base, [q**e for q, e in parts], den)):
+    base = _pow_mod([0, 1], left, mulmod)
+    for (q, e), z_t in zip(parts, _cofactor_powers(base, [q**e for q, e in parts], mulmod)):
         f = 0
-        while f < e and not _fixes(num, den, z_t):
-            z_t, f = _pow_mod(z_t, q, den), f + 1
+        while f < e and not _fixes(nc, z_t, mulmod):
+            z_t, f = _pow_mod(z_t, q, mulmod), f + 1
         T *= q**f
         minimal &= f == 0 or q in primes
     return T, minimal

@@ -9,11 +9,14 @@ Arithmetic over Z/p^alpha runs on one kernel.  `kronecker` packs a list of
 residues into a single integer, one fixed slot per coefficient, so that one
 big-integer product multiplies two polynomials (Kronecker substitution,
 Harvey, JSC 44, 2009); only operands of at most `SCHOOLBOOK_MAX` terms are
-multiplied term by term.  Division with remainder multiplies by a truncated
-inverse of the reversed divisor (Newton iteration; von zur Gathen-Gerhard,
-*Modern Computer Algebra*, ch. 9), so once that inverse is known for a fixed
-modulus every remainder costs two products; power-series division runs in
-blocks through the inverse of the denominator.
+multiplied term by term.  Division with remainder takes a quotient of at
+most `SCHOOLBOOK_MAX` terms by long division, as in every Euclid step, and a
+longer one by multiplying with a truncated inverse of the reversed divisor
+(Newton iteration; von zur Gathen-Gerhard, *Modern Computer Algebra*,
+ch. 9).  For a fixed modulus that inverse is computed once (`_mulmod`), and
+every remainder, and every power mod f, then costs products alone;
+power-series division runs in blocks through the inverse of the
+denominator.
 
 Exact integer products of big coefficients go through `_karatsuba`
 (Karatsuba-Ofman, 1962): three half-size products and additions of linear
@@ -254,6 +257,21 @@ def _divmod_residues(a: list, f: list, finv: list, modulus: int) -> tuple[list, 
     return q, r
 
 
+def _long_division(a: list, f: list, lead_inv: int, modulus: int) -> tuple[list, list]:
+    """(q, r) as `_divmod_residues` gives them, by schoolbook long division:
+    one row update per quotient term, for quotients too short for the
+    inverse of rev(f) to pay.  `lead_inv` is the inverse of f's leading
+    coefficient."""
+    k = len(f) - 1
+    r = a + [0] * (k - len(a))
+    q = [0] * max(len(a) - k, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r.pop() * lead_inv % modulus
+        if c:
+            r[i:] = map(sub, r[i:], map(mul, f, repeat(c)))
+    return q, [v % modulus for v in r]
+
+
 class Poly:
     __slots__ = ("coeffs", "ring")
 
@@ -411,12 +429,15 @@ class Poly:
             m = ring.modulus
             a, f = list(self.coeffs), list(den.coeffs)
             try:
-                finv = _inverse(f[::-1], m, max(len(a) - len(f) + 1, 1))
+                lead_inv = pow(f[-1], -1, m)
             except ValueError:
                 raise NonInvertible(
                     f"leading coefficient {den.leading()} not invertible in {ring}"
                 ) from None
-            q, r = _divmod_residues(a, f, finv, m)
+            if len(a) - len(f) < SCHOOLBOOK_MAX:
+                q, r = _long_division(a, f, lead_inv, m)
+            else:
+                q, r = _divmod_residues(a, f, _inverse(f[::-1], m, len(a) - len(f) + 1), m)
             return Poly._residues(q, ring), Poly._residues(r, ring)
         lead = Fraction(den.leading())
         rem = [Fraction(c) for c in self.coeffs]
@@ -574,7 +595,8 @@ def _ext_gcd_fp(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def _mulmod(f: Poly):
-    """(x, y) -> x*y mod f on residue lists of at most deg f terms.  The
+    """(x, y) -> x*y mod f on residue lists of at most deg f terms, or one
+    of them longer as long as x*y has fewer than 2 deg f terms.  The
     inverse of rev(f) is computed once, so each call is three products."""
     m = f.ring.modulus
     fc = list(f.coeffs)
@@ -586,20 +608,22 @@ def _mulmod(f: Poly):
     return mulmod
 
 
-def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    mulmod = _mulmod(mod)
-    out, b = [1], list((base % mod).coeffs)
+def _pow_mod(base: list, e: int, mulmod) -> list:
+    """base^e mod f for mulmod = _mulmod(f), by repeated squaring; base is
+    a residue list of at most deg f + 1 terms."""
+    out, b = [1], mulmod([1], base)
     while e:
         if e & 1:
             out = mulmod(out, b)
         e >>= 1
         if e:
             b = mulmod(b, b)
-    return Poly._residues(out, base.ring)
+    return out
 
 
-def _frobenius(f: Poly):
-    """h -> h^p mod f over F_p, on residue lists of at most deg f terms.
+def _frobenius(f: Poly, mulmod):
+    """h -> h^p mod f over F_p, on residue lists of at most deg f terms;
+    mulmod = _mulmod(f).
 
     Over F_p, h(z)^p = h(z^p), so h^p mod f is the combination of the rows
     z^(p j) mod f, j < deg f, with the coefficients of h.  The rows are
@@ -607,8 +631,7 @@ def _frobenius(f: Poly):
     scalar multiples of packed rows and one unpack.
     """
     p, k = f.ring.p, f.degree
-    mulmod = _mulmod(f)
-    zp = list(_pow_mod(Poly.x(f.ring), p, f).coeffs)
+    zp = _pow_mod([0, 1], p, mulmod)
     pack, unpack = kronecker(p, k)
     rows, row = [], [1]
     for _ in range(k):
@@ -625,15 +648,17 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus split of a squarefree product of irreducibles of
     equal degree d over F_p, p odd: for a random r, r^((p^d-1)/2) - 1 is
     divisible by about half of the factors."""
-    p = f.ring.p
+    ring, p = f.ring, f.ring.p
     if f.degree == d:
         return [f]
     exponent = (p**d - 1) // 2
+    mulmod = _mulmod(f)
     while True:
-        r = Poly([rng.randrange(p) for _ in range(f.degree)], f.ring)
+        r = Poly._residues([rng.randrange(p) for _ in range(f.degree)], ring)
         if r.degree < 1:
             continue
-        g = _gcd_fp(_pow_mod(r, exponent, f) - Poly.one(f.ring), f)
+        t = Poly._residues(_pow_mod(list(r.coeffs), exponent, mulmod), ring)
+        g = _gcd_fp(t - Poly.one(ring), f)
         if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
@@ -653,7 +678,8 @@ def _factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
     if f.degree < 2:
         return [f] if f.degree == 1 else []
     ring, p = f.ring, f.ring.p
-    frobenius, mulmod = _frobenius(f), _mulmod(f)
+    mulmod = _mulmod(f)
+    frobenius = _frobenius(f, mulmod)
     out: list[Poly] = []
     h, d = [0, 1], 1  # h = z^(p^(d-1)) mod f
     while f.degree >= 2 * d:

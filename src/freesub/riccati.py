@@ -231,26 +231,28 @@ def _over(den: int, v: Fraction) -> int:
     return v.numerator * (den // v.denominator)
 
 
-def _coeff_sums(params: RiccatiParams, n: int, kp: int, brackets: bool) -> Fraction:
-    """The two j-sums shared by the numerator and denominator formulas,
-    combined as poch(a+, n+1) s- - poch(a-, n+1) s+ and divided by
-    poch(x - kp, 2kp + 1), where x = E/B and a-/+ = (A + 2C -/+ E)/(2B).
-
-    `kp` is the internal index (the coefficient produced is the one of
-    z^(n - kp)).  The j-th summand of s-/+ is
+def _coeff_sums(params: RiccatiParams, n: int, kp: int) -> tuple[Fraction, Fraction]:
+    """(Q value, P value) of the coefficient of z^(n - kp), from one pass.
+    Each is two j-sums s-/+ combined as poch(a+, n+1) s- - poch(a-, n+1) s+
+    and divided by poch(x - kp, 2kp + 1), where x = E/B and a-/+ =
+    (A + 2C -/+ E)/(2B).  The j-th summand of s-/+ is
 
         C(kp+j, j) C(n-j, kp-j) poch(-/+x + j + 1, kp - j) poch(a-/+, j),
 
-    times, with brackets=True, the numerator's linear form
-    A -/+ E + 2j/(kp+j) (kp B +/- E); as C(kp+j, j) j/(kp+j) = C(kp+j-1, j-1),
-    C(kp+j, j) times that form needs no division.
+    for P times the linear form A -/+ E + 2j/(kp+j) (kp B +/- E).  As
+    C(kp+j, j) j/(kp+j) = C(kp+j-1, j-1), the P sum is A -/+ E times the Q
+    sum plus kp B +/- E times the sum with weights 2 C(kp+j-1, j-1) in place
+    of C(kp+j, j), with no division.
 
     The sums are taken in integers: over the common denominator D of x and
-    a-/+, poch(-/+x + j + 1, kp - j) D^(kp-j) is a suffix product built
-    backwards and poch(a-/+, j) D^j a prefix product built forwards, so each
-    summand is an integer over D^kp (times M, the common denominator of A, B
-    and E, with brackets). That is O(n) integer products and one Fraction per
-    coefficient, and no factor is ever divided by.
+    a-/+, poch(-/+x + j + 1, kp - j) D^(kp-j) is a suffix product and
+    poch(a-/+, j) D^j a prefix product, so each summand is an integer over
+    D^kp (times M, the common denominator of A, B and E, for P).  The prefix
+    gains one small factor per j, so each sum is taken by Horner's rule from
+    j = kp down, with the suffix built along: per j, the suffix times the
+    two weights, and otherwise products by small factors.  That is O(n)
+    integer products and two Fractions per coefficient, and no factor is
+    ever divided by.
     """
     a, b, c, e = params.a, params.b, params.c, params.e
     x = e / b
@@ -258,11 +260,8 @@ def _coeff_sums(params: RiccatiParams, n: int, kp: int, brackets: bool) -> Fract
     am = (a + 2 * c - e) / (2 * b)
     den = lcm(x.denominator, ap.denominator, am.denominator)
     xi = _over(den, x)
-    if brackets:
-        m = lcm(a.denominator, b.denominator, e.denominator)
-        ai, bi, ei = (_over(m, v) for v in (a, b, e))
-    else:
-        m = 1
+    m = lcm(a.denominator, b.denominator, e.denominator)
+    ai, bi, ei = (_over(m, v) for v in (a, b, e))
 
     # C(n-j, kp-j) times C(kp+j, j) and 2 C(kp+j-1, j-1), for j = 0..kp
     weights, u_prev, u = [], 0, 1
@@ -271,24 +270,30 @@ def _coeff_sums(params: RiccatiParams, n: int, kp: int, brackets: bool) -> Fract
         weights.append((w * u, 2 * w * u_prev))
         u_prev, u = u, u * (kp + j + 1) // (j + 1)
 
-    def side(sign: int) -> tuple[int, int]:
-        """(s-/+ D^kp M, poch(a-/+, n+1) D^(n+1)) for sign -1 / +1."""
+    def side(sign: int) -> tuple[int, int, int]:
+        """(Q sum, P sum, poch(a-/+, n+1) D^(n+1)) for sign -1 / +1, the
+        sums times D^kp, and the P sum times M."""
         shift = _over(den, ap if sign > 0 else am)
-        lead, tail = (ai + sign * ei, kp * bi - sign * ei) if brackets else (1, 0)
-        suffix = [1]  # suffix[kp - j] = prod_{j<i<=kp} (sign X + i D)
-        for i in range(kp, 0, -1):
-            suffix.append(suffix[-1] * (sign * xi + i * den))
-        total, prefix = 0, 1
-        for j, (w_lead, w_tail) in enumerate(weights):
-            total += suffix[kp - j] * prefix * (w_lead * lead + w_tail * tail)
-            prefix *= shift + j * den
-        return total, prefix * prod(shift + i * den for i in range(kp + 1, n + 1))
+        # Horner from j = kp down: h_j = suffix_j w_j + (shift + j D) h_(j+1),
+        # with suffix_j = prod_{j<i<=kp} (sign X + i D), so that h_0 is the sum
+        suffix, s_lead, s_tail = 1, 0, 0
+        for j in range(kp, -1, -1):
+            w_lead, w_tail = weights[j]
+            step = shift + j * den
+            s_lead = suffix * w_lead + step * s_lead
+            s_tail = suffix * w_tail + step * s_tail
+            suffix *= sign * xi + j * den
+        p_sum = (ai + sign * ei) * s_lead + (kp * bi - sign * ei) * s_tail
+        return s_lead, p_sum, prod(shift + i * den for i in range(n + 1))
 
-    s_minus, poch_am = side(-1)
-    s_plus, poch_ap = side(1)
+    q_minus, p_minus, poch_am = side(-1)
+    q_plus, p_plus, poch_ap = side(1)
     # poch(x - kp, 2kp + 1) D^(2kp+1) = prod_{|i|<=kp} (X + i D)
-    divisor = prod(xi + i * den for i in range(-kp, kp + 1))
-    return Fraction(poch_ap * s_minus - poch_am * s_plus, den ** (n - kp) * m * divisor)
+    divisor = den ** (n - kp) * prod(xi + i * den for i in range(-kp, kp + 1))
+    return (
+        Fraction(poch_ap * q_minus - poch_am * q_plus, divisor),
+        Fraction(poch_ap * p_minus - poch_am * p_plus, divisor * m),
+    )
 
 
 def _assert_integral(params: RiccatiParams, value: Fraction) -> Fraction:
@@ -297,37 +302,44 @@ def _assert_integral(params: RiccatiParams, value: Fraction) -> Fraction:
     return value
 
 
+def _scaled_sums(params: RiccatiParams, n: int, k: int) -> tuple[Fraction, Fraction]:
+    """(coefficient of z^k in Q_n, 2C times that in P_n)."""
+    q_sum, p_sum = _coeff_sums(params, n, n - k)
+    scale = (-1) ** n * params.b**k
+    return scale * q_sum, -scale * p_sum
+
+
 def pade_coeff_q(params: RiccatiParams, n: int, k: int) -> Fraction:
     """Coefficient of z^k in Q_n, from the closed form."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    kp = n - k
-    _require_closed_form(params, kp, need_c=False)
-    val = (-1) ** n * params.b**k * _coeff_sums(params, n, kp, brackets=False)
-    return _assert_integral(params, val)
+    _require_closed_form(params, n - k, need_c=False)
+    return _assert_integral(params, _scaled_sums(params, n, k)[0])
 
 
 def pade_coeff_p(params: RiccatiParams, n: int, k: int) -> Fraction:
     """Coefficient of z^k in P_n, from the closed form."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    kp = n - k
-    _require_closed_form(params, kp, need_c=True)
-    val = (-1) ** (n + 1) * params.b**k * _coeff_sums(params, n, kp, brackets=True) / (2 * params.c)
-    return _assert_integral(params, val)
+    _require_closed_form(params, n - k, need_c=True)
+    return _assert_integral(params, _scaled_sums(params, n, k)[1] / (2 * params.c))
 
 
 def pade_pair(params: RiccatiParams, n: int) -> PadePair:
-    """Assemble (P_n, Q_n) from the closed form.
+    """Assemble (P_n, Q_n) from the closed form, both coefficients of each
+    degree from one `_coeff_sums` pass.
 
     Raises DegenerateParameters when the formulas are undefined (C = 0,
     E = 0 or unavailable, or E/B an integer in [-n, n]); callers wanting a
     transparent fallback should use build_pade.
     """
     _require_closed_form(params, n, need_c=True)
-    p = Poly([pade_coeff_p(params, n, k) for k in range(n + 1)])
-    q = Poly([pade_coeff_q(params, n, k) for k in range(n + 1)])
-    return PadePair(n, p, q, residual_constant(params, n))
+    ps, qs = [], []
+    for k in range(n + 1):
+        q_k, p_k = _scaled_sums(params, n, k)
+        qs.append(_assert_integral(params, q_k))
+        ps.append(_assert_integral(params, p_k / (2 * params.c)))
+    return PadePair(n, Poly(ps), Poly(qs), residual_constant(params, n))
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

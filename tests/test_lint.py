@@ -58,3 +58,48 @@ def test_int_digit_limit_is_set_in_cli_only():
     ]
     assert found
     assert [f for f in found if not f.startswith("cli.py:")] == []
+
+
+def _owners(tree) -> dict:
+    """id(node) -> name of the innermost function around it (None at module
+    level)."""
+    owner = {}
+
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            owner[id(child)] = inner
+            walk(child, inner)
+
+    walk(tree, None)
+    return owner
+
+
+def test_newton_inverse_only_where_it_pays():
+    # a Newton inverse of rev(f) costs several products: it pays for a long
+    # quotient, or where one inverse serves many calls (a fixed modulus, a
+    # blocked series division); a short division must not build one per call
+    allowed = {
+        ("poly.py", "__divmod__", True),
+        ("poly.py", "_mulmod", False),
+        ("poly.py", "series_div", False),
+        ("poly.py", "_inverse", False),
+    }
+    found = set()
+    for path, tree in _package_trees():
+        owner = _owners(tree)
+        long_branch = set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.If)
+                and owner[id(node)] == "__divmod__"
+                and any(isinstance(n, ast.Name) and n.id == "SCHOOLBOOK_MAX" for n in ast.walk(node.test))
+            ):
+                long_branch |= {id(n) for stmt in node.orelse for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "_inverse":
+                    found.add((path.name, owner[id(node)], id(node) in long_branch))
+    assert ("poly.py", "__divmod__", True) in found
+    assert found <= allowed

@@ -11,6 +11,7 @@ from freesub.cli import main
 from freesub.errors import CertificationFailed, HorizonTooShort
 from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily
+from freesub.poly import Poly
 from freesub.periods import (
     PERIOD_SCHEMA,
     _window_check,
@@ -18,6 +19,7 @@ from freesub.periods import (
     analyze,
     detect_period,
     is_period,
+    least_period,
     order_bound,
     predicted_period,
 )
@@ -217,6 +219,15 @@ def test_certificate_at_17_squared_and_cubed(alpha, least, quoted):
         assert not is_period(num, den, least // q)
     assert quoted % least == 0 and is_period(num, den, quoted)
     assert is_period(num, den, order_bound(form))
+
+
+def test_period_test_with_a_short_numerator():
+    # the reduced product num z^T mod den has deg den terms, num fewer
+    ring = ModRingCtx(7, 1)
+    num, den = Poly([3], ring), Poly([1, 0, 0, 6], ring)  # 3 / (1 - z^3)
+    assert [is_period(num, den, T) for T in range(1, 7)] == [False, False, True] * 2
+    assert least_period(num, den, 6, [2, 3], []) == (3, True)
+    assert is_period(Poly([], ring), den, 1)
 
 
 def test_a_wrong_order_bound_fails_certification(monkeypatch):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesub.errors import (
     NonInvertible,
@@ -11,15 +13,22 @@ from freesub.errors import (
 )
 from freesub.exact import ModRingCtx, is_prime
 from freesub.groups import GroupFamily
+import freesub.poly
 from freesub.poly import (
+    SCHOOLBOOK_MAX,
     Factorization,
     Poly,
     Series,
     _convolve,
+    _divmod_residues,
     _ext_gcd_fp,
+    _gcd_fp,
+    _inverse,
     _karatsuba,
     _karatsuba_pays,
     _lift_to,
+    _long_division,
+    _mulmod,
     _pow_mod,
     ext_gcd_coprime,
     factor_mod_p,
@@ -362,15 +371,74 @@ def test_kernel_divmod_matches_schoolbook(ring):
     assert divmod(top, Poly([1] * 40, ring)) == school_divmod(top, Poly([1] * 40, ring))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_long_division_matches_newton_division(data):
+    # quotients of 0 to SCHOOLBOOK_MAX + 2 terms, on both sides of the
+    # cutoff; the dividend may carry trailing zeros, which lengthen the
+    # quotient by as many zero terms
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    m = ring.modulus
+    residue = st.integers(0, m - 1)
+    unit = residue.filter(lambda v: v % ring.p)
+    k = data.draw(st.integers(0, 12))
+    f = data.draw(st.lists(residue, min_size=k, max_size=k)) + [data.draw(unit)]
+    t = data.draw(st.integers(0, SCHOOLBOOK_MAX + 2))
+    zeros = data.draw(st.integers(0, min(t, 3)))
+    a = data.draw(st.lists(residue, min_size=k + t - zeros, max_size=k + t - zeros)) + [0] * zeros
+    long_q, long_r = _long_division(a, f, pow(f[-1], -1, m), m)
+    newton_q, newton_r = _divmod_residues(a, f, _inverse(f[::-1], m, max(t, 1)), m)
+    assert (long_q, long_r) == (newton_q, newton_r)
+    assert len(long_q) == t and len(long_r) == k
+    assert divmod(Poly(a, ring), Poly(f, ring)) == school_divmod(Poly(a, ring), Poly(f, ring))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS[1:], ids=str)
+@pytest.mark.parametrize("t", range(SCHOOLBOOK_MAX + 3))
+def test_divmod_non_unit_leading_coefficient(ring, t):
+    # both the long-division and the Newton path refuse a divisor whose
+    # leading coefficient is a multiple of p, also when deg a < deg f
+    rng = random.Random(t)
+    f = _random_poly(rng, ring, 6, unit_lead=True)
+    f = Poly(list(f.coeffs[:-1]) + [ring.p * rng.randrange(1, ring.modulus // ring.p)], ring)
+    a = _random_poly(rng, ring, 6 + t - 1)
+    with pytest.raises(NonInvertible):
+        divmod(a, f)
+
+
+def test_gcd_builds_no_newton_inverse(monkeypatch):
+    # every Euclid step divides by a quotient of one or two terms, which
+    # long division takes without an inverse of the reversed divisor
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _inverse(*args)
+
+    monkeypatch.setattr(freesub.poly, "_inverse", spy)
+    ring = ModRingCtx(10007, 1)
+    rng = random.Random(50)
+    c = _random_poly(rng, ring, 10)
+    a, b = c * _random_poly(rng, ring, 40), c * _random_poly(rng, ring, 39)
+    assert a.degree == 50
+    g = _gcd_fp(a, b)
+    assert calls == []
+    assert g == c.monic()[0]
+
+
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
 def test_kernel_pow_mod_matches_schoolbook(ring):
     rng = random.Random(ring.modulus + 2)
     for df in (1, 2, 5, 6, 7, 30, 200):
         f = _random_poly(rng, ring, df, unit_lead=True)
-        for db in (-1, 0, 3, df - 1, df + 4):
+        mulmod = _mulmod(f)  # one reducer serves every power mod f
+        for db in (-1, 0, 3, df - 1, df, df + 4):
             base = _random_poly(rng, ring, db)
+            # _pow_mod takes bases of up to deg f + 1 terms
+            b = list((base if db <= df else base % f).coeffs)
             for e in (0, 1, 2, 13, rng.randrange(1, 1 << (12 if df < 100 else 4))):
-                assert _pow_mod(base, e, f) == school_pow_mod(base, e, f)
+                got = Poly._residues(_pow_mod(b, e, mulmod), ring)
+                assert got == school_pow_mod(base, e, f)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)

@@ -441,6 +441,25 @@ def test_integer_sums_match_reference_random(rng):
                 _assert_matches_reference(params, n)
 
 
+def test_pade_pair_takes_one_pass_per_coefficient(rng, monkeypatch):
+    # each _coeff_sums call gives the Q and the P value of one degree
+    calls = []
+    one_pass = freesub.riccati._coeff_sums
+
+    def spy(params, n, kp):
+        calls.append(kp)
+        return one_pass(params, n, kp)
+
+    monkeypatch.setattr(freesub.riccati, "_coeff_sums", spy)
+    halves = RiccatiParams.of(Fraction(1, 2), 1, 1, 0, Fraction(1, 2))
+    for params in [random_integer_params(rng, 12) for _ in range(6)] + [halves]:
+        for n in range(13):
+            calls.clear()
+            pade_pair(params, n)
+            assert sorted(calls) == list(range(n + 1))
+            _assert_matches_reference(params, n)
+
+
 @pytest.mark.parametrize(
     "kind,d",
     [
@@ -478,7 +497,8 @@ def test_closed_form_errors_are_kept():
 
 def test_integrality_check_is_kept(monkeypatch):
     # B = 6 and 2C = 2 leave the 7 in the denominator
-    monkeypatch.setattr(freesub.riccati, "_coeff_sums", lambda *args, **kw: Fraction(1, 7))
+    # the stub gives both the Q and the P sum, as `_coeff_sums` does
+    monkeypatch.setattr(freesub.riccati, "_coeff_sums", lambda *args, **kw: (Fraction(1, 7),) * 2)
     with pytest.raises(IntegralityViolation):
         pade_coeff_q(MODULAR_M1, 2, 1)
     with pytest.raises(IntegralityViolation):
