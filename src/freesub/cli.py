@@ -1,12 +1,12 @@
 """Command-line front end.  Deterministic, machine-readable output.
 
 Subcommands: counts, pade, reduce, pfrac, period, lemmas, reproduce.
-Exit codes: 2 invalid configuration (unsupported prime included), 3
-degenerate parameters (the closed-form route forced, or a stable denominator
-that is not squarefree mod p), 4 numerator search window exhausted, 5 period
-horizon too short, 6 golden reproduction mismatch, 7 any other library error
-(a failed certification check, no Bezout identity, a broken integrality or an
-inconsistent Pade system).
+Exit codes: 1 `lemmas` found a failing instance, 2 invalid configuration
+(unsupported prime included), 3 degenerate parameters (the closed-form route
+forced, or a stable denominator that is not squarefree mod p), 4 numerator
+search window exhausted, 5 period horizon too short, 6 golden reproduction
+mismatch, 7 any other library error (a failed certification check, no Bezout
+identity, a broken integrality or an inconsistent Pade system).
 
 FREESUB_CONFIG may name a JSON file of default option values (keys matching
 the long option names); explicit flags always win.  A value is checked like

@@ -68,8 +68,7 @@ def _check_same_ring(a: Ring, b: Ring) -> Ring:
 # Products whose shorter operand has at most this many terms are taken term
 # by term: below it, packing costs more than it saves.  Measured on random
 # residues mod 7, 13^3 and 10007^5: packing wins from 6 terms on square
-# operands, and the series engine's power-of-two blocks are fastest packed
-# from 8 terms.
+# operands.
 SCHOOLBOOK_MAX = 5
 
 

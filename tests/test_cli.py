@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -251,6 +252,20 @@ def test_period_horizon_exit5(capsys):
         "--family", "modular3", "--p", "7", "--alpha", "2", "--horizon", "40",
     )
     assert code == 5
+
+
+def test_help_lists_every_exit_code(capsys):
+    # `freesub --help` shows the module docstring: it must name every
+    # nonzero code of the README's exit-code table
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    codes = re.findall(r"^\| (\d+) \|", readme, re.M)
+    assert codes[0] == "0" and len(codes) > 2
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("Exit codes:")[1].split("FREESUB_CONFIG")[0]
+    for code in codes[1:]:
+        assert re.search(rf"(^|, ){code} ", listed.strip()), code
 
 
 def test_lemmas(capsys):

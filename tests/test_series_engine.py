@@ -5,13 +5,18 @@ convolution loop over Z/p^alpha and an unfolded one over Z and Q. Every
 comparison is exact equality of whole coefficient tuples, types included.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from conftest import random_integer_params
+from freesub import riccati
 from freesub.exact import ModRingCtx, mod_reduce
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
+from freesub.poly import _folded
 from freesub.riccati import RiccatiParams, riccati_series
 
 
@@ -51,10 +56,14 @@ def _typed(coeffs) -> list:
     return [(type(c), c) for c in coeffs]
 
 
+def _edges(top_exponent: int) -> set[int]:
+    """2^k - 2 .. 2^k + 1 for 2 <= k <= top_exponent: where blocks end."""
+    return {n for k in range(2, top_exponent + 1) for n in (2**k - 2, 2**k - 1, 2**k, 2**k + 1)}
+
+
 def _edge_lengths(top_exponent: int) -> list[int]:
     """Every length 1..300, plus 2^k - 2 .. 2^k + 1 up to 2^top_exponent."""
-    edges = {n for k in range(2, top_exponent + 1) for n in (2**k - 2, 2**k - 1, 2**k, 2**k + 1)}
-    return sorted(set(range(1, 301)) | edges)
+    return sorted(set(range(1, 301)) | _edges(top_exponent))
 
 
 def test_every_length_mod_prime_power():
@@ -135,3 +144,152 @@ def test_17_cubed_long_window():
     params = params_for(GroupFamily(MODULAR3, 1))
     ctx = ModRingCtx(17, 3)
     assert riccati_series(params, 40000, ctx).coeffs == reference_series(params, 40000, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the direct lead: every lead gives the oracle's coefficients, and the direct
+# pairs plus the blocks tile the index pairs exactly once
+# ---------------------------------------------------------------------------
+
+LEADS = [1, 2, 8, 32, 128]
+
+
+def _check_lengths(params, lengths, ctx=None) -> None:
+    oracle = _typed(reference_series(params, lengths[-1], ctx))
+    for n in lengths:
+        assert _typed(riccati_series(params, n, ctx).coeffs) == oracle[:n], n
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("p,alpha", [(7, 5), (10007, 5)])
+def test_every_lead_mod_prime_power(monkeypatch, lead, p, alpha):
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    _check_lengths(params_for(GroupFamily(MODULAR3, 1)), _edge_lengths(10), ModRingCtx(p, alpha))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
+def test_every_lead_exact_int(monkeypatch, lead, kind):
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    _check_lengths(params_for(GroupFamily(kind, 1)), _edge_lengths(8))
+
+
+def _random_fraction_params(rng: random.Random) -> RiccatiParams:
+    """Random constants with small denominators, some of them not 1."""
+    while True:
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        if vals[1] and any(v.denominator > 1 for v in vals):
+            return RiccatiParams.of(*vals)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+def test_every_lead_fraction_params(monkeypatch, lead):
+    # a Fraction series costs seconds at 300 terms, so every length up to
+    # 70 and the block edges past it; the slow tier takes all of 1..300
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    lengths = sorted(set(range(1, 71)) | _edges(8) | {300})
+    _check_lengths(_random_fraction_params(random.Random(lead)), lengths)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lead", LEADS)
+def test_every_lead_fraction_params_every_length(monkeypatch, lead):
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    _check_lengths(_random_fraction_params(random.Random(lead)), _edge_lengths(8))
+
+
+class _Mark:
+    """A stand-in coefficient that knows its index: a product of two is the
+    multiset holding their index pair, unordered."""
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __mul__(self, other: "_Mark") -> "_Pairs":
+        return _Pairs({(min(self.i, other.i), max(self.i, other.i)): 1})
+
+
+class _Pairs(Counter):
+    """Multisets of index pairs that add and scale like coefficients; 0 is
+    the empty one."""
+
+    def __add__(self, other):
+        return self if isinstance(other, int) and other == 0 else _Pairs(Counter.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __rmul__(self, k: int):
+        return _Pairs({key: k * v for key, v in self.items()})
+
+
+def _square_sums(count: int) -> list:
+    """The sums `_online_square` yields on marks, each a multiset of pairs."""
+    f = [_Mark(0)]
+    sums = []
+    for n, s_n in enumerate(riccati._online_square(f, count, partial(_folded, scale=2))):
+        sums.append(s_n)
+        f.append(_Mark(n + 1))
+    return sums
+
+
+def _recorded_blocks(count: int) -> list:
+    """The (rows, columns, width) of every block `_online_square` hands to
+    `block`, run on f_i = i; columns are None on the diagonal."""
+    blocks = []
+
+    def block(x, y, width):
+        blocks.append((x, None if x is y else y, width))
+        return [0] * width
+
+    f = [0]
+    for n, _ in enumerate(riccati._online_square(f, count, block)):
+        f.append(n + 1)
+    return blocks
+
+
+def _ordered_pairs(count: int, lead: int, blocks: list) -> list:
+    """How often each ordered pair (i, j) with i + j < count is covered by
+    the direct pairs plus the blocks, each off-diagonal block standing for
+    itself and its mirror image."""
+    cover = [bytearray(count - i) for i in range(count)]
+    for i in range(count):
+        for j in range(count - i):
+            if min(i, j) < lead - 1:
+                cover[i][j] += 1
+    for rows, cols, width in blocks:
+        for a, i in enumerate(rows):
+            for b, j in enumerate(rows if cols is None else cols):
+                if a + b < width:
+                    cover[i][j] += 1
+                    if cols is not None:
+                        cover[j][i] += 1
+    return cover
+
+
+def test_direct_lead_is_a_power_of_two():
+    # the block sizes start at DIRECT_LEAD: any other value would drop or
+    # repeat pairs without a sign
+    lead = riccati.DIRECT_LEAD
+    assert lead >= 1 and lead & (lead - 1) == 0
+
+
+@pytest.mark.parametrize("lead", [1, 2, 4, 8, 32, 64, 128])
+@pytest.mark.parametrize("count", [50, 257, 1000])
+def test_direct_pairs_and_blocks_tile_once(monkeypatch, lead, count):
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    blocks = _recorded_blocks(count)
+    for rows, cols, width in blocks:
+        size = rows[0] + 1
+        assert size >= lead and size & (size - 1) == 0
+        assert rows == list(range(size - 1, size - 1 + len(rows))) and len(rows) <= size
+    cover = _ordered_pairs(count, lead, blocks)
+    assert all(c == 1 for row in cover for c in row)
+
+
+@pytest.mark.parametrize("lead", [1, 2, 4, 8, 32, 64, 128])
+def test_direct_pairs_and_blocks_sum_each_pair_once(monkeypatch, lead):
+    # the sums the engine reads hold exactly the pairs of their index
+    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    for n, s_n in enumerate(_square_sums(257)):
+        want = {(i, n - i): 1 if 2 * i == n else 2 for i in range(n // 2 + 1)}
+        assert dict(s_n) == want, n
