@@ -41,7 +41,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, zip_longest
 from operator import add, mul, sub
 
 from .errors import (
@@ -568,41 +568,50 @@ class Factorization:
 # ---------------------------------------------------------------------------
 
 
+def _ext_gcd_fp(a: Poly, b: Poly, cofactor: bool = True) -> tuple[Poly, Poly]:
+    """(g, u) with u*a = g mod b, g the monic gcd over F_p (u = 1 without
+    `cofactor`): the extended Euclidean algorithm on residue lists, each
+    step one `_long_division`.  Over a field the leading terms of the
+    cofactors never cancel."""
+    ring, p = a.ring, a.ring.modulus
+    r0, r1, s0, s1 = list(a.coeffs), list(b.coeffs), [1], []
+    while r1:
+        q, r = _long_division(r0, r1, pow(r1[-1], -1, p), p)
+        while r and not r[-1]:
+            r.pop()
+        r0, r1 = r1, r
+        if cofactor:
+            qs = _product(q, s1, p, len(q) + len(s1) - 1) if s1 else []
+            s0, s1 = s1, [(u - v) % p for u, v in zip_longest(s0, qs, fillvalue=0)]
+    lead_inv = pow(r0[-1], -1, p) if r0 else 1
+    return tuple(Poly._residues([v * lead_inv % p for v in w], ring) for w in (r0, s0))
+
+
 def _gcd_fp(a: Poly, b: Poly) -> Poly:
     """Monic gcd over F_p."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()[0]
-
-
-def _ext_gcd_fp(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """(g, u) with u*a = g mod b, g the monic gcd over F_p: the extended
-    Euclidean algorithm, tracking the cofactor of a only."""
-    ring = a.ring
-    r0, r1 = a, b
-    s0, s1 = Poly.one(ring), Poly.zero(ring)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.is_zero():
-        return r0, s0
-    g, lead = r0.monic()
-    return g, s0.scale(pow(lead, -1, ring.modulus))
+    return _ext_gcd_fp(a, b, cofactor=False)[0]
 
 
 def _mulmod(f: Poly):
     """(x, y) -> x*y mod f on residue lists of at most deg f terms, or one
-    of them longer as long as x*y has fewer than 2 deg f terms.  The
-    inverse of rev(f) is computed once, so each call is three products."""
-    m = f.ring.modulus
-    fc = list(f.coeffs)
-    finv = _inverse(fc[::-1], m, max(len(fc) - 2, 1))
+    of them longer as long as x*y has fewer than 2 deg f terms; the result
+    has deg f terms.  The inverse of rev(f) is computed once, and it and f
+    are packed once, by one `kronecker` packer that holds every product
+    below; each call packs only its operands."""
+    m, fc, k = f.ring.modulus, list(f.coeffs), f.degree
+    finv = _inverse(fc[::-1], m, max(k - 1, 1))
+    pack, unpack = kronecker(m, k)
+    low_f, inv = pack(fc[:k]), pack(finv)
 
     def mulmod(x: list, y: list) -> list:
-        return _divmod_residues(_product(x, y, m, len(x) + len(y) - 1), fc, finv, m)[1]
+        width = max(len(x) + len(y) - 1, 0)
+        px = pack(x)
+        a = [v % m for v in unpack(px * px if x is y else px * pack(y), width)]
+        if width <= k:
+            return a + [0] * (k - width)
+        # the quotient reversed is rev(a) / rev(f) to width - k terms
+        q = [v % m for v in unpack(pack(a[: k - 1 : -1]) * inv, width - k)]
+        return [(u - v) % m for u, v in zip(a, unpack(pack(q[::-1]) * low_f, k))]
 
     return mulmod
 

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import accumulate, chain, count, islice
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
@@ -211,20 +211,35 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     return Series(tuple(f), ctx)
 
 
+def _over(den: int, v: Fraction) -> int:
+    """The numerator of v written over `den`, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
+
+
+def _residual_numerators(params: RiccatiParams) -> tuple[int, Iterator[int]]:
+    """(M^2, the factors of `residual_factors` times M^2), M the common
+    denominator of A, B, C and D: each factor is quadratic in them."""
+    consts = (params.a, params.b, params.c, params.d)
+    m = lcm(*(v.denominator for v in consts))
+    a, b, c, d = (_over(m, v) for v in consts)
+    rest = (l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c for l in count(1))
+    return m * m, chain([m * (a + c + d)], rest)
+
+
 def residual_factors(params: RiccatiParams) -> Iterator[Fraction]:
     """Yield A + C + D, then the l-th factor of the residual constant for
     l = 1, 2, ...; r for order n is the product of the first n + 1."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    yield a + c + d
-    for l in count(1):
-        yield l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c
+    scale, numerators = _residual_numerators(params)
+    return (Fraction(v, scale) for v in numerators)
 
 
 def residual_constant(params: RiccatiParams, n: int) -> Fraction:
-    """The scalar multiplying -z^(2n+1) in the defining identity."""
+    """The scalar multiplying -z^(2n+1) in the defining identity: one
+    integer product, over M^(2n+2)."""
     if n < 0:
         raise ValueError("need n >= 0")
-    return prod(islice(residual_factors(params), n + 1))
+    scale, numerators = _residual_numerators(params)
+    return Fraction(prod(islice(numerators, n + 1)), scale ** (n + 1))
 
 
 def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> None:
@@ -240,73 +255,66 @@ def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> None:
         raise DegenerateParameters(f"E/B = {x} collides with the index range")
 
 
-def _over(den: int, v: Fraction) -> int:
-    """The numerator of v written over `den`, a multiple of v's denominator."""
-    return v.numerator * (den // v.denominator)
+def _pair_constants(params: RiccatiParams, n: int, top: int) -> tuple:
+    """What every coefficient of the order-n pair shares: (n, D, X,
+    (a- D, a+ D), M, (A M, B M, E M), poch(a-/+, n+1) D^(n+1), divisors).
+    D is the common denominator of x = E/B and a-/+ = (A + 2C -/+ E)/(2B),
+    X = x D, M the common denominator of A, B and E, and divisors[kp] =
+    prod_{|i|<=kp} (X + i D) = poch(x - kp, 2kp + 1) D^(2kp+1) for kp <= top."""
+    a, b, c, e = params.a, params.b, params.c, params.e
+    x, am, ap = e / b, (a + 2 * c - e) / (2 * b), (a + 2 * c + e) / (2 * b)
+    den = lcm(x.denominator, am.denominator, ap.denominator)
+    xi, shifts = _over(den, x), (_over(den, am), _over(den, ap))
+    m = lcm(a.denominator, b.denominator, e.denominator)
+    divisors = list(accumulate(((xi - i * den) * (xi + i * den) for i in range(1, top + 1)), mul, initial=xi))
+    pochs = tuple(prod(s + i * den for i in range(n + 1)) for s in shifts)
+    return n, den, xi, shifts, m, tuple(_over(m, v) for v in (a, b, e)), pochs, divisors
 
 
-def _coeff_sums(params: RiccatiParams, n: int, kp: int) -> tuple[Fraction, Fraction]:
-    """(Q value, P value) of the coefficient of z^(n - kp), from one pass.
-    Each is two j-sums s-/+ combined as poch(a+, n+1) s- - poch(a-, n+1) s+
-    and divided by poch(x - kp, 2kp + 1), where x = E/B and a-/+ =
-    (A + 2C -/+ E)/(2B).  The j-th summand of s-/+ is
+def _coeff_sums(constants: tuple, kp: int) -> tuple[Fraction, Fraction]:
+    """(coefficient of z^k in Q_n, 2C times that in P_n), k = n - kp, from
+    one pass over the `_pair_constants` of the pair.  Each is (-B)^k times
+    two j-sums s-/+ combined as poch(a+, n+1) s- - poch(a-, n+1) s+ and
+    divided by poch(x - kp, 2kp + 1), negated for P.  The j-th summand of
+    s-/+ is
 
         C(kp+j, j) C(n-j, kp-j) poch(-/+x + j + 1, kp - j) poch(a-/+, j),
 
-    for P times the linear form A -/+ E + 2j/(kp+j) (kp B +/- E).  As
-    C(kp+j, j) j/(kp+j) = C(kp+j-1, j-1), the P sum is A -/+ E times the Q
-    sum plus kp B +/- E times the sum with weights 2 C(kp+j-1, j-1) in place
-    of C(kp+j, j), with no division.
-
-    The sums are taken in integers: over the common denominator D of x and
-    a-/+, poch(-/+x + j + 1, kp - j) D^(kp-j) is a suffix product and
-    poch(a-/+, j) D^j a prefix product, so each summand is an integer over
-    D^kp (times M, the common denominator of A, B and E, for P).  The prefix
-    gains one small factor per j, so each sum is taken by Horner's rule from
-    j = kp down, with the suffix built along: per j, the suffix times the
-    two weights, and otherwise products by small factors.  That is O(n)
-    integer products and two Fractions per coefficient, and no factor is
-    ever divided by.
+    for P times A -/+ E + 2j/(kp+j) (kp B +/- E); as C(kp+j, j) j/(kp+j) =
+    C(kp+j-1, j-1), the P sum is A -/+ E times the Q sum plus kp B +/- E
+    times the sum with weights 2 C(kp+j-1, j-1).  Over D, the suffix
+    poch(-/+x + j + 1, kp - j) D^(kp-j) and the prefix poch(a-/+, j) D^j are
+    integers, so each sum is an integer over D^kp (times M for P), taken by
+    Horner's rule from j = kp down with the suffix built along: per j, one
+    product of the suffix with the weight, and products and exact divisions
+    by small factors otherwise.  No factor of a sum is ever divided by.
     """
-    a, b, c, e = params.a, params.b, params.c, params.e
-    x = e / b
-    ap = (a + 2 * c + e) / (2 * b)
-    am = (a + 2 * c - e) / (2 * b)
-    den = lcm(x.denominator, ap.denominator, am.denominator)
-    xi = _over(den, x)
-    m = lcm(a.denominator, b.denominator, e.denominator)
-    ai, bi, ei = (_over(m, v) for v in (a, b, e))
+    n, den, xi, shifts, m, (ai, bi, ei), (poch_am, poch_ap), divisors = constants
+    # w_j = C(n-j, kp-j) C(kp+j, j) for j = 0..kp, each from the one before
+    weights = [comb(n, kp)]
+    for j in range(kp):
+        weights.append(weights[-1] * (kp - j) * (kp + j + 1) // ((n - j) * (j + 1)))
 
-    # C(n-j, kp-j) times C(kp+j, j) and 2 C(kp+j-1, j-1), for j = 0..kp
-    weights, u_prev, u = [], 0, 1
-    for j in range(kp + 1):
-        w = comb(n - j, kp - j)
-        weights.append((w * u, 2 * w * u_prev))
-        u_prev, u = u, u * (kp + j + 1) // (j + 1)
-
-    def side(sign: int) -> tuple[int, int, int]:
-        """(Q sum, P sum, poch(a-/+, n+1) D^(n+1)) for sign -1 / +1, the
-        sums times D^kp, and the P sum times M."""
-        shift = _over(den, ap if sign > 0 else am)
+    def side(sign: int, shift: int) -> tuple[int, int]:
+        # (Q sum, P sum) for sign -1 / +1, times D^kp, the P sum times M, by
         # Horner from j = kp down: h_j = suffix_j w_j + (shift + j D) h_(j+1),
-        # with suffix_j = prod_{j<i<=kp} (sign X + i D), so that h_0 is the sum
+        # with suffix_j = prod_{j<i<=kp} (sign X + i D), so that h_0 is the
+        # sum; the tail weight 2 C(n-j, kp-j) C(kp+j-1, j-1) is w_j 2j/(kp+j)
         suffix, s_lead, s_tail = 1, 0, 0
         for j in range(kp, -1, -1):
-            w_lead, w_tail = weights[j]
+            term = suffix * weights[j]
             step = shift + j * den
-            s_lead = suffix * w_lead + step * s_lead
-            s_tail = suffix * w_tail + step * s_tail
+            s_lead = term + step * s_lead
+            s_tail = step * s_tail + (term * 2 * j // (kp + j) if j else 0)
             suffix *= sign * xi + j * den
-        p_sum = (ai + sign * ei) * s_lead + (kp * bi - sign * ei) * s_tail
-        return s_lead, p_sum, prod(shift + i * den for i in range(n + 1))
+        return s_lead, (ai + sign * ei) * s_lead + (kp * bi - sign * ei) * s_tail
 
-    q_minus, p_minus, poch_am = side(-1)
-    q_plus, p_plus, poch_ap = side(1)
-    # poch(x - kp, 2kp + 1) D^(2kp+1) = prod_{|i|<=kp} (X + i D)
-    divisor = den ** (n - kp) * prod(xi + i * den for i in range(-kp, kp + 1))
+    (q_minus, p_minus), (q_plus, p_plus) = side(-1, shifts[0]), side(1, shifts[1])
+    # B^k = (B M)^k / M^k, and D^(n+1) D^kp / D^(2kp+1) leaves D^k
+    scale, divisor = (-bi) ** (n - kp) * (-1) ** kp, (den * m) ** (n - kp) * divisors[kp]
     return (
-        Fraction(poch_ap * q_minus - poch_am * q_plus, divisor),
-        Fraction(poch_ap * p_minus - poch_am * p_plus, divisor * m),
+        Fraction(scale * (poch_ap * q_minus - poch_am * q_plus), divisor),
+        Fraction(scale * (poch_am * p_plus - poch_ap * p_minus), divisor * m),
     )
 
 
@@ -316,19 +324,12 @@ def _assert_integral(params: RiccatiParams, value: Fraction) -> Fraction:
     return value
 
 
-def _scaled_sums(params: RiccatiParams, n: int, k: int) -> tuple[Fraction, Fraction]:
-    """(coefficient of z^k in Q_n, 2C times that in P_n)."""
-    q_sum, p_sum = _coeff_sums(params, n, n - k)
-    scale = (-1) ** n * params.b**k
-    return scale * q_sum, -scale * p_sum
-
-
 def pade_coeff_q(params: RiccatiParams, n: int, k: int) -> Fraction:
     """Coefficient of z^k in Q_n, from the closed form."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     _require_closed_form(params, n - k, need_c=False)
-    return _assert_integral(params, _scaled_sums(params, n, k)[0])
+    return _assert_integral(params, _coeff_sums(_pair_constants(params, n, n - k), n - k)[0])
 
 
 def pade_coeff_p(params: RiccatiParams, n: int, k: int) -> Fraction:
@@ -336,21 +337,24 @@ def pade_coeff_p(params: RiccatiParams, n: int, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     _require_closed_form(params, n - k, need_c=True)
-    return _assert_integral(params, _scaled_sums(params, n, k)[1] / (2 * params.c))
+    p_k = _coeff_sums(_pair_constants(params, n, n - k), n - k)[1]
+    return _assert_integral(params, p_k / (2 * params.c))
 
 
 def pade_pair(params: RiccatiParams, n: int) -> PadePair:
-    """Assemble (P_n, Q_n) from the closed form, both coefficients of each
-    degree from one `_coeff_sums` pass.
+    """Assemble (P_n, Q_n) from the closed form: the constants of the pair
+    once, then both coefficients of each degree from one `_coeff_sums`
+    pass.
 
     Raises DegenerateParameters when the formulas are undefined (C = 0,
     E = 0 or unavailable, or E/B an integer in [-n, n]); callers wanting a
     transparent fallback should use build_pade.
     """
     _require_closed_form(params, n, need_c=True)
+    constants = _pair_constants(params, n, n)
     ps, qs = [], []
-    for k in range(n + 1):
-        q_k, p_k = _scaled_sums(params, n, k)
+    for kp in range(n, -1, -1):
+        q_k, p_k = _coeff_sums(constants, kp)
         qs.append(_assert_integral(params, q_k))
         ps.append(_assert_integral(params, p_k / (2 * params.c)))
     return PadePair(n, Poly(ps), Poly(qs), residual_constant(params, n))

@@ -103,3 +103,52 @@ def test_newton_inverse_only_where_it_pays():
                     found.add((path.name, owner[id(node)], id(node) in long_branch))
     assert ("poly.py", "__divmod__", True) in found
     assert found <= allowed
+
+
+def _function(tree, name: str) -> ast.FunctionDef:
+    (node,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _poly_tree():
+    return next(tree for path, tree in _package_trees() if path.name == "poly.py")
+
+
+def test_euclid_loops_run_on_residue_lists():
+    # a Euclid step on Poly objects builds a Poly per quotient, remainder
+    # and cofactor; the loops of the F_p gcds take residue lists only, and
+    # every % in them reduces by the modulus p
+    tree = _poly_tree()
+    functions = [_function(tree, name) for name in ("_gcd_fp", "_ext_gcd_fp")]
+    loops = [n for f in functions for n in ast.walk(f) if isinstance(n, ast.While)]
+    assert loops
+    for node in (n for loop in loops for n in ast.walk(loop)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            assert not (isinstance(func, ast.Name) and func.id in ("Poly", "divmod")), node.lineno
+            assert not (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "Poly"), node.lineno
+        if isinstance(node, ast.BinOp):
+            assert not isinstance(node.op, ast.FloorDiv), node.lineno
+            if isinstance(node.op, ast.Mod):
+                assert isinstance(node.right, ast.Name) and node.right.id == "p", node.lineno
+
+
+def test_mulmod_packs_the_modulus_once():
+    # f and the inverse of rev(f) are packed when the reducer is built; a
+    # call packs only its operands
+    outer = _function(_poly_tree(), "_mulmod")
+    inner = _function(outer, "mulmod")
+    inside = {id(n) for n in ast.walk(inner)}
+
+    def packs(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pack"
+
+    def names(node) -> set:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    once = [n for n in ast.walk(outer) if packs(n) and id(n) not in inside]
+    per_call = [n for n in ast.walk(inner) if packs(n)]
+    assert {"fc", "finv"} <= set().union(*map(names, once))
+    assert per_call
+    assert all(not names(n) & {"fc", "finv", "f"} for n in per_call)
+    assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_inverse" for n in ast.walk(inner))

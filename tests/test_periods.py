@@ -4,6 +4,8 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freesub.exact
 import freesub.periods
@@ -14,6 +16,7 @@ from freesub.groups import GroupFamily
 from freesub.poly import Poly
 from freesub.periods import (
     PERIOD_SCHEMA,
+    _min_preperiod,
     _window_check,
     analysis_json_dict,
     analyze,
@@ -53,6 +56,32 @@ def test_detect_minimality_and_shift_invariance():
         assert any(
             c[lam] != c[lam + t] for lam in range(report.preperiod, len(c) - t)
         )
+
+
+def reference_min_preperiod(coeffs, T):
+    """The term-by-term backward scan that `_min_preperiod` replaced, kept
+    as its oracle."""
+    i = len(coeffs) - T - 1
+    while i >= 0 and coeffs[i] == coeffs[i + T]:
+        i -= 1
+    return i + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_min_preperiod_matches_the_backward_scan(data):
+    # an eventually periodic window: a random prefix, then a random cycle
+    # repeated; T may be the cycle, a multiple, a non-period or past the
+    # window, and the block may be shorter than the window or not
+    block = data.draw(st.sampled_from([1, 3, 16, 256]))
+    cycle = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    prefix = data.draw(st.lists(st.integers(0, 3), max_size=300))
+    n = data.draw(st.integers(0, 1200))
+    coeffs = tuple((prefix + cycle * (n // len(cycle) + 1))[:n])
+    T = data.draw(st.sampled_from([len(cycle), 2 * len(cycle), 1, 5, max(n, 1), n + 3]) | st.integers(1, 40))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freesub.periods, "_PREPERIOD_BLOCK", block)
+        assert _min_preperiod(coeffs, T) == reference_min_preperiod(coeffs, T)
 
 
 def test_detect_horizon_too_short():

@@ -426,6 +426,25 @@ def test_gcd_builds_no_newton_inverse(monkeypatch):
     assert g == c.monic()[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prepacked_mulmod_matches_schoolbook(data):
+    # short and long moduli; operands of at most deg f terms, or one
+    # longer while the product stays below 2 deg f terms
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    residue = st.integers(0, ring.modulus - 1)
+    unit = residue.filter(lambda v: v % ring.p)
+    k = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 80)))
+    f = Poly(data.draw(st.lists(residue, min_size=k, max_size=k)) + [data.draw(unit)], ring)
+    nx = data.draw(st.integers(0, 2 * k - 1))
+    ny = data.draw(st.integers(0, min(k, 2 * k - nx)))
+    x = data.draw(st.lists(residue, min_size=nx, max_size=nx))
+    y = x if data.draw(st.booleans()) and nx <= k else data.draw(st.lists(residue, min_size=ny, max_size=ny))
+    got = _mulmod(f)(x, y)
+    assert len(got) == k
+    assert Poly._residues(list(got), ring) == school_divmod(school_mul(Poly(x, ring), Poly(y, ring)), f)[1]
+
+
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
 def test_kernel_pow_mod_matches_schoolbook(ring):
     rng = random.Random(ring.modulus + 2)
@@ -476,6 +495,72 @@ def _reference_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a if a.is_zero() else a.monic()[0]
+
+
+def _reference_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(g, u) with u*a = g mod b: the extended Euclid on Poly objects that
+    `_ext_gcd_fp` replaced, one divmod per step."""
+    ring = a.ring
+    r0, r1 = a, b
+    s0, s1 = Poly.one(ring), Poly.zero(ring)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.is_zero():
+        return r0, s0
+    g, lead = r0.monic()
+    return g, s0.scale(pow(lead, -1, ring.modulus))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_list_euclid_matches_poly_euclid(data):
+    # `_gcd_fp` and `_ext_gcd_fp` run on residue lists; the loops on Poly
+    # objects (`_reference_gcd`, `_reference_ext_gcd`) are the oracles
+    p = data.draw(st.sampled_from([7, 101, 997]))
+    ring = ModRingCtx(p, 1)
+    residue = st.integers(0, p - 1)
+
+    def draw(degree: int) -> Poly:
+        coeffs = data.draw(st.lists(residue, min_size=degree, max_size=degree))
+        return Poly(coeffs + [data.draw(st.integers(1, p - 1))], ring)
+
+    degrees = st.integers(0, 14)
+    shape = data.draw(st.sampled_from(["any", "zero a", "zero b", "zero both", "equal", "b | a", "common"]))
+    a, b = draw(data.draw(degrees)), draw(data.draw(degrees))
+    if shape == "zero a":
+        a = Poly.zero(ring)
+    elif shape == "zero b":
+        b = Poly.zero(ring)
+    elif shape == "zero both":
+        a = b = Poly.zero(ring)
+    elif shape == "equal":
+        b = draw(a.degree)
+    elif shape == "b | a":
+        a = b * draw(data.draw(st.integers(0, 6)))
+    elif shape == "common":
+        c = draw(data.draw(st.integers(1, 5)))
+        a, b = a * c, b * c
+    g = _gcd_fp(a, b)
+    assert g == _reference_gcd(a, b)
+    handed = []
+    residues = Poly._residues.__func__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Poly, "_residues", classmethod(lambda cls, cs, ring: handed.append(list(cs)) or residues(cls, cs, ring)))
+        assert _ext_gcd_fp(a, b) == (g, _reference_ext_gcd(a, b)[1])
+    # the cofactor list carries no trailing zero: over a field the leading
+    # terms of the cofactors never cancel
+    assert not handed[1] or handed[1][-1]
+    u = _ext_gcd_fp(a, b)[1]
+    if b.is_zero():
+        assert u * a == g
+    else:
+        assert ((u * a - g) % b).is_zero()
+    if shape == "b | a":
+        assert g == b.monic()[0]
+    if shape == "common":
+        assert g.degree >= 1
 
 
 def _reference_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:

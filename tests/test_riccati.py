@@ -1,6 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import comb, prod
 
 import pytest
 
@@ -18,6 +20,7 @@ from freesub.riccati import (
     pade_oracle,
     pade_pair,
     residual_constant,
+    residual_factors,
     riccati_series,
     verify_gosper,
     verify_identity,
@@ -446,9 +449,9 @@ def test_pade_pair_takes_one_pass_per_coefficient(rng, monkeypatch):
     calls = []
     one_pass = freesub.riccati._coeff_sums
 
-    def spy(params, n, kp):
+    def spy(constants, kp):
         calls.append(kp)
-        return one_pass(params, n, kp)
+        return one_pass(constants, kp)
 
     monkeypatch.setattr(freesub.riccati, "_coeff_sums", spy)
     halves = RiccatiParams.of(Fraction(1, 2), 1, 1, 0, Fraction(1, 2))
@@ -458,6 +461,40 @@ def test_pade_pair_takes_one_pass_per_coefficient(rng, monkeypatch):
             pade_pair(params, n)
             assert sorted(calls) == list(range(n + 1))
             _assert_matches_reference(params, n)
+
+
+def _pair_digest(pair) -> str:
+    text = "\n".join(
+        [str(pair.n), " ".join(map(str, pair.p.coeffs)), " ".join(map(str, pair.q.coeffs)), str(pair.residual_const)]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind,d,digest",
+    [
+        # recorded from the per-coefficient construction, before the
+        # constants of a pair were computed once per pair
+        (HECKE4, 249, "1015be9d9c93b83cc10b1624a968db27af018c6575c8b3bf6f3e707491246f66"),
+        (MODULAR3, 166, "eac68d2f3bd1cdf876b5abbc4bc1295387f94ed99e0f0baeb30803df91d609e3"),
+    ],
+)
+def test_pade_pair_digests_at_p_997(kind, d, digest):
+    # the pairs behind `reduce` and `period` at p = 997
+    assert _pair_digest(pade_pair(params_for(GroupFamily(kind)), d)) == digest
+
+
+def test_residual_constant_is_the_product_of_its_factors(rng):
+    # one integer product over the common denominator against the product of
+    # the Fraction factors, and those against the factor spelled in Fractions
+    for _ in range(30):
+        a, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+        b = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 6))
+        params = RiccatiParams(a, b, c, d)
+        spelled = [a + c + d] + [l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c for l in (1, 2, 3)]
+        assert list(islice(residual_factors(params), 4)) == spelled
+        for n in sorted({0, 1, 2, rng.randint(3, 60), 60}):
+            assert residual_constant(params, n) == prod(islice(residual_factors(params), n + 1))
 
 
 @pytest.mark.parametrize(
