@@ -114,11 +114,7 @@ def cmd_pade(args) -> int:
             print("pade needs either --family or all of --A --B --C --D", file=sys.stderr)
             return EXIT_BAD_CONFIG
         params = RiccatiParams.of(args.A, args.B, args.C, args.D, args.E)
-    try:
-        pair, route = build_pade(params, args.n, allow_fallback=not args.closed_form_only)
-    except DegenerateParameters as exc:
-        print(f"degenerate parameters: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    pair, route = build_pade(params, args.n, allow_fallback=not args.closed_form_only)
     # every line is rendered before the first is printed, so a failure
     # leaves stdout empty rather than holding part of the answer
     with _unlimited_int_digits():

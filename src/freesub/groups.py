@@ -66,20 +66,23 @@ def params_for(family: GroupFamily) -> RiccatiParams:
 
 def stable_degree(family: GroupFamily, p: int) -> int:
     """Degree d of the denominator Q_d that Q_n settles to mod p for n in a
-    stable congruence class: (p-1)//6 for modular3, (p-1)//4 for hecke4.
+    stable congruence class: the class degree of `congruence_classes`, or 0
+    when p divides m, where the stable denominator collapses to 1.
 
     Raises UnsupportedPrime unless p is a prime >= 5 (modular3) or >= 3
-    (hecke4).  The collapse to d = 0 when p divides m is left to callers.
+    (hecke4).
     """
-    lowest, parts = (5, 6) if family.kind == MODULAR3 else (3, 4)
-    if p < lowest or not is_prime(p):
-        raise UnsupportedPrime(f"{family.kind} needs a prime p >= {lowest}, not {p}")
-    return (p - 1) // parts
+    d = congruence_classes(family, p)[0]
+    return 0 if family.m % p == 0 else d
 
 
 def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
-    """The two residues d and -1-d of n mod p for which Q_n stabilises to Q_d."""
-    d = stable_degree(family, p)
+    """The two residues d and -1-d of n mod p for which Q_n stabilises to
+    Q_d, with d = (p-1)//6 for modular3 and (p-1)//4 for hecke4 whatever m."""
+    lowest, parts = (5, 6) if family.kind == MODULAR3 else (3, 4)
+    if p < lowest or not is_prime(p):
+        raise UnsupportedPrime(f"{family.kind} needs a prime p >= {lowest}, not {p}")
+    d = (p - 1) // parts
     return d, p - 1 - d
 
 

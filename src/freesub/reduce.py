@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
 
 from .errors import (
     DegenerateParameters,
@@ -90,10 +91,10 @@ class ReduceConfig:
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
     """Degree d and the exact integer stable denominator Q_d.
 
-    d is `stable_degree(family, p)`, and 0 when p divides m.
+    d is `stable_degree(family, p)`.
     """
     d = stable_degree(family, p)
-    if family.m % p == 0 or d == 0:
+    if d == 0:
         return 0, Poly.one()
     params = params_for(family)
     pair = pade_pair(params, d)
@@ -145,10 +146,7 @@ def rational_form(
     d, q_base = denominator_base(family, p)
     # with d = 0 there are no factors: D = 1 and the form is a polynomial
     gs, mod_p_factors = _display_factors(q_base, p, config.seed)
-    den = Poly.one()
-    for g in gs:
-        den = den * g
-    den_mod = den.map_ring(ctx)
+    den_mod = prod(gs, start=Poly.one()).map_ring(ctx)
     # the lifting kernel must reproduce these factors exactly (they are an
     # exact coprime factorization of den already); run it as a cross-check
     lifted = hensel_lift([f for f, _ in mod_p_factors.factors], den_mod)
@@ -160,7 +158,7 @@ def rational_form(
     den_alpha = den_mod**alpha
     numerator = _bounded_numerator(family, ctx, den_alpha, config)
     poly_part, proper = divmod(numerator, den_alpha)
-    fractions = _partial_fractions_over(proper, gs, ctx, alpha)
+    fractions = _partial_fractions_over(proper, gs, den_alpha, ctx, alpha)
     return RationalFormModPA(ctx, family, d, q_base, poly_part, tuple(fractions))
 
 
@@ -226,26 +224,24 @@ def _recombine(terms, ctx: ModRingCtx) -> tuple[Poly, Poly]:
 
 
 def _partial_fractions_over(
-    proper: Poly, gs: list[Poly], ctx: ModRingCtx, alpha: int
+    proper: Poly, gs: list[Poly], den_alpha: Poly, ctx: ModRingCtx, alpha: int
 ) -> list[FractionTerm]:
-    """Split proper/(prod g^alpha) into residue/g^s terms, s = 1..alpha.
+    """Split proper/den_alpha, den_alpha = prod g^alpha over Z/p^alpha, into
+    residue/g^s terms, s = 1..alpha.
 
     Works factor by factor through Bezout inverses; zero residues are kept
     so every (factor, exponent) slot up to alpha is present.  The emitted
-    terms are certified to recombine to proper/(prod g^alpha).
+    terms are certified to recombine to proper/den_alpha.
     """
     # looked up at call time: the benchmark's trace wraps
     # freesub.poly.ext_gcd_coprime, which a module-level import would bypass
     from .poly import ext_gcd_coprime
 
     out: list[FractionTerm] = []
-    full = Poly.one(ctx)
-    for g in gs:
-        full = full * (g.map_ring(ctx) ** alpha)
     for g in gs:
         g_mod = g.map_ring(ctx)
         g_alpha = g_mod**alpha
-        others = full // g_alpha
+        others = den_alpha // g_alpha
         u, _ = ext_gcd_coprime(others, g_alpha, ctx)
         rest = (proper * u) % g_alpha
         digits = []
@@ -255,7 +251,7 @@ def _partial_fractions_over(
         certify(rest.is_zero(), "the residue expands in at most alpha factor powers")
         for s in range(1, alpha + 1):
             out.append(FractionTerm(g, s, digits[alpha - s]))
-    certify(_recombine(out, ctx) == (proper, full), "the partial fractions recombine")
+    certify(_recombine(out, ctx) == (proper, den_alpha), "the partial fractions recombine")
     return out
 
 
@@ -265,10 +261,10 @@ def partial_fractions(
     """Partial fractions of numerator/(D^alpha) where D is the product of
     the balanced constant-term-1 factors of q_base mod p."""
     gs, _ = _display_factors(q_base, ctx.p, seed)
-    degsum = sum(g.degree for g in gs)
-    if numerator.degree >= alpha * degsum:
+    den_alpha = prod(gs, start=Poly.one()).map_ring(ctx) ** alpha
+    if numerator.degree >= den_alpha.degree:
         raise ValueError("numerator must be a proper fraction numerator")
-    return _partial_fractions_over(numerator, gs, ctx, alpha)
+    return _partial_fractions_over(numerator, gs, den_alpha, ctx, alpha)
 
 
 def expand_form(form: RationalFormModPA, length: int) -> Series:

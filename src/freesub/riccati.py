@@ -25,8 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count, islice, repeat
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
@@ -178,42 +177,42 @@ def _online_square(f: list, count: int, block) -> Iterator:
         s[n] = 0  # release the sum early: it is never read again
 
 
+def _over(den: int, v: Fraction) -> int:
+    """The numerator of v written over `den`, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
+
+
 def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> Series:
     """The unique solution series with F(0) = 1, to `length` coefficients.
 
     Over Z/p^alpha the same recurrence is run on reduced parameters; this is
     well-defined because the recurrence never divides. Integer parameters
-    keep integer coefficients; other rational ones give Fractions. The
-    convolution comes from `_online_square`, whose block product is the only
-    part that depends on the ring and the coefficient type: Karatsuba over
-    Z, term by term over Q, where a sum costs as much as a product, and
-    Kronecker packing over Z/p^alpha.
+    keep integer coefficients; other rational ones give Fractions. Those run
+    over Z too: with a, b, c, d the numerators of A, B, C, D over their
+    common denominator M, g_n = M^n f_n satisfies the same recurrence with
+    g_0 = 1, and f_n = g_n / M^n. The convolution comes from
+    `_online_square`, whose block product is the only part that depends on
+    the ring: Karatsuba over Z and Kronecker packing over Z/p^alpha.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     consts = (params.a, params.b, params.c, params.d)
     if ctx is not None:
         a, b, c, d = (mod_reduce(v, ctx) for v in consts)
-        one, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
-    elif all(v.denominator == 1 for v in consts):
-        a, b, c, d = (int(v) for v in consts)
-        one, modulus, block = 1, None, _karatsuba_block
+        scale, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
     else:
-        a, b, c, d = consts
-        one, modulus, block = Fraction(1), None, partial(_folded, scale=2)
-    f = [one]
+        scale, modulus, block = lcm(*(v.denominator for v in consts)), None, _karatsuba_block
+        a, b, c, d = (_over(scale, v) for v in consts)
+    f = [1]
     for n, s_n in enumerate(_online_square(f, length - 1, block)):
         # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0]
         v = (a + b * n) * f[n] + c * s_n
         if n == 0:
             v += d
         f.append(v if modulus is None else v % modulus)
+    if scale > 1:
+        f = list(map(Fraction, f, accumulate(repeat(scale, length - 1), mul, initial=1)))
     return Series(tuple(f), ctx)
-
-
-def _over(den: int, v: Fraction) -> int:
-    """The numerator of v written over `den`, a multiple of v's denominator."""
-    return v.numerator * (den // v.denominator)
 
 
 def _residual_numerators(params: RiccatiParams) -> tuple[int, Iterator[int]]:
@@ -395,7 +394,6 @@ def pade_oracle(params: RiccatiParams, n: int) -> PadePair:
     """Order-n approximant from the series alone: solve F*Q - P = O(z^(2n+1))
     with Q(0) = 1.  Uses no closed form and never needs E."""
     f = riccati_series(params, 2 * n + 1).coeffs
-    f = [Fraction(c) for c in f]
     # rows m = n+1 .. 2n:  sum_{j=1..n} q_j f_{m-j} = -f_m
     rows = [[f[m - j] for j in range(1, n + 1)] for m in range(n + 1, 2 * n + 1)]
     rhs = [-f[m] for m in range(n + 1, 2 * n + 1)]

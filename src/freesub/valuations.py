@@ -42,7 +42,7 @@ from math import comb, factorial
 
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
 from .exact import is_prime, pochhammer, vp_rational
-from .groups import MODULAR3, GroupFamily, congruence_classes, params_for
+from .groups import MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .riccati import pade_coeff_q
 
 # the summand shapes: starts of (top)_{n+k+1} / (bottom)_{k+1} at j = 0
@@ -153,8 +153,7 @@ def lemma_divisibility(family: GroupFamily, p: int, n: int) -> bool:
             f"n = {n} is not = {classes[0]} or {classes[1]} (mod {p})"
         )
     params = params_for(family)
-    d_full = classes[0]
-    d = 0 if family.m % p == 0 else d_full
+    d_full, d = classes[0], stable_degree(family, p)
     qn = [pade_coeff_q(params, n, j) for j in range(n + 1)]
     qd = [pade_coeff_q(params, d_full, j) for j in range(d_full + 1)]
     for j in range(n + 1):

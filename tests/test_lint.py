@@ -152,3 +152,34 @@ def test_mulmod_packs_the_modulus_once():
     assert per_call
     assert all(not names(n) & {"fc", "finv", "f"} for n in per_call)
     assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_inverse" for n in ast.walk(inner))
+
+
+def test_series_engine_has_two_rings():
+    # the block product is the only ring-dependent part of the engine:
+    # Karatsuba over Z (rational parameters run on their numerators) and
+    # Kronecker packing over Z/p^alpha; a third block type would be a third
+    # engine to keep equal to the oracle
+    tree = next(tree for path, tree in _package_trees() if path.name == "riccati.py")
+    engine = _function(tree, "riccati_series")
+    (call,) = [
+        n for n in ast.walk(engine)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_online_square"
+    ]
+    handed = [call.args[2]]
+    if getattr(handed[0], "id", None) == "block":
+        handed = []
+        for node in ast.walk(engine):
+            for target in node.targets if isinstance(node, ast.Assign) else []:
+                if "block" not in {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}:
+                    continue
+                if isinstance(target, ast.Name):
+                    handed.append(node.value)
+                else:
+                    # a block bound by unpacking is traced only from a literal tuple
+                    assert isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple), node.lineno
+                    handed += [v for t, v in zip(target.elts, node.value.elts) if getattr(t, "id", None) == "block"]
+    assert handed
+    for value in handed:
+        karatsuba = isinstance(value, ast.Name) and value.id == "_karatsuba_block"
+        kronecker = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_kronecker_block"
+        assert karatsuba or kronecker, ast.unparse(value)

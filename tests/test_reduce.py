@@ -231,6 +231,16 @@ def test_partial_fraction_linear_alpha1():
     assert terms[0].residue == Poly([3], ctx)
 
 
+def test_partial_fractions_need_a_proper_numerator():
+    # Q_2 splits into two linear factors mod 13, so deg D^2 = 4 bounds the
+    # numerator: one term per factor and exponent up to degree 3
+    ctx = ModRingCtx(13, 2)
+    _, q_base = denominator_base(M1, 13)
+    assert len(partial_fractions(Poly([1, 2, 3, 4], ctx), q_base, ctx, 2)) == 4
+    with pytest.raises(ValueError, match="proper"):
+        partial_fractions(Poly([1, 2, 3, 4, 5], ctx), q_base, ctx, 2)
+
+
 def test_degree_bound_exceeded():
     with pytest.raises(DegreeBoundExceeded):
         rational_form(M1, ModRingCtx(7, 5), ReduceConfig(length=8, window=100000))

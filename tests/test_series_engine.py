@@ -182,9 +182,32 @@ def _random_fraction_params(rng: random.Random) -> RiccatiParams:
             return RiccatiParams.of(*vals)
 
 
+def _random_scaled_params(rng: random.Random, with_c: bool) -> RiccatiParams:
+    """Random constants of both signs with denominators up to 12, not all 1,
+    and C = 0 unless `with_c`."""
+    while True:
+        vals = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)]
+        if not with_c:
+            vals[2] = Fraction(0)
+        if vals[1] and (vals[2] or not with_c) and any(v.denominator > 1 for v in vals):
+            return RiccatiParams.of(*vals)
+
+
+@pytest.mark.parametrize("with_c", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_params_through_the_integer_blocks(with_c, seed):
+    # the numerators over the common denominator M run the Z engine, whose
+    # first 32-term block runs at length 64 and whose blocks reach Karatsuba
+    # further on; each length cuts the last blocks at another place
+    params = _random_scaled_params(random.Random(100 * seed + with_c), with_c)
+    lengths = [*range(63, 67), *range(127, 131), 200, 256, 257, 300]
+    _check_lengths(params, lengths)
+    assert all(type(c) is Fraction for c in riccati_series(params, 300).coeffs)
+
+
 @pytest.mark.parametrize("lead", LEADS)
 def test_every_lead_fraction_params(monkeypatch, lead):
-    # a Fraction series costs seconds at 300 terms, so every length up to
+    # the Fraction oracle costs seconds at 300 terms, so every length up to
     # 70 and the block edges past it; the slow tier takes all of 1..300
     monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
     lengths = sorted(set(range(1, 71)) | _edges(8) | {300})
