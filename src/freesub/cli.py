@@ -21,6 +21,7 @@ import difflib
 import json
 import os
 import sys
+from fractions import Fraction
 from importlib import resources
 from typing import NoReturn
 
@@ -252,6 +253,13 @@ def _at_least(lo: int):
     return parse
 
 
+def _rational(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value {s!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = _env_defaults()
     top = argparse.ArgumentParser(prog="freesub", description=__doc__)
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=_at_least(1), default=defaults.get("m", 1))
     c.add_argument("--n", type=_at_least(0), required=True)
     for name in "ABCDE":
-        c.add_argument(f"--{name}", type=int, default=None)
+        c.add_argument(f"--{name}", type=_rational, default=None)
     c.add_argument("--verify", action="store_true")
     c.add_argument("--closed-form-only", action="store_true")
     c.add_argument("--seed", type=int, default=defaults.get("seed", 0))

@@ -57,11 +57,8 @@ class Hecke4Invariants:
 def params_for(family: GroupFamily) -> RiccatiParams:
     m = family.m
     if family.kind == MODULAR3:
-        p = RiccatiParams.of(6 * m - 2, 6 * m, 1, 1 - 6 * m + 5 * m * m, 4 * m)
-    else:
-        p = RiccatiParams.of(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m, 2 * m)
-    certify(p.e * p.e == p.a * p.a - 4 * p.c * p.d, "E^2 = A^2 - 4CD")
-    return p
+        return RiccatiParams.of(6 * m - 2, 6 * m, 1, 1 - 6 * m + 5 * m * m, 4 * m)
+    return RiccatiParams.of(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m, 2 * m)
 
 
 def stable_degree(family: GroupFamily, p: int) -> int:

@@ -7,8 +7,9 @@ N (z^T - 1) over Z/p^alpha, and the least T is found by dividing the order
 bound by its primes while that test holds.  The proper part is purely
 periodic, so the preperiod is deg(poly_part) + 1.  The numerator check in
 `reduce` proves the form equal to the series mod p^alpha to every order, so
-this pair holds for the whole series; a scan of a prefix of the expansion
-checks it independently.
+this pair holds for the whole series.  Where the period is short enough, a
+scan of a prefix of the expansion finds the same pair independently; where
+it is not, the certified descent stands alone.
 """
 
 from __future__ import annotations
@@ -20,25 +21,16 @@ from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx, factor
 from .groups import MODULAR3, GroupFamily
 from .poly import Poly, Series, _mulmod, _pow_mod
-from .reduce import (
-    RationalFormModPA,
-    ReduceConfig,
-    _recombine,
-    expand_form,
-    rational_form,
-    reduce_series,
-)
+from .reduce import RationalFormModPA, ReduceConfig, _recombine, expand_form, rational_form
 
 # safety margin: a period T is confirmed only if the window past the
 # preperiod spans at least MARGIN * T coefficients
 _MARGIN = 3
 
-# the window check scans at least this many terms, and the expansion is
-# cross-checked against the direct recurrence on as many
+# the window check scans at least this many terms
 _CHECK_MIN = 200
 
-# the window check expands at most this many terms; where (MARGIN + 1) * T
-# do not fit, it compares only the shifts by T that the window holds
+# the window check runs only where its window fits in this many terms
 _WINDOW_LIMIT = 1 << 18
 
 
@@ -237,50 +229,28 @@ class PeriodAnalysis:
 
 
 def _window_check(
-    family: GroupFamily,
-    form: RationalFormModPA,
-    horizon: int,
-    bound: int | None,
-    preperiod: int,
-    period: int,
+    form: RationalFormModPA, horizon: int, bound: int | None, preperiod: int, period: int
 ) -> None:
     """Scan a prefix of the expansion for (preperiod, period), independently
     of the algebraic test.
 
     The prefix holds W = min(horizon, max(200, preperiod + 4T + 16)) terms,
     enough for `detect_period` to confirm T with its margin; it must find
-    the same pair.  Where max(200, preperiod + 4T + 16) passes
-    _WINDOW_LIMIT, the prefix holds _WINDOW_LIMIT terms instead and must
-    agree with the pair at every i with i + T inside it.  A requested
-    horizon too short for the check raises HorizonTooShort.  The prefix
-    matches the direct recurrence on its first 200 terms.
+    the same pair, and a horizon too short for that raises HorizonTooShort.
+    Where max(200, preperiod + 4T + 16) passes _WINDOW_LIMIT no scan runs,
+    as no window within the limit could confirm T with the margin; the
+    certified descent then stands alone.
     """
     needed = max(_CHECK_MIN, preperiod + (_MARGIN + 1) * period + 16)
-    if needed > _WINDOW_LIMIT > horizon:
-        raise HorizonTooShort(
-            f"the window check needs {_WINDOW_LIMIT} terms, past the horizon {horizon}"
-        )
-    series = expand_form(form, min(horizon, needed, _WINDOW_LIMIT))
-    checked = reduce_series(family, form.ctx, min(series.length, _CHECK_MIN))
-    certify(
-        series.coeffs[: checked.length] == checked.coeffs,
-        f"the expanded form matches the series on {checked.length} terms",
-    )
-    if needed <= _WINDOW_LIMIT:
-        # a period not proven least keeps a factor above 10^8, past the
-        # limit, so the scan's least pair must be the same
-        report = detect_period(series, bound)
-        found = (report.preperiod, report.period)
-        certify(
-            found == (preperiod, period),
-            f"the window scan finds preperiod {preperiod} and period {period}, not {found}",
-        )
+    if needed > _WINDOW_LIMIT:
         return
-    c = series.coeffs
-    held = range(max(preperiod - 1, 0), len(c) - period)
+    # a period not proven least keeps a factor above 10^8, past the limit,
+    # so the scan's least pair must be the same
+    report = detect_period(expand_form(form, min(horizon, needed)), bound)
+    found = (report.preperiod, report.period)
     certify(
-        all((c[i] != c[i + period]) == (i < preperiod) for i in held),
-        f"the first {len(c)} terms agree with preperiod {preperiod} and period {period}",
+        found == (preperiod, period),
+        f"the window scan finds preperiod {preperiod} and period {period}, not {found}",
     )
 
 
@@ -298,8 +268,9 @@ def analyze(
     completely it is a period that the least one divides (`minimal` False).  The horizon
     defaults to the polynomial-part degree plus four times the predicted
     period (or the order bound when no prediction exists); the certified
-    form covers it, and every other order, and `_window_check` scans the
-    part of it that the check needs.
+    form covers it, and every other order.  Where the period fits the
+    window limit, `_window_check` scans the part of the horizon that
+    `detect_period` needs.
     """
     form = rational_form(family, ctx, config)
     predicted = predicted_period(family, ctx.p, ctx.alpha)
@@ -314,7 +285,7 @@ def analyze(
     preperiod = form.poly_part.degree + 1
     if horizon is None:
         horizon = form.poly_part.degree + 1 + (_MARGIN + 1) * (predicted or bound or 1) + 16
-    _window_check(family, form, horizon, bound, preperiod, period)
+    _window_check(form, horizon, bound, preperiod, period)
     report = PeriodReport(ctx, preperiod, period, horizon, bound, minimal)
     match = None if predicted is None else period == predicted
     return PeriodAnalysis(report, predicted, match, bound, form)

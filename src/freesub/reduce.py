@@ -96,10 +96,9 @@ def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
     d = stable_degree(family, p)
     if d == 0:
         return 0, Poly.one()
-    params = params_for(family)
-    pair = pade_pair(params, d)
-    certify(all(c.denominator == 1 for c in pair.q.coeffs), "Q_d has integer coefficients")
-    return d, Poly([int(c) for c in pair.q.coeffs])
+    # the family parameters are integral, so pade_pair raises
+    # IntegralityViolation on any non-integer coefficient
+    return d, Poly([int(c) for c in pade_pair(params_for(family), d).q.coeffs])
 
 
 def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> Series:
@@ -158,6 +157,10 @@ def rational_form(
     den_alpha = den_mod**alpha
     numerator = _bounded_numerator(family, ctx, den_alpha, config)
     poly_part, proper = divmod(numerator, den_alpha)
+    certify(
+        proper.degree < den_alpha.degree and poly_part * den_alpha + proper == numerator,
+        "poly_part D^alpha + proper = N",
+    )
     fractions = _partial_fractions_over(proper, gs, den_alpha, ctx, alpha)
     return RationalFormModPA(ctx, family, d, q_base, poly_part, tuple(fractions))
 

@@ -37,7 +37,9 @@ def run(capsys, *argv):
 # exit code and stdout digest of every command, recorded with the search
 # start alpha d + 2 p alpha + 64 that the derived start replaced; d = 0
 # forms (modular3 p = 5, p | m, hecke4 p = 3), the doubling fallback and
-# the error exits are included
+# the error exits are included; the `period` entries at p = 31 to 101, whose
+# periods are too long for the window scan, were recorded while a prefix of
+# 262144 terms was still compared with its shift
 CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
@@ -135,6 +137,26 @@ def test_pade_verify(capsys):
     assert code == 0
     assert "identity: OK" in out
     assert "gosper: OK" in out
+
+
+def test_pade_rational_parameters(capsys):
+    rest = ("--B", "1", "--C", "1", "--D", "0", "--n", "8", "--verify")
+    code, out, err = run(capsys, "pade", "--A", "1/2", *rest)
+    assert code == 0 and err == ""
+    assert "P: 1 + -165/2*z + " in out and "route: closed-form\nidentity: OK\ngosper: OK\n" in out
+    # the same value in decimal form, and an integer value in rational form
+    assert run(capsys, "pade", "--A", "0.5", *rest) == (0, out, "")
+    integral = ("--B", "6", "--C", "1", "--D", "0", "--n", "3")
+    assert run(capsys, "pade", "--A", "8/2", *integral) == run(capsys, "pade", "--A", "4", *integral)
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", "nan", "1/2/3"])
+def test_pade_bad_rational_exit2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["pade", "--A", value, "--B", "1", "--C", "1", "--D", "0", "--n", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument --A: invalid rational value {value!r}" in out.err and "Traceback" not in out.err
 
 
 def test_pade_degenerate_fallback_and_exit3(capsys):
@@ -433,13 +455,16 @@ def test_env_config_error_exit2(capsys, tmp_path, monkeypatch, content):
     assert out.err.startswith("invalid configuration: FREESUB_CONFIG") and out.err.count("\n") == 1
 
 
-def test_short_horizon_with_a_large_order_bound_exit5(capsys):
-    # the order bound at p = 101 has 27 digits: the scan must test the
-    # candidates in the 1000-term window, not enumerate the bound's divisors
+def test_short_horizon_with_a_period_too_long_to_scan_answers(capsys):
+    # the period at p = 101 is far past the window limit, so no scan runs:
+    # a short horizon changes only the reported horizon
+    code, default, _ = run(capsys, "period", "--p", "101", "--alpha", "1")
+    assert code == 0
     start = time.perf_counter()
     code, out, err = run(capsys, "period", "--p", "101", "--alpha", "1", "--horizon", "1000")
     assert time.perf_counter() - start < 1.0
-    assert code == 5 and out == "" and "horizon too short" in err
+    assert code == 0 and err == ""
+    assert out == re.sub(r" horizon=\d+ ", " horizon=1000 ", default) != default
 
 
 def test_pade_negative_n_exit2(capsys):

@@ -17,7 +17,6 @@ from freesub.poly import Poly
 from freesub.periods import (
     PERIOD_SCHEMA,
     _min_preperiod,
-    _window_check,
     analysis_json_dict,
     analyze,
     detect_period,
@@ -266,15 +265,52 @@ def test_a_wrong_order_bound_fails_certification(monkeypatch):
         analyze(M1, ModRingCtx(7, 2))
 
 
-def test_the_window_prefix_checks_the_shifts_it_holds():
-    # at 29 the window check needs more than its limit of terms, so it
-    # compares the shifts by T inside the limit: a wrong pair fails it
-    form = rational_form(M1, ModRingCtx(29, 1))
-    bound = order_bound(form)
-    _window_check(M1, form, 10**9, bound, 1, 235760)
-    for preperiod, period in ((0, 235760), (2, 235760), (1, 235761)):
-        with pytest.raises(CertificationFailed, match=f"preperiod {preperiod} and period {period}"):
-            _window_check(M1, form, 10**9, bound, preperiod, period)
+@pytest.mark.parametrize(
+    "family,p,preperiod,period,bound",
+    [
+        (M1, 29, 1, 235760, 20511120),
+        (
+            GroupFamily("hecke4", 1),
+            101,
+            0,
+            62235792987546047882742617414638536521156100,
+            12571630183484301672314008717756984377273532200,
+        ),
+    ],
+)
+def test_a_period_too_long_to_scan_is_not_expanded(monkeypatch, family, p, preperiod, period, bound):
+    # preperiod + 4T + 16 passes the window limit, so no window could confirm
+    # T: the certified descent answers alone, with the recorded pair, order
+    # bound and minimal flag
+    def no_expansion(form, length):
+        raise AssertionError("a period past the window limit must not be expanded")
+
+    monkeypatch.setattr(freesub.periods, "expand_form", no_expansion)
+    res = analyze(family, ModRingCtx(p, 1))
+    assert (res.report.preperiod, res.report.period) == (preperiod, period)
+    assert res.order_bound == bound and res.report.minimal
+
+
+def test_the_scan_path_reads_the_series_once(monkeypatch):
+    # the form is certified where it is made, so the scan expands it and
+    # does not recompute a prefix of the series to compare against
+    real_series, real_expand = freesub.reduce.reduce_series, freesub.periods.expand_form
+    calls = []
+
+    def series_spy(family, ctx, length):
+        calls.append("reduce_series")
+        return real_series(family, ctx, length)
+
+    def expand_spy(form, length):
+        calls.append("expand_form")
+        return real_expand(form, length)
+
+    monkeypatch.setattr(freesub.reduce, "reduce_series", series_spy)
+    monkeypatch.setattr(freesub.periods, "expand_form", expand_spy)
+    res = analyze(M1, ModRingCtx(7, 2))
+    assert (res.report.preperiod, res.report.period) == (5, 42)
+    assert calls == ["reduce_series", "expand_form"]
+    assert not hasattr(freesub.periods, "reduce_series")
 
 
 def test_a_period_not_proven_least_is_marked(monkeypatch, capsys):

@@ -201,6 +201,21 @@ def test_certificate_covers_the_emitted_residues(monkeypatch):
     assert skewed
 
 
+@pytest.mark.parametrize("improper", [False, True])
+def test_a_corrupted_poly_part_fails_certification(monkeypatch, improper):
+    # the split N = poly_part * D^alpha + proper is multiplied back: a wrong
+    # quotient fails it, and so does one that a remainder of degree deg D^alpha
+    # makes up for
+    def corrupt(num, den):
+        q, r = num.__divmod__(den)
+        one = Poly.one(q.ring)
+        return q + one, r - den if improper else r
+
+    monkeypatch.setattr(freesub.reduce, "divmod", corrupt, raising=False)
+    with pytest.raises(CertificationFailed, match="poly_part D\\^alpha \\+ proper = N"):
+        rational_form(M1, ModRingCtx(7, 2))
+
+
 def test_partial_fraction_roundtrip():
     rng = random.Random(4)
     ctx = ModRingCtx(13, 3)
