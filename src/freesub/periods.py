@@ -36,6 +36,17 @@ _WINDOW_LIMIT = 1 << 18
 
 @dataclass(frozen=True)
 class PeriodReport:
+    """A (preperiod, period) pair mod p^alpha.
+
+    From `detect_period`, `verified_horizon` is the length of the scanned
+    window.  From `analyze` it is the requested or default horizon, which
+    the certified form covers, as it does every other order; it is not a
+    count of scanned terms.  The window scan there reads at most
+    max(200, preperiod + 4T + 16) terms of it, and none where that passes
+    `_WINDOW_LIMIT`: `period --p 31 --alpha 1` reports 114516496 and scans
+    nothing.
+    """
+
     ctx: ModRingCtx
     preperiod: int
     period: int
@@ -172,8 +183,8 @@ def _cofactor_powers(w: list, ms: list[int], mulmod) -> list[list]:
     """w^(M/m) mod den for each m in ms, where M is their product and
     mulmod = _mulmod(den), by a remainder tree: each level raises to
     exponents of log M bits in all."""
-    if len(ms) == 1:
-        return [w]
+    if len(ms) < 2:
+        return [w] * len(ms)
     half = len(ms) // 2
     low, high = ms[:half], ms[half:]
     return _cofactor_powers(_pow_mod(w, prod(high), mulmod), low, mulmod) + _cofactor_powers(
@@ -194,7 +205,8 @@ def least_period(
     of `rest` is treated as a prime.  Where one is left in T, T keeps
     primes that were not tried, as it does any part of the bound that the
     factors miss, and T is then only a multiple of the least period.
-    Every power is taken mod den through one inverse of rev(den).
+    Every power is taken mod den through one `_mulmod(den)` reducer; at
+    small p, den = D^alpha has degree 3-6 and reduces term by term.
     """
     mulmod, nc = _mulmod(den), list(num.coeffs)
     certify(
@@ -268,9 +280,10 @@ def analyze(
     completely it is a period that the least one divides (`minimal` False).  The horizon
     defaults to the polynomial-part degree plus four times the predicted
     period (or the order bound when no prediction exists); the certified
-    form covers it, and every other order.  Where the period fits the
-    window limit, `_window_check` scans the part of the horizon that
-    `detect_period` needs.
+    form covers it, and every other order.  The report's
+    `verified_horizon` is that requested or default horizon, not a count of
+    scanned terms: `_window_check` reads at most max(200, preperiod + 4T +
+    16) of them, and none where that passes `_WINDOW_LIMIT`.
     """
     form = rational_form(family, ctx, config)
     predicted = predicted_period(family, ctx.p, ctx.alpha)

@@ -43,7 +43,7 @@ from math import comb, factorial
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
 from .exact import is_prime, pochhammer, vp_rational
 from .groups import MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
-from .riccati import pade_coeff_q
+from .riccati import pade_pair
 
 # the summand shapes: starts of (top)_{n+k+1} / (bottom)_{k+1} at j = 0
 _SHIFTS = {
@@ -154,15 +154,15 @@ def lemma_divisibility(family: GroupFamily, p: int, n: int) -> bool:
         )
     params = params_for(family)
     d_full, d = classes[0], stable_degree(family, p)
-    qn = [pade_coeff_q(params, n, j) for j in range(n + 1)]
-    qd = [pade_coeff_q(params, d_full, j) for j in range(d_full + 1)]
+    # `Poly` drops trailing zeros, so coefficients are read with `coeff`
+    qn, qd = (pade_pair(params, k).q for k in (n, d_full))
     for j in range(n + 1):
-        ref = qd[j] if j <= d else Fraction(0)
-        if (qn[j] - ref) % p != 0:
+        ref = qd.coeff(j) if j <= d else 0
+        if (qn.coeff(j) - ref) % p != 0:
             return False
     if d == 0:
         # p | m: the stable denominator itself collapses to 1
         for j in range(1, d_full + 1):
-            if qd[j] % p != 0:
+            if qd.coeff(j) % p != 0:
                 return False
     return True

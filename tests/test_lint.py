@@ -183,3 +183,28 @@ def test_series_engine_has_two_rings():
         karatsuba = isinstance(value, ast.Name) and value.id == "_karatsuba_block"
         kronecker = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_kronecker_block"
         assert karatsuba or kronecker, ast.unparse(value)
+
+
+def test_termwise_cutoff_is_read_by_mulmod_only():
+    # the degree below which a modulus reduces term by term was measured for
+    # `_mulmod` alone; SCHOOLBOOK_MAX was measured for products of unreduced
+    # operands, a different decision, and must not stand in for it
+    name = "TERMWISE_MODULUS_MAX"
+    readers = []
+    for path, tree in _package_trees():
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+            ):
+                readers.append((path.name, owner[id(node)]))
+    assert readers == [("poly.py", "_mulmod")]
+    tree = _poly_tree()
+    (value,) = [
+        n.value for n in tree.body
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == [name]
+    ]
+    assert isinstance(value, ast.Constant) and isinstance(value.value, int)
+    assert "SCHOOLBOOK_MAX" not in {n.id for n in ast.walk(_function(tree, "_mulmod")) if isinstance(n, ast.Name)}

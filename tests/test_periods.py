@@ -13,7 +13,7 @@ from freesub.cli import main
 from freesub.errors import CertificationFailed, HorizonTooShort
 from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily
-from freesub.poly import Poly
+from freesub.poly import TERMWISE_MODULUS_MAX, Poly
 from freesub.periods import (
     PERIOD_SCHEMA,
     _min_preperiod,
@@ -256,6 +256,42 @@ def test_period_test_with_a_short_numerator():
     assert [is_period(num, den, T) for T in range(1, 7)] == [False, False, True] * 2
     assert least_period(num, den, 6, [2, 3], []) == (3, True)
     assert is_period(Poly([], ring), den, 1)
+
+
+def _brute_least_period(num: list, den: list, m: int) -> int:
+    """Least period of the coefficients of num/den over Z/m, den[0] = 1:
+    run the recurrence until the last deg den terms repeat the first."""
+    k = len(den) - 1
+    a = []
+    while True:
+        i = len(a)
+        v = num[i] if i < len(num) else 0
+        a.append((v - sum(den[j] * a[i - j] for j in range(1, min(i, k) + 1))) % m)
+        T = len(a) - k
+        if T >= 1 and a[T:] == a[:k]:
+            return T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_least_period_matches_brute_force(data):
+    # den up to TERMWISE_MODULUS_MAX + 3, so both `_mulmod` reducers run;
+    # a product of factors of degree 1 or 2 keeps the period small enough
+    # for the brute force
+    ring = data.draw(st.sampled_from([ModRingCtx(5, 1), ModRingCtx(7, 1), ModRingCtx(3, 2), ModRingCtx(7, 2)]))
+    m, p = ring.modulus, ring.p
+    residue, unit = st.integers(0, m - 1), st.integers(1, m - 1).filter(lambda v: v % p)
+    k = data.draw(st.integers(1, TERMWISE_MODULUS_MAX + 3))
+    den = Poly([1], ring)
+    while den.degree < k:
+        size = data.draw(st.integers(1, min(2, k - den.degree)))
+        middle = data.draw(st.lists(residue, min_size=size - 1, max_size=size - 1))
+        den = den * Poly([1, *middle, data.draw(unit)], ring)
+    num = Poly(data.draw(st.lists(residue, max_size=k)), ring)
+    T = _brute_least_period(list(num.coeffs), list(den.coeffs), m)
+    bound = T * data.draw(st.integers(1, 12))
+    primes = [q for q in range(2, bound + 1) if bound % q == 0 and all(q % r for r in range(2, q))]
+    assert least_period(num, den, bound, primes, []) == (T, True)
 
 
 def test_a_wrong_order_bound_fails_certification(monkeypatch):
