@@ -8,9 +8,11 @@ search window exhausted, 5 period horizon too short, 6 golden reproduction
 mismatch, 7 any other library error (a failed certification check, no Bezout
 identity, a broken integrality or an inconsistent Pade system).
 
-FREESUB_CONFIG may name a JSON file of default option values (keys matching
-the long option names); explicit flags always win.  A value is checked like
-the same text on the command line; null leaves the built-in default.
+FREESUB_CONFIG may name a JSON file of default option values; explicit flags
+always win.  Six keys are read: family (not for pade), m, seed, format,
+length and window; any other key, such as horizon, p or count, is ignored.
+A value is checked like the same text on the command line; null leaves the
+built-in default.
 """
 
 from __future__ import annotations
@@ -127,11 +129,13 @@ def cmd_pade(args) -> int:
         ]
     if args.verify:
         lines.append(f"identity: {'OK' if verify_identity(pair, params) else 'FAIL'}")
-        try:
-            ok = verify_gosper(params, args.n) if args.n >= 1 else True
-            lines.append(f"gosper: {'OK' if ok else 'FAIL'}")
-        except DegenerateParameters:
-            lines.append("gosper: skipped (degenerate parameters)")
+        if args.n < 1:
+            lines.append("gosper: skipped (n = 0)")
+        else:
+            try:
+                lines.append(f"gosper: {'OK' if verify_gosper(params, args.n) else 'FAIL'}")
+            except DegenerateParameters:
+                lines.append("gosper: skipped (degenerate parameters)")
     print("\n".join(lines))
     return 0
 

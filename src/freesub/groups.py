@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityViolation, UnsupportedPrime, certify
+from .errors import UnsupportedPrime, certify
 from .exact import is_prime
 from .riccati import RiccatiParams, riccati_series
 
@@ -84,17 +84,13 @@ def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
 
 
 def free_subgroup_numbers(family: GroupFamily, length: int) -> SubgroupSeries:
-    """f_1..f_length, exact."""
+    """f_1..f_length, exact.  The family parameters are integers, so the
+    series engine runs with scale 1 and every coefficient is an int; A, B
+    and C are positive and D = (1-m)(1-5m) or (1-m)(1-3m) is >= 0, so the
+    recurrence adds no negative term."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    coeffs = riccati_series(params_for(family), length + 1).coeffs[1:]
-    vals = []
-    for c in coeffs:
-        n = int(c)
-        if n != c or n < 0:
-            raise IntegralityViolation(f"non-integral or negative count {c}")
-        vals.append(n)
-    return SubgroupSeries(family, tuple(vals))
+    return SubgroupSeries(family, riccati_series(params_for(family), length + 1).coeffs[1:])
 
 
 def hecke4_invariants(m: int) -> Hecke4Invariants:

@@ -3,7 +3,11 @@
 A `Poly` is a coefficient tuple, constant term first, with no trailing zeros
 (the zero polynomial has an empty tuple).  The ring tag is either None for
 exact arithmetic (ints and Fractions mix freely) or a ModRingCtx, in which
-case coefficients are stored as canonical residues in [0, p^alpha).
+case coefficients are stored as canonical residues in [0, p^alpha).  Exact
+polynomials are built, added, multiplied, raised to powers, differentiated
+and evaluated, never divided: division with remainder, `monic`, series
+division and truncated series products run over Z/p^alpha only, and raise
+RingMismatch on an exact ring.
 
 Arithmetic over Z/p^alpha runs on one kernel.  `kronecker` packs a list of
 residues into a single integer, one fixed slot per coefficient, so that one
@@ -23,7 +27,7 @@ Exact integer products of big coefficients go through `_karatsuba`
 (Karatsuba-Ofman, 1962): three half-size products and additions of linear
 cost, which pays once a product of two coefficients costs far more than a
 sum (`_karatsuba_pays`).  Products with a Fraction, a short operand or small
-coefficients stay term by term, and so does exact division.
+coefficients stay term by term.
 
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
 Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
@@ -60,6 +64,13 @@ def _check_same_ring(a: Ring, b: Ring) -> Ring:
     if a != b:
         raise RingMismatch(f"{a} vs {b}")
     return a
+
+
+def _modular(ring: Ring) -> ModRingCtx:
+    """`ring`, which must be Z/p^alpha: exact polynomials are never divided."""
+    if ring is None:
+        raise RingMismatch("division and truncated series run over Z/p^alpha only")
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -407,48 +418,33 @@ class Poly:
         """Return (monic polynomial, leading unit) with self = unit * monic."""
         if self.is_zero():
             raise ValueError("zero polynomial")
+        ring = _modular(self.ring)
         lead = self.leading()
-        if self.ring is not None:
-            try:
-                inv = pow(lead, -1, self.ring.modulus)
-            except ValueError:
-                raise NonInvertible(
-                    f"leading coefficient {lead} not invertible in {self.ring}"
-                ) from None
-            return self.scale(inv), lead
-        return self.scale(Fraction(1, 1) / Fraction(lead)), lead
+        try:
+            inv = pow(lead, -1, ring.modulus)
+        except ValueError:
+            raise NonInvertible(f"leading coefficient {lead} not invertible in {ring}") from None
+        return self.scale(inv), lead
 
     def __divmod__(self, den: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact division with remainder; the divisor's leading coefficient
-        must be invertible (modular) or division happens over the rationals.
-        """
-        ring = _check_same_ring(self.ring, den.ring)
+        """Division with remainder over Z/p^alpha; the divisor's leading
+        coefficient must be a unit."""
+        ring = _modular(_check_same_ring(self.ring, den.ring))
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if ring is not None:
-            m = ring.modulus
-            a, f = list(self.coeffs), list(den.coeffs)
-            try:
-                lead_inv = pow(f[-1], -1, m)
-            except ValueError:
-                raise NonInvertible(
-                    f"leading coefficient {den.leading()} not invertible in {ring}"
-                ) from None
-            if len(a) - len(f) < SCHOOLBOOK_MAX:
-                q, r = _long_division(a, f, lead_inv, m)
-            else:
-                q, r = _divmod_residues(a, f, _inverse(f[::-1], m, len(a) - len(f) + 1), m)
-            return Poly._residues(q, ring), Poly._residues(r, ring)
-        lead = Fraction(den.leading())
-        rem = [Fraction(c) for c in self.coeffs]
-        q = [Fraction(0)] * max(0, len(rem) - len(den.coeffs) + 1)
-        for i in range(len(rem) - len(den.coeffs), -1, -1):
-            c = rem[i + len(den.coeffs) - 1] / lead
-            if c:
-                q[i] = c
-                for j, d in enumerate(den.coeffs):
-                    rem[i + j] -= c * d
-        return Poly(q), Poly(rem[: len(den.coeffs) - 1])
+        m = ring.modulus
+        a, f = list(self.coeffs), list(den.coeffs)
+        try:
+            lead_inv = pow(f[-1], -1, m)
+        except ValueError:
+            raise NonInvertible(
+                f"leading coefficient {den.leading()} not invertible in {ring}"
+            ) from None
+        if len(a) - len(f) < SCHOOLBOOK_MAX:
+            q, r = _long_division(a, f, lead_inv, m)
+        else:
+            q, r = _divmod_residues(a, f, _inverse(f[::-1], m, len(a) - len(f) + 1), m)
+        return Poly._residues(q, ring), Poly._residues(r, ring)
 
     def __floordiv__(self, den: "Poly") -> "Poly":
         return divmod(self, den)[0]
@@ -485,12 +481,10 @@ class Series:
         return len(self.coeffs)
 
     def mul(self, other: "Series | Poly") -> "Series":
-        """Product truncated to self's length."""
-        ring = _check_same_ring(self.ring, other.ring)
-        x, y, L = list(self.coeffs), list(other.coeffs), self.length
-        if ring is None:
-            return Series.of(_convolve(x, y, L))
-        return Series(tuple(_product(x, y, ring.modulus, L)), ring)
+        """Product over Z/p^alpha truncated to self's length."""
+        ring = _modular(_check_same_ring(self.ring, other.ring))
+        x, y = list(self.coeffs), list(other.coeffs)
+        return Series(tuple(_product(x, y, ring.modulus, self.length)), ring)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)}, ring={self.ring})"
@@ -504,50 +498,35 @@ _DIVISION_BLOCK = 1024
 
 
 def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
-    """Power-series quotient to the given truncation length.
+    """Power-series quotient over Z/p^alpha to the given truncation length.
 
-    Requires an invertible constant term in the denominator.  Over
-    Z/p^alpha the quotient comes in blocks of B terms: the terms already
-    known enter the next block only through D times its last deg(D) terms,
-    and the block is (numerator - that carry) / D mod z^B, one product with
-    the packed inverse of D mod z^B.
+    Requires an invertible constant term in the denominator.  The quotient
+    comes in blocks of B terms: the terms already known enter the next
+    block only through D times its last deg(D) terms, and the block is
+    (numerator - that carry) / D mod z^B, one product with the packed
+    inverse of D mod z^B.
     """
-    ring = _check_same_ring(num.ring, den.ring)
-    nc, dc = num.coeffs, den.coeffs
+    ring = _modular(_check_same_ring(num.ring, den.ring))
+    m, nc, dc = ring.modulus, num.coeffs, list(den.coeffs)
     d0 = dc[0] if dc else 0
-    if ring is not None:
-        m = ring.modulus
-        try:
-            pow(d0, -1, m)
-        except ValueError:
-            raise NonInvertibleConstantTerm(
-                f"constant term {d0} not invertible in {ring}"
-            ) from None
-        block = max(1, min(length, _DIVISION_BLOCK))
-        dc = list(dc)
-        k = len(dc) - 1
-        pack, unpack = kronecker(m, block)
-        inv = pack(_inverse(dc, m, block))
-        out: list = []
-        for i0 in range(0, length, block):
-            width = min(block, length - i0)
-            # numerator minus carry vanishes past its first `span` terms
-            span = min(width, max(k, len(nc) - i0))
-            lo = max(0, i0 - k)
-            carry = _product(dc, out[lo:i0], m, i0 - lo + span)[i0 - lo :]
-            rhs = [(u - v) % m for u, v in zip(list(nc[i0 : i0 + span]) + [0] * span, carry)]
-            out += [v % m for v in unpack(pack(rhs) * inv, width)]
-        return Series(tuple(out), ring)
-    if d0 == 0:
-        raise NonInvertibleConstantTerm("constant term is zero")
-    inv0 = Fraction(1) / Fraction(d0)
-    out = [Fraction(0)] * length
-    for i in range(length):
-        acc = Fraction(nc[i]) if i < len(nc) else Fraction(0)
-        for j in range(1, min(i, len(dc) - 1) + 1):
-            acc -= dc[j] * out[i - j]
-        out[i] = acc * inv0
-    return Series.of(out)
+    try:
+        pow(d0, -1, m)
+    except ValueError:
+        raise NonInvertibleConstantTerm(f"constant term {d0} not invertible in {ring}") from None
+    block = max(1, min(length, _DIVISION_BLOCK))
+    k = len(dc) - 1
+    pack, unpack = kronecker(m, block)
+    inv = pack(_inverse(dc, m, block))
+    out: list = []
+    for i0 in range(0, length, block):
+        width = min(block, length - i0)
+        # numerator minus carry vanishes past its first `span` terms
+        span = min(width, max(k, len(nc) - i0))
+        lo = max(0, i0 - k)
+        carry = _product(dc, out[lo:i0], m, i0 - lo + span)[i0 - lo :]
+        rhs = [(u - v) % m for u, v in zip(list(nc[i0 : i0 + span]) + [0] * span, carry)]
+        out += [v % m for v in unpack(pack(rhs) * inv, width)]
+    return Series(tuple(out), ring)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,10 @@ from .errors import (
     DegreeBoundExceeded,
     certify,
 )
-from .exact import ModRingCtx, vp_rational
+from .exact import ModRingCtx, mod_reduce, vp_rational
 from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
-from .riccati import pade_pair, pair_series, residual_factors, riccati_series
-
-# window on which the direct mod-p^alpha recurrence is cross-checked against
-# reduction of the exact integer series
-_EXACT_CHECK_WINDOW = 50
+from .riccati import pade_pair, residual_factors, riccati_series
 
 # on a missing or false zero-run the numerator search doubles its length up
 # to this many times before it gives up
@@ -104,15 +100,7 @@ def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
 def reduce_series(family: GroupFamily, ctx: ModRingCtx, length: int) -> Series:
     """The counting series (constant term included) reduced mod p^alpha,
     computed directly by the monic recurrence over Z/p^alpha."""
-    params = params_for(family)
-    s = riccati_series(params, length, ctx)
-    w = min(length, _EXACT_CHECK_WINDOW)
-    exact = riccati_series(params, w)
-    certify(
-        all(int(exact.coeffs[i]) % ctx.modulus == s.coeffs[i] for i in range(w)),
-        f"the series mod {ctx.p}^{ctx.alpha} reduces the exact series on {w} terms",
-    )
-    return s
+    return riccati_series(params_for(family), length, ctx)
 
 
 def _balanced(v: int, p: int) -> int:
@@ -288,14 +276,11 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Serie
 
     n is the smallest index in the stable congruence class of p whose
     residual constant has p-adic valuation >= alpha; valuations accumulate
-    factor by factor (individual factors can carry valuation > 1).
+    factor by factor (individual factors can carry valuation > 1).  P_n and
+    Q_n are exact integer polynomials with Q_n(0) = 1, divided only after
+    their reduction mod p^alpha.
     """
     p, alpha = ctx.p, ctx.alpha
-    m = family.m
-    if family.kind == MODULAR3 and (6 * m) % p == 0:
-        raise ValueError("needs p coprime to 6m")
-    if family.kind == HECKE4 and (2 * m) % p == 0:
-        raise ValueError("needs p coprime to 2m")
     params = params_for(family)
     target = congruence_classes(family, p)[0]
     acc = 0
@@ -304,7 +289,8 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Serie
         if n >= 1 and n % p == target and acc >= alpha:
             break
     pair = pade_pair(params, n)
-    return pair_series(pair, length, ctx)
+    num, den = (Poly([mod_reduce(c, ctx) for c in f.coeffs], ctx) for f in (pair.p, pair.q))
+    return series_div(num, den, length)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .poly import (
     _karatsuba,
     _karatsuba_pays,
     kronecker,
-    series_div,
 )
 
 
@@ -489,12 +488,3 @@ def verify_gosper(params: RiccatiParams, n: int, certificate=None) -> bool:
             return False
         total += term
     return total == scale * comb(2 * n, n) * pochhammer(am, n + 1)
-
-
-def pair_series(pair: PadePair, length: int, ctx: ModRingCtx | None = None) -> Series:
-    """Series expansion of P/Q, exactly or reduced into Z/p^alpha."""
-    if ctx is None:
-        return series_div(pair.p, pair.q, length)
-    p = Poly([mod_reduce(c, ctx) for c in pair.p.coeffs], ctx)
-    q = Poly([mod_reduce(c, ctx) for c in pair.q.coeffs], ctx)
-    return series_div(p, q, length)

@@ -139,6 +139,14 @@ def test_pade_verify(capsys):
     assert "gosper: OK" in out
 
 
+def test_pade_verify_at_n_0_skips_gosper(capsys):
+    # the Gosper certificate needs n >= 1; at n = 0 no check runs, and the
+    # output says so instead of reporting one as passed
+    code, out, _ = run(capsys, "pade", "--family", "modular3", "--n", "0", "--verify")
+    assert code == 0
+    assert out.endswith("identity: OK\ngosper: skipped (n = 0)\n")
+
+
 def test_pade_rational_parameters(capsys):
     rest = ("--B", "1", "--C", "1", "--D", "0", "--n", "8", "--verify")
     code, out, err = run(capsys, "pade", "--A", "1/2", *rest)
@@ -401,6 +409,18 @@ def test_env_config_integer_and_null_values(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "20 480"
     code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
     assert code == 0 and out.startswith("family=modular3 m=2 p=7 alpha=1 d=1\n")
+
+
+def test_env_config_ignores_keys_it_does_not_read(capsys, tmp_path, monkeypatch):
+    # six keys are read (family, m, seed, format, length, window); horizon is
+    # not one, so a horizon too short for the window check changes nothing
+    argv = ("period", "--p", "7", "--alpha", "2")
+    plain = run(capsys, *argv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 40}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
 
 
 def test_env_config_null_keeps_the_built_in_default(capsys, tmp_path, monkeypatch):

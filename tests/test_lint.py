@@ -114,6 +114,30 @@ def _poly_tree():
     return next(tree for path, tree in _package_trees() if path.name == "poly.py")
 
 
+def test_division_has_no_exact_path():
+    # exact polynomials are never divided: division, monic, series division
+    # and truncated series products run over Z/p^alpha only, so none of them
+    # may name Fraction, through which an exact branch would come back
+    tree = _poly_tree()
+    methods = {
+        (cls.name, node.name): node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    checked = [methods[("Poly", "__divmod__")], methods[("Poly", "monic")], methods[("Series", "mul")]]
+    checked.append(_function(tree, "series_div"))
+    found = [
+        f"{f.name}:{node.lineno}"
+        for f in checked
+        for node in ast.walk(f)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert found == []
+
+
 def test_euclid_loops_run_on_residue_lists():
     # a Euclid step on Poly objects builds a Poly per quotient, remainder
     # and cofactor; the loops of the F_p gcds take residue lists only, and

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -49,38 +50,44 @@ def test_basic_arithmetic():
 
 
 def test_divmod_exact_and_modular():
+    # exact polynomials are never divided: divmod, //, % and monic refuse them
     num = Poly([2, 7, 6])  # (1+2z)(2+3z)
-    q, r = divmod(num, Poly([1, 2]))
-    assert r.is_zero() and q == Poly([2, 3])
+    for divide in (divmod, operator.floordiv, operator.mod):
+        with pytest.raises(RingMismatch):
+            divide(num, Poly([1, 2]))
+    with pytest.raises(RingMismatch):
+        num.monic()
     ctx = ModRingCtx(7, 2)
     q, r = divmod(Poly([5, 1, 3], ctx), Poly([1, 2], ctx))
     assert (q * Poly([1, 2], ctx) + r) == Poly([5, 1, 3], ctx)
 
 
 def test_series_div_examples():
-    geo = series_div(Poly([1]), Poly([1, -1]), 4)
+    ctx = ModRingCtx(7, 3)
+    geo = series_div(Poly([1], ctx), Poly([1, -1], ctx), 4)
     assert geo.coeffs == (1, 1, 1, 1)
     # oracle: long division; the quotient must reproduce the first counts
-    s = series_div(Poly([1, -7]), Poly([1, -12]), 3)
+    s = series_div(Poly([1, -7], ctx), Poly([1, -12], ctx), 3)
     assert s.coeffs == (1, 5, 60)
-    assert series_div(Poly([1]), Poly([1]), 2).coeffs == (1, 0)
+    assert series_div(Poly([1], ctx), Poly([1], ctx), 2).coeffs == (1, 0)
     with pytest.raises(NonInvertibleConstantTerm):
-        series_div(Poly([1]), Poly([0, 1]), 3)
+        series_div(Poly([1], ctx), Poly([0, 1], ctx), 3)
     with pytest.raises(NonInvertibleConstantTerm):
         series_div(Poly([1], ModRingCtx(7, 2)), Poly([7, 1], ModRingCtx(7, 2)), 3)
+    # exact series are neither divided nor multiplied with truncation
+    with pytest.raises(RingMismatch):
+        series_div(Poly([1]), Poly([1, -1]), 4)
+    with pytest.raises(RingMismatch):
+        Series.of([1, 1]).mul(Poly([1, -1]))
 
 
-@pytest.mark.parametrize("ring", [None, ModRingCtx(7, 1), ModRingCtx(13, 4)])
+@pytest.mark.parametrize("ring", [ModRingCtx(7, 1), ModRingCtx(13, 4)])
 def test_series_div_roundtrip(ring):
     rng = random.Random(7)
     for _ in range(25):
         L = rng.randint(1, 12)
-        if ring is None:
-            num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
-            den = Poly([1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])
-        else:
-            num = Poly([rng.randrange(ring.modulus) for _ in range(rng.randint(1, 6))], ring)
-            den = Poly([1] + [rng.randrange(ring.modulus) for _ in range(rng.randint(0, 5))], ring)
+        num = Poly([rng.randrange(ring.modulus) for _ in range(rng.randint(1, 6))], ring)
+        den = Poly([1] + [rng.randrange(ring.modulus) for _ in range(rng.randint(0, 5))], ring)
         quot = series_div(num, den, L)
         back = quot.mul(den)
         expect = Series.of(num.coeffs, ring, L)

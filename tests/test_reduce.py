@@ -9,7 +9,7 @@ from freesub.errors import CertificationFailed, DegreeBoundExceeded, Unsupported
 from freesub.exact import ModRingCtx, is_prime
 from freesub.groups import GroupFamily, params_for
 from freesub.poly import Poly, Series, series_div
-from freesub.riccati import pade_pair, verify_identity
+from freesub.riccati import pade_pair, riccati_series, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
     ReduceConfig,
@@ -129,6 +129,21 @@ def test_pade_route_choice_of_n(monkeypatch):
 def test_route_agreement(family, p, alpha):
     ctx = ModRingCtx(p, alpha)
     assert pade_route(family, ctx, 100).coeffs == reduce_series(family, ctx, 100).coeffs
+
+
+@pytest.mark.parametrize("kind,p", [("modular3", 2), ("modular3", 3), ("hecke4", 2)])
+def test_pade_route_needs_a_supported_prime(kind, p):
+    with pytest.raises(UnsupportedPrime):
+        pade_route(GroupFamily(kind, 6), ModRingCtx(p, 1), 10)
+
+
+@pytest.mark.parametrize("family,p", [(GroupFamily("modular3", 7), 7), (GroupFamily("hecke4", 5), 5), (H1, 3)])
+@pytest.mark.parametrize("alpha", [1, 3])
+def test_pade_route_where_the_stable_degree_is_0(family, p, alpha):
+    # p | m, or hecke4 at p = 3: the form is a polynomial, and the
+    # approximant still reduces to the series
+    ctx = ModRingCtx(p, alpha)
+    assert pade_route(family, ctx, 80).coeffs == reduce_series(family, ctx, 80).coeffs
 
 
 def test_pade_route_agrees_long_window():
@@ -419,19 +434,13 @@ def test_stable_denominator_every_prime_below_1000():
                 _check_stable_denominator(family, p)
 
 
-def test_reduce_series_checks_the_exact_window(monkeypatch):
-    # the mod p^alpha series must reduce the exact one on its first terms
-    real = freesub.reduce.riccati_series
-
-    def skewed(params, length, ctx=None):
-        s = real(params, length, ctx)
-        if ctx is None:
-            return s
-        return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
-
-    monkeypatch.setattr(freesub.reduce, "riccati_series", skewed)
-    with pytest.raises(CertificationFailed, match="exact series"):
-        reduce_series(M1, ModRingCtx(7, 2), 30)
+@pytest.mark.parametrize("family", [M1, H1], ids=["modular3", "hecke4"])
+@pytest.mark.parametrize("p,alpha", [(7, 4), (13, 3)])
+def test_reduce_series_reduces_the_exact_series(family, p, alpha):
+    # 200 terms reach the Kronecker blocks of the engine, which start at n = 62
+    ctx = ModRingCtx(p, alpha)
+    exact = riccati_series(params_for(family), 200).coeffs
+    assert reduce_series(family, ctx, 200).coeffs == tuple(c % ctx.modulus for c in exact)
 
 
 def test_numerator_checks_the_doubled_horizon(monkeypatch):
