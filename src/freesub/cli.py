@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import functools
 import json
 import os
 import sys
@@ -265,7 +266,27 @@ def _rational(s: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = _env_defaults()
+    """A new parser with the FREESUB_CONFIG defaults, for the caller to change."""
+    return _new_parser(_env_defaults())
+
+
+@functools.lru_cache(maxsize=1)
+def _parser_for(config: tuple) -> argparse.ArgumentParser:
+    """The parser `main` parses with, keyed on the FREESUB_CONFIG items read.
+
+    `main` reads the file on every call, and within one process the parser
+    is rebuilt only when the values read change: the key is the file's
+    content, not its path, so an edit between two calls takes effect.
+    Parsing leaves the parser unchanged, so calls may share it.  The parser
+    binds the cmd_* functions when it is built, so a later monkeypatch of
+    freesub.cli.cmd_* is not seen; the names the cmd_* functions look up
+    when they run (free_subgroup_numbers, build_pade, rational_form, ...)
+    are.
+    """
+    return _new_parser(dict(config))
+
+
+def _new_parser(defaults: dict) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="freesub", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -344,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser_for(tuple(_env_defaults().items())).parse_args(argv)
     for dest, choices in args.config_choices.items():
         value = getattr(args, dest)
         if value not in choices:

@@ -274,19 +274,21 @@ def expand_form(form: RationalFormModPA, length: int) -> Series:
 def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Series:
     """Reduce the explicit approximant P_n/Q_n instead of the recurrence.
 
-    n is the smallest index in the stable congruence class of p whose
-    residual constant has p-adic valuation >= alpha; valuations accumulate
-    factor by factor (individual factors can carry valuation > 1).  P_n and
-    Q_n are exact integer polynomials with Q_n(0) = 1, divided only after
-    their reduction mod p^alpha.
+    n is the smallest index (0 included) whose residual constant r has
+    p-adic valuation >= alpha; valuations accumulate factor by factor
+    (individual factors can carry valuation > 1).  Any such n serves:
+    Q_n(0) = 1 and the Riccati operator takes P_n/Q_n to -r z^(2n+1)/Q_n^2,
+    which vanishes mod p^alpha, so P_n/Q_n is the series by uniqueness.
+    P_n and Q_n are exact integer polynomials, divided only after their
+    reduction mod p^alpha.
     """
     p, alpha = ctx.p, ctx.alpha
     params = params_for(family)
-    target = congruence_classes(family, p)[0]
+    congruence_classes(family, p)  # raises UnsupportedPrime
     acc = 0
     for n, factor in enumerate(residual_factors(params)):
         acc += vp_rational(factor, p) if factor else alpha
-        if n >= 1 and n % p == target and acc >= alpha:
+        if acc >= alpha:
             break
     pair = pade_pair(params, n)
     num, den = (Poly([mod_reduce(c, ctx) for c in f.coeffs], ctx) for f in (pair.p, pair.q))

@@ -475,6 +475,69 @@ def test_env_config_error_exit2(capsys, tmp_path, monkeypatch, content):
     assert out.err.startswith("invalid configuration: FREESUB_CONFIG") and out.err.count("\n") == 1
 
 
+@pytest.fixture
+def fresh_parser_cache():
+    freesub.cli._parser_for.cache_clear()
+    yield
+    freesub.cli._parser_for.cache_clear()
+
+
+def test_main_builds_the_parser_once_per_configuration(capsys, monkeypatch, fresh_parser_cache):
+    built = []
+    real = freesub.cli._new_parser
+
+    def spy(defaults):
+        built.append(defaults)
+        return real(defaults)
+
+    monkeypatch.setattr(freesub.cli, "_new_parser", spy)
+    monkeypatch.delenv("FREESUB_CONFIG", raising=False)
+    for _ in range(3):
+        assert run(capsys, "counts", "--family", "modular3", "--count", "2") == (0, "5 60\n", "")
+    assert built == [{}]
+
+
+def test_an_edited_config_file_takes_effect_in_the_same_process(capsys, tmp_path, monkeypatch):
+    # the file is read on every call, and the parser is keyed on its values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "modular3", "m": 2}))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    assert run(capsys, "counts", "--count", "2") == (0, "20 480\n", "")
+    cfg.write_text(json.dumps({"family": "modular3", "m": 5}))
+    assert run(capsys, "counts", "--count", "2") == (0, "125 7500\n", "")
+    # without the variable the built-in defaults are back: no family, m = 1
+    monkeypatch.delenv("FREESUB_CONFIG")
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--count", "2"])
+    assert exc.value.code == 2 and "--family" in capsys.readouterr().err
+    assert run(capsys, "counts", "--family", "modular3", "--count", "2") == (0, "5 60\n", "")
+
+
+def test_a_changed_build_parser_result_does_not_reach_main(capsys):
+    argv = ("reduce", "--family", "modular3", "--p", "7", "--alpha", "1")
+    before = run(capsys, *argv)
+    parser = freesub.cli.build_parser()
+    parser.add_argument("--x")
+    assert parser.parse_args(["--x", "1", *argv]).x == "1"
+    assert freesub.cli.build_parser() is not parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--x", "1", *argv])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert run(capsys, *argv) == before
+
+
+@pytest.mark.parametrize("bad", [("--bogus",), ("--alpha", "0")], ids=["unknown-flag", "bad-value"])
+def test_a_call_that_exits_2_leaves_the_next_call_unchanged(capsys, fresh_parser_cache, bad):
+    argv = ("period", "--family", "modular3", "--p", "7", "--alpha", "2")
+    first = run(capsys, *argv)
+    freesub.cli._parser_for.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *bad])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert run(capsys, *argv) == first
+    assert first[0] == 0
+
+
 def test_short_horizon_with_a_period_too_long_to_scan_answers(capsys):
     # the period at p = 101 is far past the window limit, so no scan runs:
     # a short horizon changes only the reported horizon
@@ -555,6 +618,12 @@ def test_other_library_errors_exit7(capsys, monkeypatch, error):
     assert err.startswith(type(error).__name__)
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _address_space_512_mb():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
@@ -567,16 +636,47 @@ def test_period_with_a_large_order_bound_in_bounded_resources(p, period):
     # the period is read off the form, not off an expansion as long as the
     # order bound (82M terms at 29, 1.5e11 at 37); a whole CLI run must end
     # in 512 MB of address space and 20 s
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "freesub.cli", "period", "--p", str(p), "--alpha", "1"],
         capture_output=True,
         text=True,
         timeout=20,
-        env=env,
+        env=_checkout_env(),
         preexec_fn=_address_space_512_mb,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(f"period={period} ")
     assert "minimal=no" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        ("counts --family modular3 --count 5", 0, ""),
+        ("pade --family hecke4 --n 3 --verify", 0, ""),
+        ("reduce --family modular3 --p 7 --alpha 2", 0, ""),
+        ("pfrac --family hecke4 --p 13 --alpha 2", 0, ""),
+        ("period --family modular3 --p 7 --alpha 2", 0, ""),
+        ("lemmas --family modular3 --p 7 --n-max 20", 0, ""),
+        (
+            "reproduce periods-17",
+            6,
+            "note: the quoted minimal periods for 17^2 and 17^3 are not attained; "
+            "the detected values divide them (see README)\n",
+        ),
+        ("reduce --family modular3 --p 3 --alpha 1", 2, "invalid configuration: modular3 needs a prime p >= 5, not 3\n"),
+    ],
+    ids=["counts", "pade", "reduce", "pfrac", "period", "lemmas", "reproduce", "bad-prime"],
+)
+def test_cli_runs_clean_in_dev_mode_with_warnings_as_errors(argv, code, err):
+    # -X dev turns on ResourceWarning and DeprecationWarning, and -W error
+    # makes any warning end the run with a traceback
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "freesub.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_checkout_env(),
+    )
+    assert (result.returncode, result.stderr) == (code, err)
+    assert (result.stdout != "") == (code != 2)

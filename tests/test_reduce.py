@@ -116,12 +116,21 @@ def test_pade_route_choice_of_n(monkeypatch):
         return real_pade_pair(params, n)
 
     monkeypatch.setattr(reduce_mod, "pade_pair", spy)
-    pade_route(M1, ModRingCtx(7, 1), 10)
-    assert seen["n"] == 1
-    pade_route(M1, ModRingCtx(7, 2), 10)
-    assert seen["n"] == 8
-    pade_route(M1, ModRingCtx(11, 1), 10)
-    assert seen["n"] == 1
+    # the smallest n with v_p(r_n) >= alpha, in any congruence class
+    for p, alpha, n in [(5, 1, 0), (5, 2, 4), (7, 1, 1), (7, 2, 5), (7, 3, 8), (11, 1, 1), (11, 2, 9)]:
+        pade_route(M1, ModRingCtx(p, alpha), 10)
+        assert seen["n"] == n, (p, alpha)
+
+
+@pytest.mark.parametrize("kind", ["modular3", "hecke4"])
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+def test_pade_route_at_the_least_n_reproduces_the_series(kind, m):
+    # every supported p up to 29 and alpha up to 4, p | m included
+    family = GroupFamily(kind, m)
+    for p in [q for q in range(3 if kind == "hecke4" else 5, 30) if is_prime(q)]:
+        for alpha in range(1, 5):
+            ctx = ModRingCtx(p, alpha)
+            assert pade_route(family, ctx, 400).coeffs == reduce_series(family, ctx, 400).coeffs, (p, alpha)
 
 
 @pytest.mark.parametrize("family", [M1, H1, GroupFamily("modular3", 2), GroupFamily("hecke4", 2)])
