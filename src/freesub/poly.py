@@ -23,10 +23,11 @@ of degree at most `TERMWISE_MODULUS_MAX`, as the D^alpha of the period
 descent at small p, reduces term by term instead.  Power-series division
 runs in blocks through the inverse of the denominator.
 
-Exact integer products of big coefficients go through `_karatsuba`
-(Karatsuba-Ofman, 1962): three half-size products and additions of linear
+Exact integer products of big coefficients go through `_toom4`
+(Toom-Cook 4-way): seven quarter-size products, and evaluation and
+interpolation by additions, shifts and exact divisions by 3 and 5 of linear
 cost, which pays once a product of two coefficients costs far more than a
-sum (`_karatsuba_pays`).  Products with a Fraction, a short operand or small
+sum (`_toom_pays`).  Products with a Fraction, a short operand or small
 coefficients stay term by term.
 
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
@@ -157,59 +158,100 @@ def _folded(x: list, y: list, width: int, scale=1) -> list:
     return out
 
 
-# Exact int products go through `_karatsuba` only when both operands have
-# more than KARATSUBA_MIN terms and some coefficient has at least
-# KARATSUBA_BITS bits; below either, a product of two coefficients costs
-# about as much as the additions and calls that Karatsuba trades for it.
-# KARATSUBA_MIN is also the recursion's leaf size and must be at least 1.
-# Measured on the series engine in both families, whose coefficients reach
-# 8.6 kbit at L = 801 and 24 kbit at L = 2001: at L = 801, 2 to 4 are equally
-# fast, 1 is about 8% slower and 8 a third to a half slower; at L = 2001, 1
-# and 2 are equally fast and 4 is 15-30% slower.  On random blocks of 4 to 64
-# terms, Karatsuba is up to 2x slower than `_folded` at 500 bits and
-# breaks even or wins from 1000 bits on blocks of 16 terms and more.
-KARATSUBA_MIN = 2
-KARATSUBA_BITS = 1000
+# Exact int products go through `_toom4` only when both operands have more
+# than TOOM_LEAF terms and some coefficient has at least TOOM_BITS bits;
+# below either, a product of two coefficients costs about as much as the
+# additions, shifts and calls that Toom-Cook trades for it.  TOOM_LEAF is
+# also the recursion's leaf size and must be at least 1.  Measured on the
+# series engine in both families, whose coefficients reach 8.6 kbit at
+# L = 801 and 24 kbit at L = 2001: leaves of 2 and 3 are equally fast; 4 is
+# 6-9% slower at L = 801 and 30-40% slower at L = 2001, and 8 a quarter
+# slower at L = 801.  On random blocks of 4 to 8.6 kbit, a leaf of 1 is up
+# to 80% slower at 128 terms and 4 up to 60% slower at 256.  Of the gates
+# 1000, 1500 and 2000 bits, 1500 is 8-20% faster than 1000 at L = 201, where
+# the first blocks pass it; at L = 401 and 801 the three are within noise,
+# except 2000, which is 7-11% slower at L = 401.
+TOOM_LEAF = 3
+TOOM_BITS = 1500
 
 
-def _karatsuba_pays(x: list, y: list) -> bool:
-    """Whether `_karatsuba` is the faster product of the int lists x, y."""
-    if min(len(x), len(y)) <= KARATSUBA_MIN:
+def _toom_pays(x: list, y: list) -> bool:
+    """Whether `_toom4` is the faster product of the int lists x, y."""
+    if min(len(x), len(y)) <= TOOM_LEAF:
         return False
-    return max(map(int.bit_length, x + y)) >= KARATSUBA_BITS
+    return max(map(int.bit_length, x + y)) >= TOOM_BITS
 
 
-def _karatsuba(x: list, y: list) -> list:
-    """All len(x) + len(y) - 1 terms of x*y for int lists of either sign,
-    by Karatsuba-Ofman: each operand is split into halves, and the product
-    is three half-size products joined by additions of linear cost.  A
-    square (`x is y`) recurses as three squares.  An operand that is at most
-    half as long as the other multiplies that one piece by piece."""
+def _toom_points(x: list, h: int) -> list:
+    """x split into four parts of h terms, zero-padded, evaluated as
+    polynomials in the part variable at 0, 1, -1, 2, -2, as 8 x(1/2) and
+    at infinity: seven lists of h terms."""
+    x = x + [0] * (4 * h - len(x))
+    x0, x1, x2, x3 = x[:h], x[h : 2 * h], x[2 * h : 3 * h], x[3 * h :]
+    p1, m1, p2, m2, half = [], [], [], [], []
+    for u0, u1, u2, u3 in zip(x0, x1, x2, x3):
+        s, t = u0 + u2, u1 + u3
+        p1.append(s + t)
+        m1.append(s - t)
+        s, t = u0 + (u2 << 2), (u1 << 1) + (u3 << 3)
+        p2.append(s + t)
+        m2.append(s - t)
+        half.append((u0 << 3) + (u1 << 2) + (u2 << 1) + u3)
+    return [x0, p1, m1, p2, m2, half, x3]
+
+
+def _toom4(x: list, y: list) -> list:
+    """All len(x) + len(y) - 1 terms of x*y for int lists of either sign, by
+    Toom-Cook 4-way (Toom 1963, Cook 1966): each operand is split into four
+    parts, and the product is seven quarter-size products at 0, 1, -1, 2,
+    -2, 1/2 and infinity, interpolated with shifts and exact divisions by 3
+    and 5 (Bodrato and Zanoni, ISSAC 2007).  A square (`x is y`) recurses as
+    seven squares.  An operand that is at most half as long as the other
+    multiplies that one piece by piece."""
     nx, ny = len(x), len(y)
-    if min(nx, ny) <= KARATSUBA_MIN:
+    if min(nx, ny) <= TOOM_LEAF:
         return _folded(x, y, nx + ny - 1) if nx and ny else []
     if nx < ny:
         x, y, nx, ny = y, x, ny, nx
-    h = (nx + 1) // 2
-    if ny <= h:
+    if ny <= (nx + 1) // 2:
         out = [0] * (nx + ny - 1)
         for i in range(0, nx, ny):
-            part = _karatsuba(x[i : i + ny], y)
+            part = _toom4(x[i : i + ny], y)
             out[i : i + len(part)] = map(add, out[i : i + len(part)], part)
         return out
-    x0, x1 = x[:h], x[h:]
-    sx = list(map(add, x1, x0)) + x0[len(x1) :]
-    if x is y:
-        low, high, mid = _karatsuba(x0, x0), _karatsuba(x1, x1), _karatsuba(sx, sx)
-    else:
-        y0, y1 = y[:h], y[h:]
-        sy = list(map(add, y1, y0)) + y0[len(y1) :]
-        low, high, mid = _karatsuba(x0, y0), _karatsuba(x1, y1), _karatsuba(sx, sy)
-    # low fills terms 0..2h-2 and high starts at 2h; mid - low - high lands at h
-    mid = list(map(sub, mid, low))
-    mid[: len(high)] = map(sub, mid, high)
-    out = low + [0] + high
-    out[h : h + len(mid)] = map(add, out[h : h + len(mid)], mid)
+    h = (nx + 3) // 4
+    px = _toom_points(x, h)
+    py = px if x is y else _toom_points(y, h)
+    # each pair of points is let go once multiplied; when x is y, u is v and
+    # the product recurses as a square
+    r = []
+    for k in range(7):
+        u, v = px[k], py[k]
+        px[k] = py[k] = None
+        r.append(_toom4(u, v))
+    r0, a, b, c, d, e, r6 = r
+    # r_k is the coefficient of the part variable^k; the products at 1, -1,
+    # 2, -2 and 1/2 are overwritten in place by r1, r2, r3, r4, r5
+    for i, (v0, v6) in enumerate(zip(r0, r6)):
+        av, bv, cv, dv = a[i], b[i], c[i], d[i]
+        o1 = (av - bv) >> 1  # r1 + r3 + r5
+        u = ((av + bv) >> 1) - v0 - v6  # r2 + r4
+        o2 = (cv - dv) >> 2  # r1 + 4 r3 + 16 r5
+        v = (((cv + dv) >> 1) - v0 - (v6 << 6)) >> 2  # r2 + 4 r4
+        r4 = (v - u) // 3
+        r2 = u - r4
+        eh = (e[i] - (v0 << 6) - (r2 << 4) - (r4 << 2) - v6) >> 1  # 16 r1 + 4 r3 + r5
+        p = (o2 - o1) // 3  # r3 + 5 r5
+        q = ((o1 << 4) - eh) // 3  # 4 r3 + 5 r5
+        r3 = (q - p) // 3
+        r5 = (p - r3) // 5
+        a[i], b[i], c[i], d[i], e[i] = o1 - r3 - r5, r2, r3, r4, r5
+    # the even products r0, r2, r4, r6 fill 2h - 1 terms each from 0, 2h,
+    # 4h and 6h; the odd ones r1, r3, r5 land between them from h, 3h, 5h
+    out = r0 + [0] + b + [0] + d + [0] + r6
+    odd = a + [0] + c + [0] + e
+    out[h : h + len(odd)] = map(add, out[h : h + len(odd)], odd)
+    del out[nx + ny - 1 :]
     return out
 
 
@@ -369,11 +411,13 @@ class Poly:
         ring = _check_same_ring(self.ring, other.ring)
         if self.is_zero() or other.is_zero():
             return Poly.zero(ring)
-        a, b = list(self.coeffs), list(other.coeffs)
+        # one list for a square, so that both kernels take their square path
+        a = list(self.coeffs)
+        b = a if other is self else list(other.coeffs)
         width = len(a) + len(b) - 1
         if ring is None:
-            if all(type(c) is int for c in a + b) and _karatsuba_pays(a, b):
-                return Poly(_karatsuba(a, b))
+            if all(type(c) is int for c in a + b) and _toom_pays(a, b):
+                return Poly(_toom4(a, b))
             return Poly(_convolve(a, b, width))
         return Poly._residues(_product(a, b, ring.modulus, width), ring)
 

@@ -35,8 +35,8 @@ from .poly import (
     Poly,
     Series,
     _folded,
-    _karatsuba,
-    _karatsuba_pays,
+    _toom4,
+    _toom_pays,
     kronecker,
 )
 
@@ -101,12 +101,12 @@ class PadePair:
     residual_const: Fraction
 
 
-def _karatsuba_block(x: list, y: list, width: int) -> list:
-    """A block of `_online_square` over Z: by `poly._karatsuba` once the
+def _toom_block(x: list, y: list, width: int) -> list:
+    """A block of `_online_square` over Z: by `poly._toom4` once the
     coefficients are big enough for it to pay, term by term before."""
-    if not _karatsuba_pays(x, y):
+    if not _toom_pays(x, y):
         return _folded(x, y, width, 2)
-    return _karatsuba(x, x if x is y else [2 * v for v in y])[:width]
+    return _toom4(x, x if x is y else [2 * v for v in y])[:width]
 
 
 def _kronecker_block(modulus: int, length: int):
@@ -191,7 +191,7 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     common denominator M, g_n = M^n f_n satisfies the same recurrence with
     g_0 = 1, and f_n = g_n / M^n. The convolution comes from
     `_online_square`, whose block product is the only part that depends on
-    the ring: Karatsuba over Z and Kronecker packing over Z/p^alpha.
+    the ring: Toom-Cook over Z and Kronecker packing over Z/p^alpha.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -200,7 +200,7 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
         a, b, c, d = (mod_reduce(v, ctx) for v in consts)
         scale, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
     else:
-        scale, modulus, block = lcm(*(v.denominator for v in consts)), None, _karatsuba_block
+        scale, modulus, block = lcm(*(v.denominator for v in consts)), None, _toom_block
         a, b, c, d = (_over(scale, v) for v in consts)
     f = [1]
     for n, s_n in enumerate(_online_square(f, length - 1, block)):

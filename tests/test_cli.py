@@ -653,6 +653,9 @@ def test_period_with_a_large_order_bound_in_bounded_resources(p, period):
     "argv,code,err",
     [
         ("counts --family modular3 --count 5", 0, ""),
+        # past the bit gate of the exact block kernel, which --count 5 never
+        # reaches
+        ("counts --family hecke4 --count 300", 0, ""),
         ("pade --family hecke4 --n 3 --verify", 0, ""),
         ("reduce --family modular3 --p 7 --alpha 2", 0, ""),
         ("pfrac --family hecke4 --p 13 --alpha 2", 0, ""),
@@ -666,7 +669,7 @@ def test_period_with_a_large_order_bound_in_bounded_resources(p, period):
         ),
         ("reduce --family modular3 --p 3 --alpha 1", 2, "invalid configuration: modular3 needs a prime p >= 5, not 3\n"),
     ],
-    ids=["counts", "pade", "reduce", "pfrac", "period", "lemmas", "reproduce", "bad-prime"],
+    ids=["counts", "counts-exact", "pade", "reduce", "pfrac", "period", "lemmas", "reproduce", "bad-prime"],
 )
 def test_cli_runs_clean_in_dev_mode_with_warnings_as_errors(argv, code, err):
     # -X dev turns on ResourceWarning and DeprecationWarning, and -W error

@@ -180,7 +180,7 @@ def test_mulmod_packs_the_modulus_once():
 
 def test_series_engine_has_two_rings():
     # the block product is the only ring-dependent part of the engine:
-    # Karatsuba over Z (rational parameters run on their numerators) and
+    # Toom-Cook over Z (rational parameters run on their numerators) and
     # Kronecker packing over Z/p^alpha; a third block type would be a third
     # engine to keep equal to the oracle
     tree = next(tree for path, tree in _package_trees() if path.name == "riccati.py")
@@ -204,9 +204,9 @@ def test_series_engine_has_two_rings():
                     handed += [v for t, v in zip(target.elts, node.value.elts) if getattr(t, "id", None) == "block"]
     assert handed
     for value in handed:
-        karatsuba = isinstance(value, ast.Name) and value.id == "_karatsuba_block"
+        toom = isinstance(value, ast.Name) and value.id == "_toom_block"
         kronecker = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_kronecker_block"
-        assert karatsuba or kronecker, ast.unparse(value)
+        assert toom or kronecker, ast.unparse(value)
 
 
 def test_termwise_cutoff_is_read_by_mulmod_only():

@@ -25,12 +25,12 @@ from freesub.poly import (
     _ext_gcd_fp,
     _gcd_fp,
     _inverse,
-    _karatsuba,
-    _karatsuba_pays,
     _lift_to,
     _long_division,
     _mulmod,
     _pow_mod,
+    _toom4,
+    _toom_pays,
     ext_gcd_coprime,
     factor_mod_p,
     hensel_lift,
@@ -215,7 +215,7 @@ def test_ext_gcd_lifted(p, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the exact Karatsuba kernel against the term-by-term product
+# the exact Toom-Cook kernel against the term-by-term product
 # ---------------------------------------------------------------------------
 
 
@@ -224,46 +224,99 @@ def _signed_ints(rng: random.Random, n: int, big: int = 600) -> list[int]:
     return [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((0, 5, 64, big))) for _ in range(n)]
 
 
-def _karatsuba_lengths(rng: random.Random) -> list[int]:
-    # every length around the cutoff and the first odd/even splits, then a
-    # spread up to 300 with power-of-two edges
-    return list(range(0, 36)) + [63, 64, 65, 128, 129] + [rng.randint(36, 300) for _ in range(3)] + [300]
+def _toom_lengths(rng: random.Random) -> list[int]:
+    # every length to 70: each n mod 4 many times over, and every n whose
+    # parts of ceil(n/4) terms come out short (n not a multiple of 4) or
+    # empty (5, 6, 9), at the top and one level down (17 to 20 split into
+    # parts of 5); then the power-of-two edges and a spread up to 300
+    return list(range(0, 70)) + [127, 128, 129, 130, 255, 256, 257] + [rng.randint(70, 300) for _ in range(3)] + [300]
 
 
 def _full_product(x: list, y: list) -> list:
     return _convolve(x, y, len(x) + len(y) - 1 if x and y else 0)
 
 
-def test_karatsuba_matches_convolve():
-    rng = random.Random(2002)
-    for n in _karatsuba_lengths(rng):
+@pytest.mark.parametrize("leaf", [1, freesub.poly.TOOM_LEAF])
+def test_toom4_matches_convolve(monkeypatch, leaf):
+    # at leaf 1 every operand of two terms or more splits, so the short and
+    # empty parts of the small lengths run through the interpolation too
+    monkeypatch.setattr(freesub.poly, "TOOM_LEAF", leaf)
+    rng = random.Random(2002 + leaf)
+    lengths = _toom_lengths(rng)
+    for n in lengths if leaf > 1 else lengths[:70]:
         x, y = _signed_ints(rng, n), _signed_ints(rng, n)
-        assert _karatsuba(x, y) == _full_product(x, y), n
+        assert _toom4(x, y) == _full_product(x, y), n
         # `x is y` recurses as squares; a copy of x takes the product path
-        square = _karatsuba(x, x)
-        assert square == _full_product(x, list(x)) == _karatsuba(x, list(x)), n
-        # unequal lengths: short sides, about half and nearly equal
-        for m in {0, 1, 2, 3, n // 2, n // 2 + 1, max(n - 1, 0), rng.randint(0, 100)}:
+        square = _toom4(x, x)
+        assert square == _full_product(x, list(x)) == _toom4(x, list(x)), n
+        # unequal lengths: short sides, about half (the piecewise cut), just
+        # over half (split at the longer side's parts) and nearly equal
+        for m in {0, 1, 2, 3, 5, n // 2, (n + 1) // 2, (n + 1) // 2 + 1, max(n - 1, 0), rng.randint(0, 100)}:
             z = _signed_ints(rng, m)
-            assert _karatsuba(x, z) == _full_product(x, z), (n, m)
-            assert _karatsuba(z, x) == _full_product(z, x), (m, n)
+            assert _toom4(x, z) == _full_product(x, z), (n, m)
+            assert _toom4(z, x) == _full_product(z, x), (m, n)
+
+
+_ints = st.lists(st.integers(min_value=-(1 << 700), max_value=1 << 700), max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ints, _ints)
+def test_toom4_property(x, y):
+    assert _toom4(x, y) == _full_product(x, y)
+    assert _toom4(x, x) == _full_product(x, x)
 
 
 def test_exact_poly_products_match_schoolbook():
-    # coefficients on both sides of KARATSUBA_BITS, so both paths run
+    # coefficients on both sides of TOOM_BITS, so both paths run
     rng = random.Random(1962)
+    big = freesub.poly.TOOM_BITS + 100
     kernel = 0
-    for n in _karatsuba_lengths(rng):
-        a = Poly(_signed_ints(rng, n, rng.choice((100, 1100))))
+    for n in _toom_lengths(rng):
+        a = Poly(_signed_ints(rng, n, rng.choice((100, big))))
         for m in {0, 1, 3, n // 2, n + 1}:
-            b = Poly(_signed_ints(rng, m, 1100))
-            kernel += _karatsuba_pays(list(a.coeffs), list(b.coeffs))
+            b = Poly(_signed_ints(rng, m, big))
+            kernel += _toom_pays(list(a.coeffs), list(b.coeffs))
             assert a * b == school_mul(a, b), (n, m)
         assert a * a == school_mul(a, a), n
         # a Fraction coefficient keeps the term-by-term product
         c = Poly(list(a.coeffs) + [Fraction(1, 3)])
         assert c * a == school_mul(c, a), n
     assert kernel > 20
+
+
+def test_poly_square_takes_the_square_path(monkeypatch):
+    # `p * p` hands one list to both kernels, so that they square; the
+    # product with an equal copy gives the same polynomial
+    seen = []
+
+    def spy(kernel):
+        def run(x, y, *rest):
+            seen.append((kernel.__name__, x is y))
+            return kernel(x, y, *rest)
+
+        return run
+
+    # the spy also sees the kernel's own recursive calls, which square
+    # exactly when the top call does
+    monkeypatch.setattr(freesub.poly, "_toom4", spy(_toom4))
+    monkeypatch.setattr(freesub.poly, "_product", spy(freesub.poly._product))
+    rng = random.Random(1966)
+    exact = Poly(_signed_ints(rng, 40, freesub.poly.TOOM_BITS + 100))
+    residues = Poly([rng.randrange(7**5) for _ in range(40)], ModRingCtx(7, 5))
+    for p, kernel in ((exact, "_toom4"), (residues, "_product")):
+        copy = Poly(p.coeffs, p.ring)
+        assert copy is not p
+        seen.clear()
+        square = p * p
+        assert seen and set(seen) == {(kernel, True)}
+        seen.clear()
+        assert square == p * copy == school_mul(p, copy)
+        assert seen and set(seen) == {(kernel, False)}
+    # every squaring step of a power squares
+    seen.clear()
+    assert exact**5 == school_mul(school_mul(exact, exact), school_mul(exact, school_mul(exact, exact)))
+    assert ("_toom4", True) in seen
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ convolution loop over Z/p^alpha and an unfolded one over Z and Q. Every
 comparison is exact equality of whole coefficient tuples, types included.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -78,7 +79,7 @@ def test_every_length_mod_prime_power():
 
 
 def _check_every_length_exact_int(top_exponent: int) -> None:
-    # every length cuts the last Karatsuba blocks at another place
+    # every length cuts the last Toom-Cook blocks at another place
     params = params_for(GroupFamily(HECKE4, 2))
     lengths = _edge_lengths(top_exponent)
     oracle = reference_series(params, lengths[-1])
@@ -94,6 +95,23 @@ def test_every_length_exact_int():
 @pytest.mark.slow
 def test_every_length_exact_int_up_to_1025():
     _check_every_length_exact_int(10)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        # recorded with the Karatsuba block product that Toom-Cook replaced
+        (MODULAR3, "dc41d28ee20ca1d99fa3599c48c3ffa035f3ff403dd25c66986dab7c421bc9e3"),
+        (HECKE4, "d82603e020fac3e2564a057f7ae08374115139ad9e6fde16b53a5b7b7f7fab9b"),
+    ],
+)
+def test_exact_series_digest_at_2001(kind, digest):
+    # a length with a full 512-term block, whose product recurses four Toom
+    # levels deep; the oracle tests stop at 1025 terms, where that block is
+    # cut to 2.  Hex, because str() refuses ints past 4300 digits
+    coeffs = riccati_series(params_for(GroupFamily(kind)), 2001).coeffs
+    assert hashlib.sha256(" ".join(map(hex, coeffs)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
@@ -197,7 +215,7 @@ def _random_scaled_params(rng: random.Random, with_c: bool) -> RiccatiParams:
 @pytest.mark.parametrize("seed", range(3))
 def test_rational_params_through_the_integer_blocks(with_c, seed):
     # the numerators over the common denominator M run the Z engine, whose
-    # first 32-term block runs at length 64 and whose blocks reach Karatsuba
+    # first 32-term block runs at length 64 and whose blocks reach Toom-Cook
     # further on; each length cuts the last blocks at another place
     params = _random_scaled_params(random.Random(100 * seed + with_c), with_c)
     lengths = [*range(63, 67), *range(127, 131), 200, 256, 257, 300]
