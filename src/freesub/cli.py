@@ -7,12 +7,6 @@ forced, or a stable denominator that is not squarefree mod p), 4 numerator
 search window exhausted, 5 period horizon too short, 6 golden reproduction
 mismatch, 7 any other library error (a failed certification check, no Bezout
 identity, a broken integrality or an inconsistent Pade system).
-
-FREESUB_CONFIG may name a JSON file of default option values; explicit flags
-always win.  Six keys are read: family (not for pade), m, seed, format,
-length and window; any other key, such as horizon, p or count, is ignored.
-A value is checked like the same text on the command line; null leaves the
-built-in default.
 """
 
 from __future__ import annotations
@@ -22,11 +16,9 @@ import contextlib
 import difflib
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import NoReturn
 
 from .errors import (
     DegenerateParameters,
@@ -48,27 +40,6 @@ EXIT_DEGREE_BOUND = 4
 EXIT_HORIZON = 5
 EXIT_GOLDEN_MISMATCH = 6
 EXIT_LIBRARY_ERROR = 7
-
-
-def _config_error(message) -> NoReturn:
-    path = os.environ["FREESUB_CONFIG"]
-    print(f"invalid configuration: FREESUB_CONFIG={path}: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_BAD_CONFIG)
-
-
-def _env_defaults() -> dict:
-    path = os.environ.get("FREESUB_CONFIG")
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("the JSON value is not an object")
-    except (OSError, ValueError) as exc:
-        _config_error(exc)
-    # argparse runs an option's type on string defaults only
-    return {key: str(value) for key, value in data.items() if value is not None}
 
 
 def _family(args) -> GroupFamily:
@@ -112,6 +83,10 @@ def cmd_counts(args) -> int:
 
 def cmd_pade(args) -> int:
     if args.family is not None:
+        given = [f"--{name}" for name in "ABCDE" if getattr(args, name) is not None]
+        if given:
+            print(f"pade takes either --family or {' '.join(given)}, not both", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         params = params_for(_family(args))
     else:
         if None in (args.A, args.B, args.C, args.D):
@@ -141,9 +116,12 @@ def cmd_pade(args) -> int:
     return 0
 
 
+def _reduce_config(args) -> ReduceConfig:
+    return ReduceConfig(length=args.length, window=args.window, seed=args.seed)
+
+
 def _form_for(args):
-    config = ReduceConfig(length=args.length, window=args.window, seed=args.seed)
-    return rational_form(_family(args), ModRingCtx(args.p, args.alpha), config)
+    return rational_form(_family(args), ModRingCtx(args.p, args.alpha), _reduce_config(args))
 
 
 def cmd_reduce(args) -> int:
@@ -163,17 +141,17 @@ def cmd_pfrac(args) -> int:
 
 
 def cmd_period(args) -> int:
-    config = ReduceConfig(length=args.length, window=args.window, seed=args.seed)
-    res = analyze(_family(args), ModRingCtx(args.p, args.alpha), args.horizon, config)
+    res = analyze(_family(args), ModRingCtx(args.p, args.alpha), args.horizon, _reduce_config(args))
     if args.format == "json":
         print(json.dumps(analysis_json_dict(res)))
     else:
         match = "n/a" if res.match is None else ("yes" if res.match else "no")
         predicted = "n/a" if res.predicted is None else res.predicted
+        bound = "n/a" if res.order_bound is None else res.order_bound
         print(
             f"period={res.report.period} predicted={predicted} match={match} "
             f"preperiod={res.report.preperiod} horizon={res.report.verified_horizon} "
-            f"order_bound={res.order_bound}" + ("" if res.report.minimal else " minimal=no")
+            f"order_bound={bound}" + ("" if res.report.minimal else " minimal=no")
         )
     return 0
 
@@ -266,27 +244,7 @@ def _rational(s: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser with the FREESUB_CONFIG defaults, for the caller to change."""
-    return _new_parser(_env_defaults())
-
-
-@functools.lru_cache(maxsize=1)
-def _parser_for(config: tuple) -> argparse.ArgumentParser:
-    """The parser `main` parses with, keyed on the FREESUB_CONFIG items read.
-
-    `main` reads the file on every call, and within one process the parser
-    is rebuilt only when the values read change: the key is the file's
-    content, not its path, so an edit between two calls takes effect.
-    Parsing leaves the parser unchanged, so calls may share it.  The parser
-    binds the cmd_* functions when it is built, so a later monkeypatch of
-    freesub.cli.cmd_* is not seen; the names the cmd_* functions look up
-    when they run (free_subgroup_numbers, build_pade, rational_form, ...)
-    are.
-    """
-    return _new_parser(dict(config))
-
-
-def _new_parser(defaults: dict) -> argparse.ArgumentParser:
+    """A new parser, for the caller to change; `main` parses with `_parser()`."""
     top = argparse.ArgumentParser(prog="freesub", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -294,51 +252,44 @@ def _new_parser(defaults: dict) -> argparse.ArgumentParser:
         p.add_argument(
             "--family",
             choices=["modular3", "hecke4"],
-            default=defaults.get("family", "modular3" if not family_required else None),
-            required=family_required and "family" not in defaults,
+            default=None if family_required else "modular3",
+            required=family_required,
         )
-        p.add_argument("--m", type=_at_least(1), default=defaults.get("m", 1))
-        p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
+        p.add_argument("--m", type=_at_least(1), default=1)
+        p.add_argument("--seed", type=int, default=0)
 
     c = sub.add_parser("counts", help="exact subgroup counts f_1..f_L")
     common(c)
     c.add_argument("--count", type=_at_least(1), required=True)
-    c.add_argument("--format", choices=["text", "json"], default=defaults.get("format", "text"))
+    c.add_argument("--format", choices=["text", "json"], default="text")
     c.set_defaults(func=cmd_counts)
 
     c = sub.add_parser("pade", help="order-n approximant pair")
     c.add_argument("--family", choices=["modular3", "hecke4"], default=None)
-    c.add_argument("--m", type=_at_least(1), default=defaults.get("m", 1))
+    c.add_argument("--m", type=_at_least(1), default=1)
     c.add_argument("--n", type=_at_least(0), required=True)
     for name in "ABCDE":
         c.add_argument(f"--{name}", type=_rational, default=None)
     c.add_argument("--verify", action="store_true")
     c.add_argument("--closed-form-only", action="store_true")
-    c.add_argument("--seed", type=int, default=defaults.get("seed", 0))
+    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_pade)
 
     for name, fn, formats, help_ in (
         ("reduce", cmd_reduce, ["text", "json", "latex"], "rational form of the series mod p^alpha"),
         ("pfrac", cmd_pfrac, ["text", "json"], "partial fractions of the reduced form"),
+        ("period", cmd_period, ["text", "json"], "preperiod and minimal period mod p^alpha"),
     ):
         c = sub.add_parser(name, help=help_)
         common(c, family_required=False)
         c.add_argument("--p", type=_at_least(1), required=True)
         c.add_argument("--alpha", type=_at_least(1), required=True)
-        c.add_argument("--length", type=_at_least(1), default=defaults.get("length"))
-        c.add_argument("--window", type=_at_least(1), default=defaults.get("window"))
-        c.add_argument("--format", choices=formats, default=defaults.get("format", "text"))
+        if name == "period":
+            c.add_argument("--horizon", type=_at_least(1))
+        c.add_argument("--length", type=_at_least(1))
+        c.add_argument("--window", type=_at_least(1))
+        c.add_argument("--format", choices=formats, default="text")
         c.set_defaults(func=fn)
-
-    c = sub.add_parser("period", help="preperiod and minimal period mod p^alpha")
-    common(c, family_required=False)
-    c.add_argument("--p", type=_at_least(1), required=True)
-    c.add_argument("--alpha", type=_at_least(1), required=True)
-    c.add_argument("--horizon", type=_at_least(1), default=None)
-    c.add_argument("--length", type=_at_least(1), default=defaults.get("length"))
-    c.add_argument("--window", type=_at_least(1), default=defaults.get("window"))
-    c.add_argument("--format", choices=["text", "json"], default=defaults.get("format", "text"))
-    c.set_defaults(func=cmd_period)
 
     c = sub.add_parser("lemmas", help="denominator stability instance checks")
     common(c, family_required=False)
@@ -348,28 +299,26 @@ def _new_parser(defaults: dict) -> argparse.ArgumentParser:
 
     c = sub.add_parser("reproduce", help="regenerate a classical display and diff it")
     c.add_argument("name")
-    c.add_argument("--seed", type=int, default=defaults.get("seed", 0))
+    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_reproduce)
-
-    # argparse checks choices on the command line only; main checks the
-    # options whose default is a config value
-    for c in sub.choices.values():
-        c.set_defaults(
-            config_choices={
-                a.dest: a.choices
-                for a in c._actions
-                if a.choices and a.dest in defaults and a.default == defaults[a.dest]
-            }
-        )
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` parses with, built once per process.
+
+    Parsing leaves the parser unchanged, so calls may share it.  The parser
+    binds the cmd_* functions when it is built, so a later monkeypatch of
+    freesub.cli.cmd_* is not seen; the names the cmd_* functions look up
+    when they run (free_subgroup_numbers, build_pade, rational_form, ...)
+    are.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = _parser_for(tuple(_env_defaults().items())).parse_args(argv)
-    for dest, choices in args.config_choices.items():
-        value = getattr(args, dest)
-        if value not in choices:
-            _config_error(f"{dest}={value!r} is not one of {', '.join(choices)}")
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegreeBoundExceeded as exc:

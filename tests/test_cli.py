@@ -109,6 +109,21 @@ def test_pade_family_shortcut(capsys):
     assert "route: closed-form" in out
 
 
+@pytest.mark.parametrize(
+    "coefficients,named",
+    [
+        (("--A", "1", "--B", "1", "--C", "1", "--D", "1"), "--A --B --C --D"),
+        (("--E=-1/2",), "--E"),
+    ],
+    ids=["A-to-D", "E-only"],
+)
+def test_pade_family_with_coefficients_exit2(capsys, coefficients, named):
+    # --family sets all five coefficients, so a given one would be ignored
+    code, out, err = run(capsys, "pade", "--family", "modular3", *coefficients, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"pade takes either --family or {named}, not both\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
 def test_pade_prints_past_the_int_digit_limit(capsys, monkeypatch):
     # a 5001-digit coefficient, past CPython's default limit of 4300 digits:
@@ -250,6 +265,23 @@ def test_period_quotes_no_period_for_lifts(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("--family", "modular3", "--m", "7", "--p", "7", "--alpha", "2"),
+        ("--family", "hecke4", "--p", "3", "--alpha", "3"),
+    ],
+    ids=["modular3-p-divides-m", "hecke4-p3"],
+)
+def test_period_text_without_an_order_bound_prints_n_a(capsys, argv):
+    # d = 0: the series is a polynomial, so there is no order bound
+    code, out, _ = run(capsys, "period", *argv)
+    assert code == 0
+    assert " order_bound=n/a" in out and "None" not in out
+    code, out, _ = run(capsys, "period", *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["order_bound"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("reduce", "--p", "7", "--alpha", "1", "--length", "0"),
         ("reduce", "--p", "7", "--alpha", "1", "--window", "0"),
         ("pfrac", "--p", "7", "--alpha", "1", "--window", "-1"),
@@ -293,7 +325,9 @@ def test_help_lists_every_exit_code(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
-    listed = text.split("Exit codes:")[1].split("FREESUB_CONFIG")[0]
+    doc = " ".join(freesub.cli.__doc__.split())
+    assert doc in text
+    listed = doc.split("Exit codes:")[1]
     for code in codes[1:]:
         assert re.search(rf"(^|, ){code} ", listed.strip()), code
 
@@ -343,107 +377,6 @@ def test_determinism_byte_identical(capsys):
     assert a == b
 
 
-def test_env_config_defaults(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "json", "family": "modular3"}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    code, out, _ = run(capsys, "counts", "--count", "2")
-    assert code == 0
-    assert json.loads(out)["values"] == [5, 60]
-
-
-@pytest.mark.parametrize(
-    "config,argv",
-    [
-        ({"format": "xml"}, ("counts", "--count", "2")),
-        ({"format": "xml"}, ("period", "--p", "7", "--alpha", "1")),
-        ({"format": "latex"}, ("counts", "--count", "2")),
-    ],
-    ids=["xml-counts", "xml-period", "latex-counts"],
-)
-def test_env_config_outside_choices_exit2(capsys, tmp_path, monkeypatch, config, argv):
-    # argparse checks choices on the command line only; a config value must
-    # be refused for the subcommand that is run, not printed as text
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "modular3", **config}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert out.err.startswith(f"invalid configuration: FREESUB_CONFIG={cfg}: format=")
-    assert out.err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "config,argv",
-    [
-        ({"seed": [1]}, ("reduce", "--p", "7", "--alpha", "1")),
-        ({"m": 2.5}, ("reduce", "--p", "7", "--alpha", "1")),
-        ({"m": 2.5}, ("counts", "--count", "2")),
-        ({"window": 1.5}, ("reduce", "--p", "7", "--alpha", "1")),
-        ({"m": True}, ("reduce", "--p", "7", "--alpha", "1")),
-    ],
-    ids=["list-seed", "float-m-reduce", "float-m-counts", "float-window", "bool-m"],
-)
-def test_env_config_wrong_json_type_exit2(capsys, tmp_path, monkeypatch, config, argv):
-    # a value is checked by the option's type like the same text on the
-    # command line, whatever its JSON type
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "modular3", **config}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    out = capsys.readouterr()
-    (option,) = config
-    assert exc.value.code == 2 and out.out == ""
-    assert f"error: argument --{option}: invalid" in out.err
-
-
-def test_env_config_integer_and_null_values(capsys, tmp_path, monkeypatch):
-    # an integer applies like its text; null leaves the option without a default
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "modular3", "m": 2, "length": None}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    code, out, _ = run(capsys, "counts", "--count", "2")
-    assert code == 0 and out.strip() == "20 480"
-    code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
-    assert code == 0 and out.startswith("family=modular3 m=2 p=7 alpha=1 d=1\n")
-
-
-def test_env_config_ignores_keys_it_does_not_read(capsys, tmp_path, monkeypatch):
-    # six keys are read (family, m, seed, format, length, window); horizon is
-    # not one, so a horizon too short for the window check changes nothing
-    argv = ("period", "--p", "7", "--alpha", "2")
-    plain = run(capsys, *argv)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 40}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    assert run(capsys, *argv) == plain
-    assert plain[0] == 0
-
-
-def test_env_config_null_keeps_the_built_in_default(capsys, tmp_path, monkeypatch):
-    argv = ("reduce", "--family", "modular3", "--p", "7", "--alpha", "1")
-    plain = run(capsys, *argv)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": None}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    assert run(capsys, *argv) == plain
-
-
-def test_env_config_choice_of_another_subcommand_is_kept(capsys, tmp_path, monkeypatch):
-    # latex is a choice of reduce, so the same config serves it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "latex", "family": "modular3"}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    code, out, _ = run(capsys, "reduce", "--p", "7", "--alpha", "1")
-    assert code == 0 and r"\frac{1}{1+2z}" in out
-    # and an explicit flag wins over it where it is not a choice
-    code, out, _ = run(capsys, "counts", "--count", "2", "--format", "json")
-    assert code == 0 and json.loads(out)["values"] == [5, 60]
-
-
 def test_pfrac_rejects_latex_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pfrac", "--p", "7", "--alpha", "5", "--format", "latex"])
@@ -458,59 +391,25 @@ def test_reproduce_has_no_tier_exit2(capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize(
-    "content",
-    [None, '{"format": "json",', '["format", "json"]'],
-    ids=["missing-file", "malformed-json", "not-an-object"],
-)
-def test_env_config_error_exit2(capsys, tmp_path, monkeypatch, content):
-    cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    with pytest.raises(SystemExit) as exc:
-        main(["counts", "--count", "2"])
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert out.err.startswith("invalid configuration: FREESUB_CONFIG") and out.err.count("\n") == 1
-
-
 @pytest.fixture
 def fresh_parser_cache():
-    freesub.cli._parser_for.cache_clear()
+    freesub.cli._parser.cache_clear()
     yield
-    freesub.cli._parser_for.cache_clear()
+    freesub.cli._parser.cache_clear()
 
 
-def test_main_builds_the_parser_once_per_configuration(capsys, monkeypatch, fresh_parser_cache):
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch, fresh_parser_cache):
     built = []
-    real = freesub.cli._new_parser
+    real = freesub.cli.build_parser
 
-    def spy(defaults):
-        built.append(defaults)
-        return real(defaults)
+    def spy():
+        built.append(1)
+        return real()
 
-    monkeypatch.setattr(freesub.cli, "_new_parser", spy)
-    monkeypatch.delenv("FREESUB_CONFIG", raising=False)
+    monkeypatch.setattr(freesub.cli, "build_parser", spy)
     for _ in range(3):
         assert run(capsys, "counts", "--family", "modular3", "--count", "2") == (0, "5 60\n", "")
-    assert built == [{}]
-
-
-def test_an_edited_config_file_takes_effect_in_the_same_process(capsys, tmp_path, monkeypatch):
-    # the file is read on every call, and the parser is keyed on its values
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "modular3", "m": 2}))
-    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
-    assert run(capsys, "counts", "--count", "2") == (0, "20 480\n", "")
-    cfg.write_text(json.dumps({"family": "modular3", "m": 5}))
-    assert run(capsys, "counts", "--count", "2") == (0, "125 7500\n", "")
-    # without the variable the built-in defaults are back: no family, m = 1
-    monkeypatch.delenv("FREESUB_CONFIG")
-    with pytest.raises(SystemExit) as exc:
-        main(["counts", "--count", "2"])
-    assert exc.value.code == 2 and "--family" in capsys.readouterr().err
-    assert run(capsys, "counts", "--family", "modular3", "--count", "2") == (0, "5 60\n", "")
+    assert built == [1]
 
 
 def test_a_changed_build_parser_result_does_not_reach_main(capsys):
@@ -530,7 +429,7 @@ def test_a_changed_build_parser_result_does_not_reach_main(capsys):
 def test_a_call_that_exits_2_leaves_the_next_call_unchanged(capsys, fresh_parser_cache, bad):
     argv = ("period", "--family", "modular3", "--p", "7", "--alpha", "2")
     first = run(capsys, *argv)
-    freesub.cli._parser_for.cache_clear()
+    freesub.cli._parser.cache_clear()
     with pytest.raises(SystemExit) as exc:
         main([*argv, *bad])
     assert exc.value.code == 2 and capsys.readouterr().out == ""

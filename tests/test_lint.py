@@ -60,6 +60,20 @@ def test_int_digit_limit_is_set_in_cli_only():
     assert [f for f in found if not f.startswith("cli.py:")] == []
 
 
+def test_no_module_reads_the_environment():
+    # options come from the command line only: an environment variable read
+    # anywhere in the package would be a second, unlisted way to set them
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names))
+    ]
+    assert found == []
+
+
 def _owners(tree) -> dict:
     """id(node) -> name of the innermost function around it (None at module
     level)."""
