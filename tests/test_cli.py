@@ -377,6 +377,68 @@ def test_determinism_byte_identical(capsys):
     assert a == b
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+REDUCE_7_1 = ("reduce", "--family", "modular3", "--p", "7", "--alpha", "1")
+
+
+@pytest.mark.parametrize(
+    "content,argv",
+    [
+        (None, ("counts", "--family", "modular3", "--count", "2")),
+        ('{"format": "json",', ("counts", "--family", "modular3", "--count", "2")),
+        ('["format", "json"]', ("counts", "--family", "modular3", "--count", "2")),
+        ({"format": "json", "family": "modular3"}, ("counts", "--count", "2")),
+        ({"format": "json", "m": 2}, ("counts", "--family", "modular3", "--count", "2")),
+        ({"format": "xml"}, ("counts", "--family", "modular3", "--count", "2")),
+        ({"format": "xml"}, ("period", "--family", "modular3", "--p", "7", "--alpha", "1")),
+        ({"format": "latex"}, REDUCE_7_1),
+        ({"seed": [1]}, REDUCE_7_1),
+        ({"m": 2.5}, REDUCE_7_1),
+        ({"m": True}, REDUCE_7_1),
+        ({"m": None, "length": None}, REDUCE_7_1),
+        ({"window": 1.5}, REDUCE_7_1),
+        ({"window": 2}, REDUCE_7_1),
+        ({"horizon": 40}, ("period", "--family", "modular3", "--p", "7", "--alpha", "2")),
+    ],
+    ids=[
+        "missing-file",
+        "malformed-json",
+        "not-an-object",
+        "family-not-given",
+        "json-and-m",
+        "xml-counts",
+        "xml-period",
+        "latex-reduce",
+        "list-seed",
+        "float-m",
+        "bool-m",
+        "null-values",
+        "float-window",
+        "window-too-small",
+        "unread-key",
+    ],
+)
+def test_a_set_freesub_config_has_no_effect(capsys, tmp_path, monkeypatch, content, argv):
+    # options come from the command line only: each of these files once set
+    # a default or was refused with exit 2, and now none of them is read
+    monkeypatch.delenv("FREESUB_CONFIG", raising=False)
+    plain = _outcome(capsys, argv)
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content if isinstance(content, str) else json.dumps(content))
+    monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
+    assert _outcome(capsys, argv) == plain
+    assert plain[0] == (2 if "--family" not in argv else 0)
+
+
 def test_pfrac_rejects_latex_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pfrac", "--p", "7", "--alpha", "5", "--format", "latex"])
