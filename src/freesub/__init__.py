@@ -10,10 +10,8 @@ concurrent tasks.
 from .exact import ModRingCtx, mod_reduce, pochhammer, vp_rational
 from .groups import (
     GroupFamily,
-    SubgroupSeries,
     congruence_classes,
     free_subgroup_numbers,
-    hecke4_invariants,
     params_for,
     stable_degree,
 )
@@ -34,7 +32,6 @@ from .reduce import (
     emit,
     expand_form,
     pade_route,
-    partial_fractions,
     rational_form,
     reduce_series,
 )

@@ -6,7 +6,9 @@ Exit codes: 1 `lemmas` found a failing instance, 2 invalid configuration
 forced, or a stable denominator that is not squarefree mod p), 4 numerator
 search window exhausted, 5 period horizon too short, 6 golden reproduction
 mismatch, 7 any other library error (a failed certification check, no Bezout
-identity, a broken integrality or an inconsistent Pade system).
+identity, a broken integrality or an inconsistent Pade system), 141 stdout
+closed before the output was written (a broken pipe, as under `| head`;
+128 + SIGPIPE).  `--seed` is accepted everywhere, and no result depends on it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import contextlib
 import difflib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -40,6 +43,7 @@ EXIT_DEGREE_BOUND = 4
 EXIT_HORIZON = 5
 EXIT_GOLDEN_MISMATCH = 6
 EXIT_LIBRARY_ERROR = 7
+EXIT_BROKEN_PIPE = 141
 
 
 def _family(args) -> GroupFamily:
@@ -64,7 +68,7 @@ def _unlimited_int_digits():
 
 
 def cmd_counts(args) -> int:
-    series = free_subgroup_numbers(_family(args), args.count)
+    values = free_subgroup_numbers(_family(args), args.count)
     with _unlimited_int_digits():
         if args.format == "json":
             print(
@@ -72,27 +76,30 @@ def cmd_counts(args) -> int:
                     {
                         "family": args.family,
                         "m": args.m,
-                        "values": list(series.values),
+                        "values": list(values),
                     }
                 )
             )
         else:
-            print(" ".join(str(v) for v in series.values))
+            print(" ".join(str(v) for v in values))
     return 0
 
 
 def cmd_pade(args) -> int:
     if args.family is not None:
-        given = [f"--{name}" for name in "ABCDE" if getattr(args, name) is not None]
+        given = [f"--{name}" for name in "ABCD" if getattr(args, name) is not None]
         if given:
             print(f"pade takes either --family or {' '.join(given)}, not both", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        params = params_for(_family(args))
+        params = params_for(GroupFamily(args.family, args.m or 1))  # --m is None unless given
     else:
         if None in (args.A, args.B, args.C, args.D):
             print("pade needs either --family or all of --A --B --C --D", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        params = RiccatiParams.of(args.A, args.B, args.C, args.D, args.E)
+        if args.m is not None:
+            print("pade takes --m only with --family, not with --A --B --C --D", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+        params = RiccatiParams(args.A, args.B, args.C, args.D)
     pair, route = build_pade(params, args.n, allow_fallback=not args.closed_form_only)
     # every line is rendered before the first is printed, so a failure
     # leaves stdout empty rather than holding part of the answer
@@ -117,7 +124,7 @@ def cmd_pade(args) -> int:
 
 
 def _reduce_config(args) -> ReduceConfig:
-    return ReduceConfig(length=args.length, window=args.window, seed=args.seed)
+    return ReduceConfig(length=args.length, window=args.window)
 
 
 def _form_for(args):
@@ -200,7 +207,7 @@ def cmd_reproduce(args) -> int:
     name = args.name
     if name in _PRESETS:
         kind, m, p, alpha, golden_file = _PRESETS[name]
-        form = rational_form(GroupFamily(kind, m), ModRingCtx(p, alpha), ReduceConfig(seed=args.seed))
+        form = rational_form(GroupFamily(kind, m), ModRingCtx(p, alpha))
         actual = emit(form, "latex")
     elif name == "periods-17":
         golden_file = "periods_17.txt"
@@ -243,6 +250,10 @@ def _rational(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational value {s!r}") from None
 
 
+def _seed(p) -> None:
+    p.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no result depends on it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser, for the caller to change; `main` parses with `_parser()`."""
     top = argparse.ArgumentParser(prog="freesub", description=__doc__)
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=family_required,
         )
         p.add_argument("--m", type=_at_least(1), default=1)
-        p.add_argument("--seed", type=int, default=0)
+        _seed(p)
 
     c = sub.add_parser("counts", help="exact subgroup counts f_1..f_L")
     common(c)
@@ -266,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("pade", help="order-n approximant pair")
     c.add_argument("--family", choices=["modular3", "hecke4"], default=None)
-    c.add_argument("--m", type=_at_least(1), default=1)
+    c.add_argument("--m", type=_at_least(1))
     c.add_argument("--n", type=_at_least(0), required=True)
-    for name in "ABCDE":
-        c.add_argument(f"--{name}", type=_rational, default=None)
+    for name in "ABCD":
+        c.add_argument(f"--{name}", type=_rational)
     c.add_argument("--verify", action="store_true")
     c.add_argument("--closed-form-only", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
+    _seed(c)
     c.set_defaults(func=cmd_pade)
 
     for name, fn, formats, help_ in (
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("reproduce", help="regenerate a classical display and diff it")
     c.add_argument("name")
-    c.add_argument("--seed", type=int, default=0)
+    _seed(c)
     c.set_defaults(func=cmd_reproduce)
     return top
 
@@ -320,7 +331,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`); what stdout still buffers goes to
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DegreeBoundExceeded as exc:
         print(f"degree bound exceeded: {exc}", file=sys.stderr)
         return EXIT_DEGREE_BOUND

@@ -6,16 +6,15 @@ the inhomogeneous modular group, index 6m*lambda) and C_2m *_Cm C_4m (lifts
 of the q=4 Hecke group, index 4m*lambda) both have counting generating
 functions solving the quadratic ODE handled in `riccati`, with
 
-    modular3:  A = 6m-2, B = 6m, C = 1, D = 1-6m+5m^2, E = 4m
-    hecke4:    A = 4m-2, B = 4m, C = 1, D = 1-4m+3m^2, E = 2m
+    modular3:  A = 6m-2, B = 6m, C = 1, D = 1-6m+5m^2, so E = 4m
+    hecke4:    A = 4m-2, B = 4m, C = 1, D = 1-4m+3m^2, so E = 2m
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import UnsupportedPrime, certify
+from .errors import UnsupportedPrime
 from .exact import is_prime
 from .riccati import RiccatiParams, riccati_series
 
@@ -36,29 +35,11 @@ class GroupFamily:
             raise ValueError("m must be >= 1")
 
 
-@dataclass(frozen=True)
-class SubgroupSeries:
-    """Exact counts f_1..f_L; the implicit value at index 0 is 1."""
-
-    family: GroupFamily
-    values: tuple
-
-
-@dataclass(frozen=True)
-class Hecke4Invariants:
-    m_gamma: int
-    chi: Fraction
-    mu: int
-    a0: int
-    a1: int
-    a2: int
-
-
 def params_for(family: GroupFamily) -> RiccatiParams:
     m = family.m
     if family.kind == MODULAR3:
-        return RiccatiParams.of(6 * m - 2, 6 * m, 1, 1 - 6 * m + 5 * m * m, 4 * m)
-    return RiccatiParams.of(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m, 2 * m)
+        return RiccatiParams(6 * m - 2, 6 * m, 1, 1 - 6 * m + 5 * m * m)
+    return RiccatiParams(4 * m - 2, 4 * m, 1, 1 - 4 * m + 3 * m * m)
 
 
 def stable_degree(family: GroupFamily, p: int) -> int:
@@ -83,22 +64,12 @@ def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
     return d, p - 1 - d
 
 
-def free_subgroup_numbers(family: GroupFamily, length: int) -> SubgroupSeries:
-    """f_1..f_length, exact.  The family parameters are integers, so the
-    series engine runs with scale 1 and every coefficient is an int; A, B
-    and C are positive and D = (1-m)(1-5m) or (1-m)(1-3m) is >= 0, so the
-    recurrence adds no negative term."""
+def free_subgroup_numbers(family: GroupFamily, length: int) -> tuple:
+    """f_1..f_length, exact, as a tuple; the implicit f_0 is 1.  The family
+    parameters are integers, so the series engine runs with scale 1 and
+    every coefficient is an int; A, B and C are positive and D = (1-m)(1-5m)
+    or (1-m)(1-3m) is >= 0, so the recurrence adds no negative term."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return SubgroupSeries(family, riccati_series(params_for(family), length + 1).coeffs[1:])
+    return riccati_series(params_for(family), length + 1).coeffs[1:]
 
-
-def hecke4_invariants(m: int) -> Hecke4Invariants:
-    """Structural invariants of the m-th lift of the q=4 Hecke group."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    m_gamma = 4 * m
-    chi = Fraction(1, 2 * m) + Fraction(1, 4 * m) - Fraction(1, m)
-    mu = 1 - m_gamma * chi
-    certify(chi == Fraction(-1, 4 * m) and mu == 2, "chi = -1/(4m) and mu = 2")
-    return Hecke4Invariants(m_gamma, chi, int(mu), 3 * m * m, 32 * m * m, 16 * m * m)

@@ -75,7 +75,6 @@ class ReduceConfig:
 
     length: int | None = None
     window: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("length", "window"):
@@ -108,12 +107,13 @@ def _balanced(v: int, p: int) -> int:
     return v if v <= p // 2 else v - p
 
 
-def _display_factors(q_base: Poly, p: int, seed: int) -> tuple[list[Poly], Factorization]:
+def _display_factors(q_base: Poly, p: int) -> tuple[list[Poly], Factorization]:
     """Irreducible factors of q_base mod p as small integer polynomials with
     constant term 1 and balanced coefficients, by degree, then by
-    coefficients mod p."""
+    coefficients mod p.  The monic factors mod p are unique, so the seed of
+    the random split in `factor_mod_p` cannot change them."""
     fp = ModRingCtx(p, 1)
-    fact = factor_mod_p(q_base.map_ring(fp), seed=seed)
+    fact = factor_mod_p(q_base.map_ring(fp))
     out = []
     for g, mult in fact.factors:
         if mult != 1:
@@ -132,7 +132,7 @@ def rational_form(
     p, alpha = ctx.p, ctx.alpha
     d, q_base = denominator_base(family, p)
     # with d = 0 there are no factors: D = 1 and the form is a polynomial
-    gs, mod_p_factors = _display_factors(q_base, p, config.seed)
+    gs, mod_p_factors = _display_factors(q_base, p)
     den_mod = prod(gs, start=Poly.one()).map_ring(ctx)
     # the lifting kernel must reproduce these factors exactly (they are an
     # exact coprime factorization of den already); run it as a cross-check
@@ -246,18 +246,6 @@ def _partial_fractions_over(
     return out
 
 
-def partial_fractions(
-    numerator: Poly, q_base: Poly, ctx: ModRingCtx, alpha: int, seed: int = 0
-) -> list[FractionTerm]:
-    """Partial fractions of numerator/(D^alpha) where D is the product of
-    the balanced constant-term-1 factors of q_base mod p."""
-    gs, _ = _display_factors(q_base, ctx.p, seed)
-    den_alpha = prod(gs, start=Poly.one()).map_ring(ctx) ** alpha
-    if numerator.degree >= den_alpha.degree:
-        raise ValueError("numerator must be a proper fraction numerator")
-    return _partial_fractions_over(numerator, gs, den_alpha, ctx, alpha)
-
-
 def expand_form(form: RationalFormModPA, length: int) -> Series:
     """Series expansion of poly_part + sum residue/factor^s to `length`
     terms: the fractions join into one N/D^alpha, and the expansion is one
@@ -346,22 +334,6 @@ def to_json_dict(form: RationalFormModPA) -> dict:
             for t in form.fractions
         ],
     }
-
-
-def from_json_dict(data: dict) -> RationalFormModPA:
-    ctx = ModRingCtx(data["p"], data["alpha"])
-    family = GroupFamily(data["family"], data["m"])
-    return RationalFormModPA(
-        ctx,
-        family,
-        data["d"],
-        Poly(data["q_base"]),
-        Poly(data["poly_part"], ctx),
-        tuple(
-            FractionTerm(Poly(t["factor"]), t["exponent"], Poly(t["residue"], ctx))
-            for t in data["fractions"]
-        ),
-    )
 
 
 def _poly_str(p: Poly, var: str = "z") -> str:

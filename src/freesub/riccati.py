@@ -23,7 +23,7 @@ that `residual_factors` yields.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb, isqrt, lcm, prod
@@ -53,42 +53,29 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class RiccatiParams:
-    """The four ODE constants plus the square root E of the discriminant
-    A^2 - 4CD.  Either sign of E describes the same instance; every public
-    result is invariant under E -> -E.  E may be None when the discriminant
-    is not a rational square, in which case only the linear-algebra route
-    is available.
+    """The four ODE constants, B nonzero.  E, the square root of the
+    discriminant A^2 - 4CD, is derived from them and never given: the
+    nonnegative rational root, or None when the discriminant is not a
+    rational square, in which case only the linear-algebra route is
+    available.  The closed forms are even in E, so the one root serves.
     """
 
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
-    e: Fraction | None = None
+    e: Fraction | None = field(init=False)
 
     def __post_init__(self):
         for name in "abcd":
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.b == 0:
             raise ValueError("B must be nonzero")
-        if self.e is not None:
-            object.__setattr__(self, "e", Fraction(self.e))
-            if self.e * self.e != self.a * self.a - 4 * self.c * self.d:
-                raise ValueError("E^2 must equal A^2 - 4CD")
-
-    @classmethod
-    def of(cls, a, b, c, d, e=None) -> "RiccatiParams":
-        """Build params; when e is omitted it is derived from the
-        discriminant if that is a perfect rational square."""
-        if e is None:
-            e = _rational_sqrt(Fraction(a) * a - 4 * Fraction(c) * d)
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d), e)
+        object.__setattr__(self, "e", _rational_sqrt(self.a * self.a - 4 * self.c * self.d))
 
     def is_integral(self) -> bool:
-        vals = [self.a, self.b, self.c, self.d]
-        if self.e is not None:
-            vals.append(self.e)
-        return all(v.denominator == 1 for v in vals)
+        # a rational root of an integer is an integer, so E follows A..D
+        return all(v.denominator == 1 for v in (self.a, self.b, self.c, self.d))
 
 
 @dataclass(frozen=True)

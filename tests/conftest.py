@@ -30,9 +30,9 @@ def _divisors_signed(n: int) -> list[int]:
 
 
 def random_integer_params(rng: random.Random, n_max: int) -> RiccatiParams:
-    """Random integer tuple with E^2 = A^2 - 4CD and the closed-form
-    preconditions at orders up to n_max: B, C, E nonzero and E/B not an
-    integer of magnitude <= n_max."""
+    """Random integer tuple with A^2 - 4CD = e^2 and the closed-form
+    preconditions at orders up to n_max: B, C, e nonzero and e/B not an
+    integer of magnitude <= n_max.  The params derive E = |e|."""
     while True:
         e = rng.randint(-9, 9)
         a = e + 2 * rng.randint(-6, 6)
@@ -49,7 +49,7 @@ def random_integer_params(rng: random.Random, n_max: int) -> RiccatiParams:
         # reject integer E/B with |E/B| <= n_max
         if e % b == 0 and abs(e // b) <= n_max:
             continue
-        params = RiccatiParams.of(a, b, c, d, e)
+        params = RiccatiParams(a, b, c, d)
         # a vanishing residual factor makes the approximant exact and its
         # polynomial representation non-unique; exclude those tuples
         if residual_constant(params, n_max) == 0:

@@ -111,9 +111,7 @@ def test_criterion_4_integrality_homogeneity():
             pair = pade_pair(params, n)
             assert all(c.denominator == 1 for c in pair.p.coeffs + pair.q.coeffs)
         for t in (2, 3):
-            scaled = RiccatiParams.of(
-                t * params.a, t * params.b, t * params.c, t * params.d, t * params.e
-            )
+            scaled = RiccatiParams(t * params.a, t * params.b, t * params.c, t * params.d)
             for n in (3, 6):
                 for k in range(n + 1):
                     assert pade_coeff_p(scaled, n, k) == t**k * pade_coeff_p(params, n, k)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -65,7 +65,7 @@ def test_counts_bad_config_exit2(capsys):
 def test_counts_print_past_the_int_digit_limit(capsys, monkeypatch, fmt):
     # 5001 digits, past CPython's default limit of 4300 for int -> str
     big = 10**5000 + 7
-    monkeypatch.setattr(freesub.cli, "free_subgroup_numbers", lambda family, count: SimpleNamespace(values=(5, big)))
+    monkeypatch.setattr(freesub.cli, "free_subgroup_numbers", lambda family, count: (5, big))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -111,17 +111,38 @@ def test_pade_family_shortcut(capsys):
 
 @pytest.mark.parametrize(
     "coefficients,named",
-    [
-        (("--A", "1", "--B", "1", "--C", "1", "--D", "1"), "--A --B --C --D"),
-        (("--E=-1/2",), "--E"),
-    ],
-    ids=["A-to-D", "E-only"],
+    [(("--A", "1", "--B", "1", "--C", "1", "--D", "1"), "--A --B --C --D")],
+    ids=["A-to-D"],
 )
 def test_pade_family_with_coefficients_exit2(capsys, coefficients, named):
-    # --family sets all five coefficients, so a given one would be ignored
+    # --family sets all four coefficients, so a given one would be ignored
     code, out, err = run(capsys, "pade", "--family", "modular3", *coefficients, "--n", "2")
     assert code == 2 and out == ""
     assert err == f"pade takes either --family or {named}, not both\n"
+
+
+def test_pade_m_without_family_exit2(capsys):
+    # --m picks the lift of a family; given coefficients have no m to apply it to
+    code, out, err = run(capsys, "pade", "--A", "1", "--B", "1", "--C", "1", "--D", "0", "--n", "2", "--m", "5")
+    assert (code, out, err) == (2, "", "pade takes --m only with --family, not with --A --B --C --D\n")
+
+
+def test_pade_m_with_family_defaults_to_1(capsys):
+    one = run(capsys, "pade", "--family", "hecke4", "--n", "3")
+    assert one[0] == 0 and run(capsys, "pade", "--family", "hecke4", "--m", "1", "--n", "3") == one
+    # hecke4 at m = 2 is A = 6, B = 8, C = 1, D = 5
+    two = run(capsys, "pade", "--family", "hecke4", "--m", "2", "--n", "3")
+    assert two != one
+    assert run(capsys, "pade", "--A", "6", "--B", "8", "--C", "1", "--D", "5", "--n", "3") == two
+
+
+def test_pade_e_is_an_unknown_option_exit2(capsys):
+    # E is derived from A..D, so it is not an input
+    with pytest.raises(SystemExit) as exc:
+        main(["pade", "--A", "4", "--B", "6", "--C", "1", "--D", "0", "--E", "4", "--n", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --E 4" in out.err
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
@@ -437,6 +458,74 @@ def test_a_set_freesub_config_has_no_effect(capsys, tmp_path, monkeypatch, conte
     monkeypatch.setenv("FREESUB_CONFIG", str(cfg))
     assert _outcome(capsys, argv) == plain
     assert plain[0] == (2 if "--family" not in argv else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "counts --family modular3 --count 5",
+        "pade --family hecke4 --n 3 --verify",
+        # Q_2 splits into two linear factors mod 13, the case the random
+        # equal-degree split of factor_mod_p decides
+        "reduce --family modular3 --p 13 --alpha 2 --format json",
+        "pfrac --family hecke4 --p 13 --alpha 2",
+        "period --family modular3 --p 7 --alpha 2",
+        "lemmas --family modular3 --p 7 --n-max 20",
+        "reproduce free7^5",
+    ],
+    ids=["counts", "pade", "reduce", "pfrac", "period", "lemmas", "reproduce"],
+)
+def test_seed_changes_nothing(capsys, argv):
+    outcomes = [_outcome(capsys, [*argv.split(), "--seed", str(seed)]) for seed in (0, 1, 2**31)]
+    assert outcomes[0][0] == 0 and outcomes[0][1] != ""
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def _option_strings(parser) -> dict:
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {"": sorted(s for a in parser._actions for s in a.option_strings)}
+    for name, sub in subparsers.choices.items():
+        surface[name] = sorted(s for a in sub._actions for s in a.option_strings)
+    return surface
+
+
+def test_option_surface_is_pinned():
+    # every option each subcommand takes: adding or removing one changes the
+    # interface, so it edits this list and is declared with the change
+    common = ["--family", "--m", "--seed", "-h", "--help"]
+    form = [*common, "--p", "--alpha", "--length", "--window", "--format"]
+    expected = {
+        "": ["-h", "--help"],
+        "counts": [*common, "--count", "--format"],
+        "pade": [
+            "--family", "--m", "--n", "--A", "--B", "--C", "--D",
+            "--verify", "--closed-form-only", "--seed", "-h", "--help",
+        ],
+        "reduce": form,
+        "pfrac": form,
+        "period": [*form, "--horizon"],
+        "lemmas": [*common, "--p", "--n-max"],
+        "reproduce": ["--seed", "-h", "--help"],
+    }
+    assert _option_strings(freesub.cli.build_parser()) == {k: sorted(v) for k, v in expected.items()}
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes ten bytes of about 1 MB and closes the pipe, as
+    # `| head -c 10` does; the rest of the output has nowhere to go
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freesub.cli", "counts", "--family", "modular3", "--count", "800"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_checkout_env(),
+    )
+    with proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert head == b"5 60 1105 "
+    assert "Traceback" not in err.decode() and err == b""
+    assert proc.returncode == freesub.cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_pfrac_rejects_latex_exit2(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from math import prod
 
 import jsonschema
 import pytest
@@ -16,9 +17,7 @@ from freesub.reduce import (
     denominator_base,
     emit,
     expand_form,
-    from_json_dict,
     pade_route,
-    partial_fractions,
     rational_form,
     reduce_series,
     to_json_dict,
@@ -240,13 +239,21 @@ def test_a_corrupted_poly_part_fails_certification(monkeypatch, improper):
         rational_form(M1, ModRingCtx(7, 2))
 
 
+def _fractions_over_display_factors(num: Poly, ctx: ModRingCtx):
+    # the split that `rational_form` makes of its proper part, for any
+    # numerator below deg D^alpha
+    _, q_base = denominator_base(M1, ctx.p)
+    gs, _ = freesub.reduce._display_factors(q_base, ctx.p)
+    den_alpha = prod(gs, start=Poly.one()).map_ring(ctx) ** ctx.alpha
+    return freesub.reduce._partial_fractions_over(num, gs, den_alpha, ctx, ctx.alpha)
+
+
 def test_partial_fraction_roundtrip():
     rng = random.Random(4)
     ctx = ModRingCtx(13, 3)
-    _, q_base = denominator_base(M1, 13)
     for _ in range(10):
         num = Poly([rng.randrange(ctx.modulus) for _ in range(6)], ctx)
-        terms = partial_fractions(num, q_base, ctx, 3)
+        terms = _fractions_over_display_factors(num, ctx)
         # recombine over the common denominator
         gs = {}
         for t in terms:
@@ -264,20 +271,9 @@ def test_partial_fraction_roundtrip():
 
 def test_partial_fraction_linear_alpha1():
     ctx = ModRingCtx(7, 1)
-    _, q_base = denominator_base(M1, 7)
-    terms = partial_fractions(Poly([3], ctx), q_base, ctx, 1)
+    terms = _fractions_over_display_factors(Poly([3], ctx), ctx)
     assert len(terms) == 1 and terms[0].exponent == 1
     assert terms[0].residue == Poly([3], ctx)
-
-
-def test_partial_fractions_need_a_proper_numerator():
-    # Q_2 splits into two linear factors mod 13, so deg D^2 = 4 bounds the
-    # numerator: one term per factor and exponent up to degree 3
-    ctx = ModRingCtx(13, 2)
-    _, q_base = denominator_base(M1, 13)
-    assert len(partial_fractions(Poly([1, 2, 3, 4], ctx), q_base, ctx, 2)) == 4
-    with pytest.raises(ValueError, match="proper"):
-        partial_fractions(Poly([1, 2, 3, 4, 5], ctx), q_base, ctx, 2)
 
 
 def test_degree_bound_exceeded():
@@ -394,13 +390,19 @@ def test_latex_omits_zero_residues():
     assert r"\frac{314171}{(1-2z)^5}" in latex
 
 
-def test_json_roundtrip_and_schema():
+def test_json_fields_and_schema():
     for family, p, alpha in ((M1, 13, 2), (H1, 13, 2), (M1, 5, 2)):
         form = rational_form(family, ModRingCtx(p, alpha))
-        data = to_json_dict(form)
+        data = json.loads(json.dumps(to_json_dict(form)))
         jsonschema.validate(data, JSON_SCHEMA)
-        again = from_json_dict(json.loads(json.dumps(data)))
-        assert again == form
+        head = (data["family"], data["m"], data["p"], data["alpha"], data["d"])
+        assert head == (family.kind, family.m, p, alpha, form.d)
+        assert data["q_base"] == list(form.q_base.coeffs)
+        assert data["poly_part"] == list(form.poly_part.coeffs)
+        assert data["fractions"] == [
+            {"factor": list(t.factor.coeffs), "exponent": t.exponent, "residue": list(t.residue.coeffs)}
+            for t in form.fractions
+        ]
 
 
 def test_denominator_stability():

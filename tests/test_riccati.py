@@ -106,7 +106,7 @@ def p3(n, a, b, c, d):
     )
 
 
-MODULAR_M1 = RiccatiParams.of(4, 6, 1, 0, 4)
+MODULAR_M1 = RiccatiParams(4, 6, 1, 0)
 
 
 def test_series_examples():
@@ -126,10 +126,10 @@ def test_series_examples():
             lhs -= 1
         assert lhs == 0
 
-    zero = RiccatiParams.of(0, 1, 0, 0, 0)
+    zero = RiccatiParams(0, 1, 0, 0)
     assert riccati_series(zero, 3).coeffs == (1, 0, 0)
 
-    hecke = RiccatiParams.of(2, 4, 1, 0, 2)
+    hecke = RiccatiParams(2, 4, 1, 0)
     assert riccati_series(hecke, 3).coeffs == (1, 3, 24)
 
 
@@ -225,7 +225,7 @@ def test_zero_residual_pairs_agree_as_rational_functions(rng):
         b = rng.choice([x for x in range(-5, 6) if x])
         if e % b == 0 and abs(e // b) <= 3:
             continue
-        params = RiccatiParams.of(a, b, c, d, e)
+        params = RiccatiParams(a, b, c, d)
         if residual_constant(params, 3) != 0:
             continue
         found += 1
@@ -235,7 +235,7 @@ def test_zero_residual_pairs_agree_as_rational_functions(rng):
 
 
 def test_degenerate_fallback():
-    params = RiccatiParams.of(0, 1, 0, 0)  # C = 0
+    params = RiccatiParams(0, 1, 0, 0)  # C = 0
     with pytest.raises(DegenerateParameters):
         pade_pair(params, 2)
     pair, route = build_pade(params, 2)
@@ -272,7 +272,7 @@ def test_gosper_degenerate_exactly_where_the_closed_form_is():
         for b in (1, 2, -3):
             for c in (0, 1, 2):
                 for d in (-2, 0, 1, 2):
-                    params = RiccatiParams.of(a, b, c, d)
+                    params = RiccatiParams(a, b, c, d)
                     for n in range(1, 5):
                         degenerate = _raises_degenerate(pade_pair, params, n)
                         assert _raises_degenerate(verify_gosper, params, n) == degenerate
@@ -303,9 +303,7 @@ def test_homogeneity_scaling(rng):
     for _ in range(6):
         params = random_integer_params(rng, 6)
         for t in (2, 3):
-            scaled = RiccatiParams.of(
-                t * params.a, t * params.b, t * params.c, t * params.d, t * params.e
-            )
+            scaled = RiccatiParams(t * params.a, t * params.b, t * params.c, t * params.d)
             for n in (2, 6):
                 for k in range(n + 1):
                     assert pade_coeff_q(scaled, n, k) == t**k * pade_coeff_q(params, n, k)
@@ -315,25 +313,11 @@ def test_homogeneity_scaling(rng):
 def test_b_scaling(rng):
     for _ in range(6):
         params = random_integer_params(rng, 4)
-        unit_b = RiccatiParams.of(
-            params.a / params.b,
-            Fraction(1),
-            params.c / params.b,
-            params.d / params.b,
-            params.e / params.b,
-        )
+        unit_b = RiccatiParams(params.a / params.b, 1, params.c / params.b, params.d / params.b)
         for n in (2, 4):
             for k in range(n + 1):
                 assert pade_coeff_q(params, n, k) == params.b**k * pade_coeff_q(unit_b, n, k)
                 assert pade_coeff_p(params, n, k) == params.b**k * pade_coeff_p(unit_b, n, k)
-
-
-def test_sign_of_e_is_irrelevant(rng):
-    for _ in range(8):
-        params = random_integer_params(rng, 5)
-        flipped = RiccatiParams.of(params.a, params.b, params.c, params.d, -params.e)
-        for n in (1, 5):
-            assert pade_pair(params, n) == pade_pair(flipped, n)
 
 
 def test_approximation_order(rng):
@@ -410,7 +394,7 @@ def _random_rational_params(rng):
     while True:
         a, b, c, e = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4))
         if b and c and e:
-            params = RiccatiParams.of(a, b, c, (a * a - e * e) / (4 * c), e)
+            params = RiccatiParams(a, b, c, (a * a - e * e) / (4 * c))
             if not params.is_integral():
                 return params
 
@@ -449,7 +433,7 @@ def test_pade_pair_takes_one_pass_per_coefficient(rng, monkeypatch):
         return one_pass(constants, kp)
 
     monkeypatch.setattr(freesub.riccati, "_coeff_sums", spy)
-    halves = RiccatiParams.of(Fraction(1, 2), 1, 1, 0, Fraction(1, 2))
+    halves = RiccatiParams(Fraction(1, 2), 1, 1, 0)
     for params in [random_integer_params(rng, 12) for _ in range(6)] + [halves]:
         for n in range(13):
             calls.clear()
@@ -508,11 +492,23 @@ def test_integer_sums_match_reference_stable_degrees(kind, d):
     _assert_matches_reference(params_for(GroupFamily(kind, 1)), d)
 
 
+def test_e_is_derived_from_the_discriminant():
+    assert RiccatiParams(4, 6, 1, 0).e == 4
+    assert RiccatiParams(-3, 1, 0, 0).e == 3  # the nonnegative root
+    assert RiccatiParams(Fraction(1, 2), 1, 1, 0).e == Fraction(1, 2)
+    assert RiccatiParams(Fraction(5, 3), 1, 1, Fraction(4, 9)).e == 1
+    assert RiccatiParams(2, 1, 1, 1).e == 0
+    assert RiccatiParams(1, 1, 1, 1).e is None  # discriminant -3
+    assert RiccatiParams(3, 1, 1, 1).e is None  # 5 is not a rational square
+    with pytest.raises(TypeError):
+        RiccatiParams(4, 6, 1, 0, 4)
+
+
 def test_closed_form_errors_are_kept():
-    no_e = RiccatiParams.of(1, 1, 1, 1)  # discriminant -3 has no rational root
-    zero_e = RiccatiParams.of(2, 1, 1, 1, 0)
-    no_c = RiccatiParams.of(3, 1, 0, 5, 3)
-    collide = RiccatiParams.of(4, 2, 1, 3, 2)  # E/B = 1
+    no_e = RiccatiParams(1, 1, 1, 1)  # discriminant -3 has no rational root
+    zero_e = RiccatiParams(2, 1, 1, 1)
+    no_c = RiccatiParams(3, 1, 0, 5)
+    collide = RiccatiParams(4, 2, 1, 3)  # E/B = 1
     for params in (no_e, zero_e):
         with pytest.raises(DegenerateParameters):
             pade_coeff_q(params, 2, 1)
@@ -535,5 +531,5 @@ def test_integrality_check_is_kept(monkeypatch):
         pade_coeff_q(MODULAR_M1, 2, 1)
     with pytest.raises(IntegralityViolation):
         pade_coeff_p(MODULAR_M1, 2, 1)
-    halves = RiccatiParams.of(Fraction(1, 2), 1, 1, 0, Fraction(1, 2))
+    halves = RiccatiParams(Fraction(1, 2), 1, 1, 0)
     assert pade_coeff_q(halves, 2, 1) == Fraction(1, 7)

@@ -124,7 +124,7 @@ def test_exact_int_families(kind, m):
 
 
 def test_fraction_params():
-    params = RiccatiParams.of(Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(2, 9))
+    params = RiccatiParams(Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(2, 9))
     for n in (1, 2, 9, 10, 17, 40):
         got = riccati_series(params, n).coeffs
         assert _typed(got) == _typed(reference_series(params, n))
@@ -197,7 +197,7 @@ def _random_fraction_params(rng: random.Random) -> RiccatiParams:
     while True:
         vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
         if vals[1] and any(v.denominator > 1 for v in vals):
-            return RiccatiParams.of(*vals)
+            return RiccatiParams(*vals)
 
 
 def _random_scaled_params(rng: random.Random, with_c: bool) -> RiccatiParams:
@@ -208,7 +208,7 @@ def _random_scaled_params(rng: random.Random, with_c: bool) -> RiccatiParams:
         if not with_c:
             vals[2] = Fraction(0)
         if vals[1] and (vals[2] or not with_c) and any(v.denominator > 1 for v in vals):
-            return RiccatiParams.of(*vals)
+            return RiccatiParams(*vals)
 
 
 @pytest.mark.parametrize("with_c", [True, False])
