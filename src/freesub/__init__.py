@@ -24,10 +24,9 @@ from .poly import (
     hensel_lift,
     series_div,
 )
-from .periods import PeriodReport, analyze, detect_period, order_bound, predicted_period
+from .periods import analyze, detect_period, order_bound, predicted_period
 from .reduce import (
     RationalFormModPA,
-    ReduceConfig,
     denominator_base,
     emit,
     expand_form,

@@ -33,7 +33,7 @@ from .errors import (
 from .exact import ModRingCtx
 from .groups import GroupFamily, congruence_classes, free_subgroup_numbers, params_for
 from .periods import analyze, analysis_json_dict
-from .reduce import ReduceConfig, _latex_factor, _poly_str, emit, rational_form, to_json_dict
+from .reduce import _latex_factor, _poly_str, emit, rational_form, to_json_dict
 from .riccati import RiccatiParams, build_pade, verify_gosper, verify_identity
 from .valuations import lemma_divisibility
 
@@ -123,12 +123,9 @@ def cmd_pade(args) -> int:
     return 0
 
 
-def _reduce_config(args) -> ReduceConfig:
-    return ReduceConfig(length=args.length, window=args.window)
-
-
 def _form_for(args):
-    return rational_form(_family(args), ModRingCtx(args.p, args.alpha), _reduce_config(args))
+    ctx = ModRingCtx(args.p, args.alpha)
+    return rational_form(_family(args), ctx, length=args.length, window=args.window)
 
 
 def cmd_reduce(args) -> int:
@@ -148,7 +145,8 @@ def cmd_pfrac(args) -> int:
 
 
 def cmd_period(args) -> int:
-    res = analyze(_family(args), ModRingCtx(args.p, args.alpha), args.horizon, _reduce_config(args))
+    ctx = ModRingCtx(args.p, args.alpha)
+    res = analyze(_family(args), ctx, args.horizon, length=args.length, window=args.window)
     if args.format == "json":
         print(json.dumps(analysis_json_dict(res)))
     else:
@@ -156,9 +154,9 @@ def cmd_period(args) -> int:
         predicted = "n/a" if res.predicted is None else res.predicted
         bound = "n/a" if res.order_bound is None else res.order_bound
         print(
-            f"period={res.report.period} predicted={predicted} match={match} "
-            f"preperiod={res.report.preperiod} horizon={res.report.verified_horizon} "
-            f"order_bound={bound}" + ("" if res.report.minimal else " minimal=no")
+            f"period={res.period} predicted={predicted} match={match} "
+            f"preperiod={res.preperiod} horizon={res.verified_horizon} "
+            f"order_bound={bound}" + ("" if res.minimal else " minimal=no")
         )
     return 0
 
@@ -214,7 +212,7 @@ def cmd_reproduce(args) -> int:
         lines = []
         for alpha in (1, 2, 3):
             res = analyze(GroupFamily("modular3", 1), ModRingCtx(17, alpha))
-            lines.append(f"p=17 alpha={alpha} period={res.report.period}")
+            lines.append(f"p=17 alpha={alpha} period={res.period}")
         actual = "\n".join(lines)
     else:
         print(f"unknown preset {name!r}; choose from {sorted(_PRESETS) + ['periods-17']}", file=sys.stderr)

@@ -190,8 +190,11 @@ class ModRingCtx:
 def mod_reduce(q: Rational, ctx: ModRingCtx) -> int:
     """Image of a p-integral rational in Z/p^alpha, as a residue in [0, p^alpha).
 
-    Raises NonInvertibleDenominator when p divides the denominator.
+    Raises NonInvertibleDenominator when p divides the denominator, and
+    TypeError on anything but an int or a Fraction (a float included).
     """
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"{q!r} is not an int or a Fraction")
     q = Fraction(q)
     if q.denominator % ctx.p == 0:
         raise NonInvertibleDenominator(

@@ -21,7 +21,7 @@ from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx, factor
 from .groups import MODULAR3, GroupFamily
 from .poly import Poly, Series, _mulmod, _pow_mod
-from .reduce import RationalFormModPA, ReduceConfig, _recombine, expand_form, rational_form
+from .reduce import RationalFormModPA, expand_form, rational_form
 
 # safety margin: a period T is confirmed only if the window past the
 # preperiod spans at least MARGIN * T coefficients
@@ -32,27 +32,6 @@ _CHECK_MIN = 200
 
 # the window check runs only where its window fits in this many terms
 _WINDOW_LIMIT = 1 << 18
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    """A (preperiod, period) pair mod p^alpha.
-
-    From `detect_period`, `verified_horizon` is the length of the scanned
-    window.  From `analyze` it is the requested or default horizon, which
-    the certified form covers, as it does every other order; it is not a
-    count of scanned terms.  The window scan there reads at most
-    max(200, preperiod + 4T + 16) terms of it, and none where that passes
-    `_WINDOW_LIMIT`: `period --p 31 --alpha 1` reports 114516496 and scans
-    nothing.
-    """
-
-    ctx: ModRingCtx
-    preperiod: int
-    period: int
-    verified_horizon: int
-    certificate: int | None = None  # order bound the period must divide
-    minimal: bool = True  # False: the least period divides `period`
 
 
 # `_min_preperiod` compares the window with its shift in slices of this size;
@@ -76,7 +55,7 @@ def _min_preperiod(coeffs, T: int) -> int:
     return hi
 
 
-def detect_period(series: Series, certificate_bound: int | None = None) -> PeriodReport:
+def detect_period(series: Series, certificate_bound: int | None = None) -> tuple[int, int]:
     """Minimal (preperiod, period) of the window.  Candidates T run upward
     to a third of the window; with a certified bound only its divisors are
     tested, and the scan stays bounded by the window however large the
@@ -92,7 +71,7 @@ def detect_period(series: Series, certificate_bound: int | None = None) -> Perio
             continue
         mu = _min_preperiod(coeffs, T)
         if n - mu >= _MARGIN * T:
-            return PeriodReport(series.ring, mu, T, n, certificate_bound)
+            return mu, T
     raise HorizonTooShort(
         f"no period confirmed with margin {_MARGIN} in {n} terms"
     )
@@ -126,7 +105,7 @@ def order_bound(form: RationalFormModPA) -> int:
         raise ValueError("order bound needs at least one denominator factor")
     p, alpha = form.ctx.p, form.ctx.alpha
     bound = 1
-    for g in dict.fromkeys(t.factor for t in form.fractions):
+    for g in form.factors:
         e = 0  # ceil(log_p(alpha * d'))
         while p**e < alpha * g.degree:
             e += 1
@@ -153,7 +132,7 @@ def bound_factors(form: RationalFormModPA, bound: int) -> tuple[list[int], list[
     the far smaller Phi_e(p), e | d', before it is factored."""
     p = form.ctx.p
     primes, rest = {p} if bound % p == 0 else set(), set()
-    for k in {t.factor.degree for t in form.fractions}:
+    for k in {g.degree for g in form.factors}:
         for v in _cyclotomic_values(p, k):
             found, left = factor(v)
             primes |= found.keys()
@@ -233,10 +212,18 @@ def least_period(
 
 @dataclass(frozen=True)
 class PeriodAnalysis:
-    report: PeriodReport
+    """(preperiod, period) mod p^alpha of a certified form; `minimal` is
+    False where the least period only divides `period`.  `verified_horizon`
+    is the requested or default horizon, which the form covers as it does
+    every order; it is not a count of scanned terms."""
+
+    preperiod: int
+    period: int
+    verified_horizon: int
+    order_bound: int | None
+    minimal: bool
     predicted: int | None
     match: bool | None
-    order_bound: int | None
     form: RationalFormModPA
 
 
@@ -258,8 +245,7 @@ def _window_check(
         return
     # a period not proven least keeps a factor above 10^8, past the limit,
     # so the scan's least pair must be the same
-    report = detect_period(expand_form(form, min(horizon, needed)), bound)
-    found = (report.preperiod, report.period)
+    found = detect_period(expand_form(form, min(horizon, needed)), bound)
     certify(
         found == (preperiod, period),
         f"the window scan finds preperiod {preperiod} and period {period}, not {found}",
@@ -270,27 +256,26 @@ def analyze(
     family: GroupFamily,
     ctx: ModRingCtx,
     horizon: int | None = None,
-    config: ReduceConfig = ReduceConfig(),
+    *,
+    length: int | None = None,
+    window: int | None = None,
 ) -> PeriodAnalysis:
     """Full pipeline: rational form, order bound, the algebraic period and
     preperiod, the window check, and comparison against the predicted value.
 
     The period is the least T with D^alpha | N (z^T - 1), found by descent
     from the order bound (`least_period`); where the bound does not factor
-    completely it is a period that the least one divides (`minimal` False).  The horizon
-    defaults to the polynomial-part degree plus four times the predicted
-    period (or the order bound when no prediction exists); the certified
-    form covers it, and every other order.  The report's
-    `verified_horizon` is that requested or default horizon, not a count of
-    scanned terms: `_window_check` reads at most max(200, preperiod + 4T +
-    16) of them, and none where that passes `_WINDOW_LIMIT`.
+    completely it is a period that the least one divides (`minimal` False).
+    The horizon defaults to the polynomial-part degree plus four times the
+    predicted period (or the order bound when no prediction exists).
+    `length` and `window` go to `rational_form`.
     """
-    form = rational_form(family, ctx, config)
+    form = rational_form(family, ctx, length=length, window=window)
     predicted = predicted_period(family, ctx.p, ctx.alpha)
     if form.d >= 1:
         bound = order_bound(form)
-        num, den = _recombine(form.fractions, ctx)
-        period, minimal = least_period(num, den, bound, *bound_factors(form, bound))
+        primes, rest = bound_factors(form, bound)
+        period, minimal = least_period(form.proper, form.den_alpha, bound, primes, rest)
     else:  # no proper part: the series is a polynomial, eventually 0
         bound, period, minimal = None, 1, True
     # the proper part is purely periodic, so the series differs from its
@@ -299,9 +284,8 @@ def analyze(
     if horizon is None:
         horizon = form.poly_part.degree + 1 + (_MARGIN + 1) * (predicted or bound or 1) + 16
     _window_check(form, horizon, bound, preperiod, period)
-    report = PeriodReport(ctx, preperiod, period, horizon, bound, minimal)
     match = None if predicted is None else period == predicted
-    return PeriodAnalysis(report, predicted, match, bound, form)
+    return PeriodAnalysis(preperiod, period, horizon, bound, minimal, predicted, match, form)
 
 
 PERIOD_SCHEMA = {
@@ -332,18 +316,18 @@ PERIOD_SCHEMA = {
 
 
 def analysis_json_dict(a: PeriodAnalysis) -> dict:
-    """The report as JSON; "minimal": false appears only where the period
+    """The analysis as JSON; "minimal": false appears only where the period
     is not proven least."""
     out = {
-        "p": a.report.ctx.p,
-        "alpha": a.report.ctx.alpha,
-        "preperiod": a.report.preperiod,
-        "period": a.report.period,
-        "verified_horizon": a.report.verified_horizon,
+        "p": a.form.ctx.p,
+        "alpha": a.form.ctx.alpha,
+        "preperiod": a.preperiod,
+        "period": a.period,
+        "verified_horizon": a.verified_horizon,
         "order_bound": a.order_bound,
         "predicted": a.predicted,
         "match": a.match,
     }
-    if not a.report.minimal:
+    if not a.minimal:
         out["minimal"] = False
     return out

@@ -3,10 +3,11 @@
 A `Poly` is a coefficient tuple, constant term first, with no trailing zeros
 (the zero polynomial has an empty tuple).  The ring tag is either None for
 exact arithmetic (ints and Fractions mix freely) or a ModRingCtx, in which
-case coefficients are stored as canonical residues in [0, p^alpha).  Exact
-polynomials are built, added, multiplied, raised to powers, differentiated
-and evaluated, never divided: division with remainder, `monic`, series
-division and truncated series products run over Z/p^alpha only, and raise
+case coefficients are stored as canonical residues in [0, p^alpha) (a
+Fraction by `mod_reduce`, and a float raises TypeError).  Exact polynomials
+are built, added, multiplied, raised to powers, differentiated and
+evaluated, never divided: division with remainder, `monic`, series division
+and truncated series products run over Z/p^alpha only, and raise
 RingMismatch on an exact ring.
 
 Arithmetic over Z/p^alpha runs on one kernel.  `kronecker` packs a list of
@@ -56,7 +57,7 @@ from .errors import (
     NotCoprime,
     RingMismatch,
 )
-from .exact import ModRingCtx
+from .exact import ModRingCtx, mod_reduce
 
 Ring = ModRingCtx | None
 
@@ -330,8 +331,9 @@ class Poly:
 
     def __init__(self, coeffs, ring: Ring = None):
         if ring is not None:
+            # a plain int, the common case, is reduced without a call
             m = ring.modulus
-            cs = [int(c) % m for c in coeffs]
+            cs = [c % m if type(c) is int else mod_reduce(c, ring) for c in coeffs]
         else:
             cs = [Fraction(c) if isinstance(c, Fraction) else int(c) for c in coeffs]
         while cs and cs[-1] == 0:
@@ -453,10 +455,10 @@ class Poly:
         return acc
 
     def map_ring(self, ring: ModRingCtx) -> "Poly":
-        """Reduce an exact integer polynomial into Z/p^alpha."""
+        """Reduce an exact polynomial into Z/p^alpha."""
         if self.ring is not None:
             raise RingMismatch("already modular")
-        return Poly([int(c) for c in self.coeffs], ring)
+        return Poly(self.coeffs, ring)
 
     def monic(self) -> tuple["Poly", object]:
         """Return (monic polynomial, leading unit) with self = unit * monic."""
@@ -517,7 +519,7 @@ class Series:
                 cs += [0] * (length - len(cs))
         if ring is not None:
             m = ring.modulus
-            cs = [int(c) % m for c in cs]
+            cs = [c % m if type(c) is int else mod_reduce(c, ring) for c in cs]
         return cls(tuple(cs), ring)
 
     @property

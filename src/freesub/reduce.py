@@ -33,7 +33,7 @@ from .errors import (
     DegreeBoundExceeded,
     certify,
 )
-from .exact import ModRingCtx, mod_reduce, vp_rational
+from .exact import ModRingCtx, vp_rational
 from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
 from .riccati import pade_pair, residual_factors, riccati_series
@@ -58,29 +58,17 @@ class FractionTerm:
 
 @dataclass(frozen=True)
 class RationalFormModPA:
+    """poly_part + proper / den_alpha, den_alpha = prod(factors)^alpha."""
+
     ctx: ModRingCtx
     family: GroupFamily
     d: int
     q_base: Poly  # exact integer denominator of degree d
     poly_part: Poly  # over the mod ring
     fractions: tuple  # of FractionTerm, every exponent 1..alpha per factor
-
-
-@dataclass(frozen=True)
-class ReduceConfig:
-    """Search-window knobs for the numerator hunt.
-
-    length/window of None select the defaults of `_bounded_numerator`.
-    """
-
-    length: int | None = None
-    window: int | None = None
-
-    def __post_init__(self):
-        for name in ("length", "window"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, not {value}")
+    factors: tuple  # of the display factors of D, small integer polynomials
+    proper: Poly  # over the mod ring, deg < deg den_alpha
+    den_alpha: Poly  # over the mod ring
 
 
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
@@ -126,9 +114,9 @@ def _display_factors(q_base: Poly, p: int) -> tuple[list[Poly], Factorization]:
 
 
 def rational_form(
-    family: GroupFamily, ctx: ModRingCtx, config: ReduceConfig = ReduceConfig()
+    family: GroupFamily, ctx: ModRingCtx, *, length: int | None = None, window: int | None = None
 ) -> RationalFormModPA:
-    """Compute the full rational form of the series mod p^alpha."""
+    """The rational form of the series mod p^alpha; see `_bounded_numerator`."""
     p, alpha = ctx.p, ctx.alpha
     d, q_base = denominator_base(family, p)
     # with d = 0 there are no factors: D = 1 and the form is a polynomial
@@ -143,18 +131,20 @@ def rational_form(
     )
 
     den_alpha = den_mod**alpha
-    numerator = _bounded_numerator(family, ctx, den_alpha, config)
+    numerator = _bounded_numerator(family, ctx, den_alpha, length, window)
     poly_part, proper = divmod(numerator, den_alpha)
     certify(
         proper.degree < den_alpha.degree and poly_part * den_alpha + proper == numerator,
         "poly_part D^alpha + proper = N",
     )
-    fractions = _partial_fractions_over(proper, gs, den_alpha, ctx, alpha)
-    return RationalFormModPA(ctx, family, d, q_base, poly_part, tuple(fractions))
+    fractions = _partial_fractions_over(proper, gs, den_alpha, ctx)
+    return RationalFormModPA(
+        ctx, family, d, q_base, poly_part, tuple(fractions), tuple(gs), proper, den_alpha
+    )
 
 
 def _bounded_numerator(
-    family: GroupFamily, ctx: ModRingCtx, den_alpha: Poly, config: ReduceConfig
+    family: GroupFamily, ctx: ModRingCtx, den_alpha: Poly, length: int | None, window: int | None
 ) -> Poly:
     """Multiply the series S by den = D^alpha and certify that the product
     is a polynomial N: a zero-run of the configured width must follow its
@@ -173,9 +163,12 @@ def _bounded_numerator(
     an explicit window does not move it.  A search with no zero-run, or
     whose zero-run is not followed by a vanishing tail (a short window can
     stop at a false run), doubles L."""
+    for name, value in (("length", length), ("window", window)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, not {value}")
     default_window = den_alpha.degree + 32
-    window = config.window or default_window
-    length = config.length or den_alpha.degree + ctx.p * (ctx.alpha - 1) + default_window + 1
+    window = window or default_window
+    length = length or den_alpha.degree + ctx.p * (ctx.alpha - 1) + default_window + 1
     for _ in range(_MAX_DOUBLINGS + 1):
         # one product serves the search on its first L terms and the check on all
         terms = 2 * max(length, den_alpha.degree + 1)
@@ -190,7 +183,7 @@ def _bounded_numerator(
     certify(not zero_run, f"numerator / denominator reproduces the series on {terms} terms")
     raise DegreeBoundExceeded(
         f"no zero-run of width {window} within {length // 2} terms; "
-        "raise the search length (config length / --length)"
+        "raise the search length (the length argument / --length)"
     )
 
 
@@ -215,7 +208,7 @@ def _recombine(terms, ctx: ModRingCtx) -> tuple[Poly, Poly]:
 
 
 def _partial_fractions_over(
-    proper: Poly, gs: list[Poly], den_alpha: Poly, ctx: ModRingCtx, alpha: int
+    proper: Poly, gs: list[Poly], den_alpha: Poly, ctx: ModRingCtx
 ) -> list[FractionTerm]:
     """Split proper/den_alpha, den_alpha = prod g^alpha over Z/p^alpha, into
     residue/g^s terms, s = 1..alpha.
@@ -231,27 +224,25 @@ def _partial_fractions_over(
     out: list[FractionTerm] = []
     for g in gs:
         g_mod = g.map_ring(ctx)
-        g_alpha = g_mod**alpha
+        g_alpha = g_mod**ctx.alpha
         others = den_alpha // g_alpha
         u, _ = ext_gcd_coprime(others, g_alpha, ctx)
         rest = (proper * u) % g_alpha
         digits = []
-        for _ in range(alpha):
+        for _ in range(ctx.alpha):
             rest, digit = divmod(rest, g_mod)
             digits.append(digit)
         certify(rest.is_zero(), "the residue expands in at most alpha factor powers")
-        for s in range(1, alpha + 1):
-            out.append(FractionTerm(g, s, digits[alpha - s]))
+        for s in range(1, ctx.alpha + 1):
+            out.append(FractionTerm(g, s, digits[ctx.alpha - s]))
     certify(_recombine(out, ctx) == (proper, den_alpha), "the partial fractions recombine")
     return out
 
 
 def expand_form(form: RationalFormModPA, length: int) -> Series:
-    """Series expansion of poly_part + sum residue/factor^s to `length`
-    terms: the fractions join into one N/D^alpha, and the expansion is one
-    power-series quotient (poly_part * D^alpha + N) / D^alpha."""
-    num, den = _recombine(form.fractions, form.ctx)
-    return series_div(form.poly_part * den + num, den, length)
+    """Series expansion of poly_part + proper/D^alpha to `length` terms, one
+    power-series quotient (poly_part * D^alpha + proper) / D^alpha."""
+    return series_div(form.poly_part * form.den_alpha + form.proper, form.den_alpha, length)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,7 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Serie
         if acc >= alpha:
             break
     pair = pade_pair(params, n)
-    num, den = (Poly([mod_reduce(c, ctx) for c in f.coeffs], ctx) for f in (pair.p, pair.q))
-    return series_div(num, den, length)
+    return series_div(pair.p.map_ring(ctx), pair.q.map_ring(ctx), length)
 
 
 # ---------------------------------------------------------------------------

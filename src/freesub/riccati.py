@@ -452,7 +452,7 @@ def _gosper_certificate(params: RiccatiParams, n: int, j: int) -> Fraction:
     )
 
 
-def verify_gosper(params: RiccatiParams, n: int, certificate=None) -> bool:
+def verify_gosper(params: RiccatiParams, n: int) -> bool:
     """Check the telescoping identity behind the constant-term comparison:
     the explicit certificate G must satisfy term(j) = G(j+1) - G(j) for
     every j, and the telescoped sum must equal the closed-form right side.
@@ -463,7 +463,6 @@ def verify_gosper(params: RiccatiParams, n: int, certificate=None) -> bool:
     a, b, c, e = params.a, params.b, params.c, params.e
     x = e / b
     am = (a + 2 * c - e) / (2 * b)
-    cert = certificate or (lambda nn, jj: _gosper_certificate(params, nn, jj))
 
     scale = _gosper_scale(params, n)
     total = Fraction(0)
@@ -471,7 +470,7 @@ def verify_gosper(params: RiccatiParams, n: int, certificate=None) -> bool:
         bracket = 2 * c + a + Fraction(2 * n * j, n + j) * b - Fraction(n - j, n + j) * e
         summand = comb(n + j, n) * pochhammer(-x + j + 1, n - j) * pochhammer(am, j)
         term = scale / (2 * b) * summand * bracket
-        if term != cert(n, j + 1) - cert(n, j):
+        if term != _gosper_certificate(params, n, j + 1) - _gosper_certificate(params, n, j):
             return False
         total += term
     return total == scale * comb(2 * n, n) * pochhammer(am, n + 1)

@@ -19,7 +19,7 @@ from freesub.exact import ModRingCtx
 from freesub.groups import GroupFamily, congruence_classes
 from freesub.periods import analyze, is_period
 from freesub.poly import Poly
-from freesub.reduce import _recombine, pade_route, rational_form, reduce_series
+from freesub.reduce import pade_route, rational_form, reduce_series
 from freesub.riccati import (
     RiccatiParams,
     pade_coeff_p,
@@ -154,7 +154,7 @@ def test_criterion_6_periods_fast_tier():
     }
     for (p, alpha), period in expected.items():
         res = analyze(M1, ModRingCtx(p, alpha))
-        assert res.report.period == period, (p, alpha)
+        assert res.period == period, (p, alpha)
     _report(6, "minimal periods (fast tier)", t0, 120)
 
 
@@ -165,9 +165,9 @@ def test_criterion_6_period_17_squared_slow_tier():
     # stays recorded as quoted, with match False
     t0 = time.time()
     res = analyze(M1, ModRingCtx(17, 2))
-    assert (res.report.preperiod, res.report.period) == (13, 1632)
-    assert res.report.minimal
-    num, den = _recombine(res.form.fractions, res.form.ctx)
+    assert (res.preperiod, res.period) == (13, 1632)
+    assert res.minimal
+    num, den = res.form.proper, res.form.den_alpha
     assert is_period(num, den, 4896) and is_period(num, den, 1632)
     assert res.predicted == 4896 and res.match is False
     _report(6, "mod 17^2 period (slow tier)", t0, 600)

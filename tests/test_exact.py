@@ -65,6 +65,9 @@ def test_mod_reduce_examples():
     assert mod_reduce(Fraction(1, 2), ModRingCtx(7, 1)) == 4
     assert mod_reduce(5, ModRingCtx(7, 5)) == 5
     assert mod_reduce(-1, ModRingCtx(7, 2)) == 48
+    for q in (0.5, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            mod_reduce(q, ModRingCtx(7, 1))
     with pytest.raises(NonInvertibleDenominator):
         mod_reduce(Fraction(1, 7), ModRingCtx(7, 1))
 

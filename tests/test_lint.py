@@ -246,3 +246,13 @@ def test_termwise_cutoff_is_read_by_mulmod_only():
     ]
     assert isinstance(value, ast.Constant) and isinstance(value.value, int)
     assert "SCHOOLBOOK_MAX" not in {n.id for n in ast.walk(_function(tree, "_mulmod")) if isinstance(n, ast.Name)}
+
+
+def test_periods_imports_no_private_name_from_reduce():
+    # the certified form carries what `periods` reads (N, D^alpha and the
+    # factors); a private helper of `reduce` imported there would derive it
+    # a second time
+    tree = next(tree for path, tree in _package_trees() if path.name == "periods.py")
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "reduce"]
+    assert imports
+    assert [a.name for n in imports for a in n.names if a.name.startswith("_")] == []

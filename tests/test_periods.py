@@ -25,35 +25,34 @@ from freesub.periods import (
     order_bound,
     predicted_period,
 )
-from freesub.reduce import _recombine, expand_form, rational_form, reduce_series
+from freesub.reduce import expand_form, rational_form, reduce_series
 
 M1 = GroupFamily("modular3", 1)
 
 
 def test_detect_examples():
-    report = detect_period(reduce_series(M1, ModRingCtx(7, 1), 200))
-    assert report.period == 6 and report.preperiod == 0
+    assert detect_period(reduce_series(M1, ModRingCtx(7, 1), 200)) == (0, 6)
 
-    report = detect_period(reduce_series(M1, ModRingCtx(11, 2), 400))
-    assert report.period == 11
+    _, period = detect_period(reduce_series(M1, ModRingCtx(11, 2), 400))
+    assert period == 11
 
-    report = detect_period(reduce_series(M1, ModRingCtx(5, 2), 200))
-    assert report.period == 1
-    tail = reduce_series(M1, ModRingCtx(5, 2), 200).coeffs[report.preperiod :]
+    preperiod, period = detect_period(reduce_series(M1, ModRingCtx(5, 2), 200))
+    assert period == 1
+    tail = reduce_series(M1, ModRingCtx(5, 2), 200).coeffs[preperiod:]
     assert set(tail) == {0}
 
 
 def test_detect_minimality_and_shift_invariance():
     series = reduce_series(M1, ModRingCtx(7, 2), 400)
-    report = detect_period(series)
-    assert report.period == 42
+    preperiod, period = detect_period(series)
+    assert period == 42
     c = series.coeffs
-    for lam in range(report.preperiod, len(c) - report.period):
-        assert c[lam] == c[lam + report.period]
+    for lam in range(preperiod, len(c) - period):
+        assert c[lam] == c[lam + period]
     # no smaller shift works
-    for t in range(1, report.period):
+    for t in range(1, period):
         assert any(
-            c[lam] != c[lam + t] for lam in range(report.preperiod, len(c) - t)
+            c[lam] != c[lam + t] for lam in range(preperiod, len(c) - t)
         )
 
 
@@ -90,8 +89,7 @@ def test_detect_horizon_too_short():
 
 def test_detect_with_certificate_bound():
     series = reduce_series(M1, ModRingCtx(7, 2), 400)
-    report = detect_period(series, certificate_bound=294)
-    assert report.period == 42 and report.certificate == 294
+    assert detect_period(series, certificate_bound=294)[1] == 42
 
 
 def test_detect_with_a_huge_certificate_bound_stays_in_the_window():
@@ -100,15 +98,9 @@ def test_detect_with_a_huge_certificate_bound_stays_in_the_window():
     series = reduce_series(M1, ModRingCtx(7, 2), 400)
     bound = 42 * (10**40 + 1)
     start = time.perf_counter()
-    report = detect_period(series, certificate_bound=bound)
+    found = detect_period(series, certificate_bound=bound)
     elapsed = time.perf_counter() - start
-    plain = detect_period(series)
-    assert (report.preperiod, report.period, report.verified_horizon) == (
-        plain.preperiod,
-        plain.period,
-        plain.verified_horizon,
-    )
-    assert report.certificate == bound
+    assert found == detect_period(series)
     assert elapsed < 0.25
 
 
@@ -141,20 +133,20 @@ def test_order_bound_examples():
 )
 def test_detected_equals_predicted(p, alpha):
     res = analyze(M1, ModRingCtx(p, alpha))
-    assert res.report.period == res.predicted
+    assert res.period == res.predicted
     assert res.match is True
-    assert res.order_bound % res.report.period == 0
+    assert res.order_bound % res.period == 0
 
 
 def test_p5_analysis():
     res = analyze(M1, ModRingCtx(5, 3))
-    assert res.report.period == 1 and res.predicted is None and res.match is None
+    assert res.period == 1 and res.predicted is None and res.match is None
 
 
 def test_hecke_analysis_reports_bound_division():
     for p in (5, 7, 13):
         res = analyze(GroupFamily("hecke4", 1), ModRingCtx(p, 1))
-        assert res.order_bound % res.report.period == 0
+        assert res.order_bound % res.period == 0
 
 
 def test_json_schema():
@@ -169,29 +161,29 @@ def test_p17_alpha2_detected_value():
     # the measured minimal period; three independent computation routes
     # agree on the underlying series (see the reduce-module route tests)
     res = analyze(M1, ModRingCtx(17, 2))
-    assert res.report.period == 6 * 16 * 17
+    assert res.period == 6 * 16 * 17
     assert res.predicted == 18 * 16 * 17
-    assert res.predicted % res.report.period == 0
+    assert res.predicted % res.period == 0
     assert res.match is False
 
 
 def test_p17_alpha3_measured_values():
     # the README's numbers: the quoted 471648 is 17 times the minimal period
     res = analyze(M1, ModRingCtx(17, 3))
-    assert res.report.period == 27744 and res.report.preperiod == 30
-    assert res.report.verified_horizon == 1886638
+    assert res.period == 27744 and res.preperiod == 30
+    assert res.verified_horizon == 1886638
     assert res.order_bound == 1414944
     assert res.predicted == 471648 and res.match is False
 
 
 def _check_against_the_direct_series(family, ctx):
     # the direct recurrence is the oracle: on analyze's own horizon it must
-    # give the same report, and the certified form's expansion must equal it
+    # give the same pair, and the certified form's expansion must equal it
     # term for term, far past the 2L terms the numerator check covers
     res = analyze(family, ctx)
-    horizon = res.report.verified_horizon
+    horizon = res.verified_horizon
     direct = reduce_series(family, ctx, horizon)
-    assert detect_period(direct, res.order_bound) == res.report
+    assert detect_period(direct, res.order_bound) == (res.preperiod, res.period)
     assert expand_form(res.form, horizon).coeffs == direct.coeffs
     return res
 
@@ -215,7 +207,7 @@ def test_expanded_form_matches_the_direct_series(family, p, alpha):
 @pytest.mark.slow
 def test_expanded_form_matches_the_direct_series_7_5():
     res = _check_against_the_direct_series(M1, ModRingCtx(7, 5))
-    assert res.report.verified_horizon == 57666
+    assert res.verified_horizon == 57666
 
 
 def test_a_preperiod_past_the_poly_part_fails_certification(monkeypatch, capsys):
@@ -225,7 +217,7 @@ def test_a_preperiod_past_the_poly_part_fails_certification(monkeypatch, capsys)
     bound = rational_form(M1, ModRingCtx(7, 2)).poly_part.degree + 1
 
     def long_preperiod(series, certificate_bound=None):
-        return dataclasses.replace(real(series, certificate_bound), preperiod=bound + 1)
+        return bound + 1, real(series, certificate_bound)[1]
 
     monkeypatch.setattr(freesub.periods, "detect_period", long_preperiod)
     with pytest.raises(CertificationFailed, match="preperiod"):
@@ -240,7 +232,7 @@ def test_certificate_at_17_squared_and_cubed(alpha, least, quoted):
     # D^alpha | N (z^T - 1) holds at the measured minimal period and fails
     # at T/q for every prime q of it; the quoted values pass as multiples
     form = rational_form(M1, ModRingCtx(17, alpha))
-    num, den = _recombine(form.fractions, form.ctx)
+    num, den = form.proper, form.den_alpha
     assert least == 2**5 * 3 * 17 ** (alpha - 1)
     assert is_period(num, den, least)
     for q in (2, 3, 17):
@@ -323,8 +315,24 @@ def test_a_period_too_long_to_scan_is_not_expanded(monkeypatch, family, p, prepe
 
     monkeypatch.setattr(freesub.periods, "expand_form", no_expansion)
     res = analyze(family, ModRingCtx(p, 1))
-    assert (res.report.preperiod, res.report.period) == (preperiod, period)
-    assert res.order_bound == bound and res.report.minimal
+    assert (res.preperiod, res.period) == (preperiod, period)
+    assert res.order_bound == bound and res.minimal
+
+
+def test_the_scan_path_recombines_the_fractions_once(monkeypatch):
+    # the form keeps the N / D^alpha that its fractions are certified
+    # against, so neither the descent nor the window scan joins them again
+    real = freesub.reduce._recombine
+    calls = []
+
+    def spy(terms, ctx):
+        calls.append(len(terms))
+        return real(terms, ctx)
+
+    monkeypatch.setattr(freesub.reduce, "_recombine", spy)
+    res = analyze(M1, ModRingCtx(7, 2))
+    assert (res.preperiod, res.period) == (5, 42)
+    assert calls == [2]
 
 
 def test_the_scan_path_reads_the_series_once(monkeypatch):
@@ -344,7 +352,7 @@ def test_the_scan_path_reads_the_series_once(monkeypatch):
     monkeypatch.setattr(freesub.reduce, "reduce_series", series_spy)
     monkeypatch.setattr(freesub.periods, "expand_form", expand_spy)
     res = analyze(M1, ModRingCtx(7, 2))
-    assert (res.report.preperiod, res.report.period) == (5, 42)
+    assert (res.preperiod, res.period) == (5, 42)
     assert calls == ["reduce_series", "expand_form"]
     assert not hasattr(freesub.periods, "reduce_series")
 
@@ -355,11 +363,11 @@ def test_a_period_not_proven_least_is_marked(monkeypatch, capsys):
     family = GroupFamily("hecke4", 1)
     ctx = ModRingCtx(101, 1)
     least = analyze(family, ctx)
-    assert least.report.minimal and "minimal" not in analysis_json_dict(least)
+    assert least.minimal and "minimal" not in analysis_json_dict(least)
     monkeypatch.setattr(freesub.exact, "RHO_BUDGET", 0)
     res = analyze(family, ctx)
-    assert not res.report.minimal
-    assert dataclasses.replace(res.report, minimal=True) == least.report
+    assert not res.minimal
+    assert dataclasses.replace(res, minimal=True) == least
     data = analysis_json_dict(res)
     jsonschema.validate(data, PERIOD_SCHEMA)
     assert data["minimal"] is False

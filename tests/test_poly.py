@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from freesub.errors import (
     NonInvertible,
     NonInvertibleConstantTerm,
+    NonInvertibleDenominator,
     NotCoprime,
     RingMismatch,
 )
@@ -47,6 +48,35 @@ def test_basic_arithmetic():
     assert Poly([]).degree == -1
     with pytest.raises(RingMismatch):
         Poly([1], ModRingCtx(7, 1)) + Poly([1], ModRingCtx(11, 1))
+
+
+def test_modular_coefficients_are_images_of_ints_and_fractions():
+    # 1/2 = 4 mod 7 and -1/3 = 2 mod 7; an int keeps its residue
+    ctx = ModRingCtx(7, 1)
+    assert Poly([Fraction(1, 2), 3], ctx).coeffs == (4, 3)
+    assert Poly([Fraction(1, 2), Fraction(-1, 3)]).map_ring(ctx) == Poly([4, 2], ctx)
+    assert Series.of([Fraction(1, 2), -1], ctx, 3).coeffs == (4, 6, 0)
+    assert Poly([Fraction(1, 7)], ModRingCtx(5, 2)).coeffs == (18,)  # 7 * 18 = 126 = 1 mod 25
+    assert Poly([True, 9], ctx).coeffs == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda cs, ctx: Poly(cs, ctx), lambda cs, ctx: Series.of(cs, ctx)],
+    ids=["Poly", "Series.of"],
+)
+def test_modular_coefficients_refuse_what_has_no_image(build):
+    ctx = ModRingCtx(7, 2)
+    with pytest.raises(NonInvertibleDenominator):
+        build([1, Fraction(1, 14)], ctx)
+    for c in (2.7, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            build([1, c], ctx)
+
+
+def test_map_ring_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(NonInvertibleDenominator):
+        Poly([1, Fraction(1, 14)]).map_ring(ModRingCtx(7, 2))
 
 
 def test_divmod_exact_and_modular():

@@ -13,7 +13,6 @@ from freesub.poly import Poly, Series, series_div
 from freesub.riccati import pade_pair, riccati_series, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
-    ReduceConfig,
     denominator_base,
     emit,
     expand_form,
@@ -199,6 +198,19 @@ def per_fraction_expand_form(form, length: int) -> Series:
 
 @pytest.mark.parametrize(
     "family,p,alpha",
+    [(f, p, alpha) for f in (M1, H1) for p in (5, 7, 11, 13) for alpha in (1, 2, 3)]
+    + [(GroupFamily("modular3", 5), 5, 2)],  # p | m, d = 0
+)
+def test_form_carries_what_its_fractions_recombine_to(family, p, alpha):
+    # N and D^alpha are kept from the certified split, and the factors are
+    # those of the fractions, once each and in their order
+    form = rational_form(family, ModRingCtx(p, alpha))
+    assert freesub.reduce._recombine(form.fractions, form.ctx) == (form.proper, form.den_alpha)
+    assert form.factors == tuple(dict.fromkeys(t.factor for t in form.fractions))
+
+
+@pytest.mark.parametrize(
+    "family,p,alpha",
     [(M1, 7, 5), (M1, 13, 3), (M1, 19, 1), (M1, 23, 1), (M1, 5, 3), (H1, 13, 2), (H1, 17, 2)],
 )
 def test_expand_form_matches_per_fraction_expansion(family, p, alpha):
@@ -245,7 +257,7 @@ def _fractions_over_display_factors(num: Poly, ctx: ModRingCtx):
     _, q_base = denominator_base(M1, ctx.p)
     gs, _ = freesub.reduce._display_factors(q_base, ctx.p)
     den_alpha = prod(gs, start=Poly.one()).map_ring(ctx) ** ctx.alpha
-    return freesub.reduce._partial_fractions_over(num, gs, den_alpha, ctx, ctx.alpha)
+    return freesub.reduce._partial_fractions_over(num, gs, den_alpha, ctx)
 
 
 def test_partial_fraction_roundtrip():
@@ -278,14 +290,14 @@ def test_partial_fraction_linear_alpha1():
 
 def test_degree_bound_exceeded():
     with pytest.raises(DegreeBoundExceeded):
-        rational_form(M1, ModRingCtx(7, 5), ReduceConfig(length=8, window=100000))
+        rational_form(M1, ModRingCtx(7, 5), length=8, window=100000)
 
 
 @pytest.mark.parametrize("field", ["length", "window"])
 @pytest.mark.parametrize("value", [0, -1])
-def test_reduce_config_rejects_knobs_below_one(field, value):
-    with pytest.raises(ValueError, match=field):
-        ReduceConfig(**{field: value})
+def test_rational_form_rejects_knobs_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, not {value}"):
+        rational_form(M1, ModRingCtx(7, 1), **{field: value})
 
 
 def _spy_on_attempts(monkeypatch) -> list:
@@ -310,18 +322,18 @@ def test_search_plan_keeps_explicit_knobs(monkeypatch):
     form = rational_form(M1, ctx)
     assert calls == [88]
     calls.clear()
-    assert rational_form(M1, ctx, ReduceConfig(length=50)) == form
+    assert rational_form(M1, ctx, length=50) == form
     assert calls == [100]
     calls.clear()
     # length 1 is raised to deg D^alpha + 1 = 3 for the check only, and the
     # one-term window stops at the first zero, so the search doubles
-    assert rational_form(M1, ctx, ReduceConfig(length=1, window=1)) == form
+    assert rational_form(M1, ctx, length=1, window=1) == form
     assert calls[0] == 6 and len(calls) > 1
     calls.clear()
     # an explicit window does not move the start: 88 terms, then doublings
     # up to 64 x 44 terms
     with pytest.raises(DegreeBoundExceeded, match="no zero-run of width 5000 within 2816 terms"):
-        rational_form(M1, ctx, ReduceConfig(window=5000))
+        rational_form(M1, ctx, window=5000)
     assert calls == [88 * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
 
 
@@ -485,18 +497,18 @@ def test_numerator_checks_the_doubled_horizon(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config,terms",
+    "knobs,terms",
     [
         # the search starts at one term, but the check must still cover
         # 2 (deg D^alpha + 1) = 14 terms to prove the form to every order
-        (ReduceConfig(length=1, window=1), 14),
+        ({"length": 1, "window": 1}, 14),
         # under the default knobs L = 6 + 13*2 + (6 + 32) + 1 = 71 > deg D^alpha,
         # so the check covers exactly 2L
-        (ReduceConfig(), 142),
+        ({}, 142),
     ],
     ids=["short-search", "default-knobs"],
 )
-def test_numerator_check_covers_the_residual_degree(monkeypatch, config, terms):
+def test_numerator_check_covers_the_residual_degree(monkeypatch, knobs, terms):
     calls = []
 
     class FirstCall(Exception):
@@ -508,7 +520,7 @@ def test_numerator_check_covers_the_residual_degree(monkeypatch, config, terms):
 
     monkeypatch.setattr(freesub.reduce, "reduce_series", spy)
     with pytest.raises(FirstCall):
-        rational_form(M1, ModRingCtx(13, 3), config)
+        rational_form(M1, ModRingCtx(13, 3), **knobs)
     assert calls == [terms]
 
 
@@ -518,4 +530,4 @@ def test_a_false_zero_run_doubles_the_search(family, p):
     # numerator; the tail check then fails, and the search must go on with
     # a doubled length to the form the default knobs give
     ctx = ModRingCtx(p, 3)
-    assert rational_form(family, ctx, ReduceConfig(length=1, window=1)) == rational_form(family, ctx)
+    assert rational_form(family, ctx, length=1, window=1) == rational_form(family, ctx)
