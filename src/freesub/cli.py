@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .errors import (
     DegenerateParameters,
@@ -186,6 +184,8 @@ _PRESETS = {
 
 
 def _golden_text(name: str) -> str:
+    from importlib import resources  # reproduce alone reads the goldens
+
     return resources.files("freesub").joinpath("golden", name).read_text(encoding="utf-8")
 
 
@@ -194,6 +194,8 @@ def _whitespace_insensitive_equal(a: str, b: str) -> bool:
 
 
 def _diff(expected: str, actual: str) -> str:
+    import difflib  # printed only on a golden mismatch
+
     return "\n".join(
         difflib.unified_diff(
             expected.splitlines(), actual.splitlines(), "golden", "computed", lineterm=""

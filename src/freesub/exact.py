@@ -9,7 +9,6 @@ relies on.  No floating point is used anywhere in this package.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -166,18 +165,68 @@ def vp_rational(q: Rational, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-@dataclass(frozen=True)
-class ModRingCtx:
+class Record:
+    """An immutable record whose fields are its `__slots__`, set once by
+    `__init__` through `_set`; equality, hash and repr are a frozen
+    dataclass's, with no code generated at import."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def require_rational(q: Rational) -> Rational:
+    """q itself; TypeError unless it is an int or a Fraction (a float is not)."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"{q!r} is not an int or a Fraction")
+    return q
+
+
+def require_ints(**values) -> None:
+    """Raise TypeError naming the first of `values` that is not an int."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, not {value!r}")
+
+
+class ModRingCtx(Record):
     """The ring Z/p^alpha.  Primality of p is checked at construction."""
 
-    p: int
-    alpha: int
+    __slots__ = ("p", "alpha")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.alpha < 1:
+    def __init__(self, p: int, alpha: int):
+        require_ints(p=p, alpha=alpha)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if alpha < 1:
             raise ValueError("alpha must be >= 1")
+        self._set(p, alpha)
 
     @property
     def modulus(self) -> int:
@@ -193,9 +242,7 @@ def mod_reduce(q: Rational, ctx: ModRingCtx) -> int:
     Raises NonInvertibleDenominator when p divides the denominator, and
     TypeError on anything but an int or a Fraction (a float included).
     """
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"{q!r} is not an int or a Fraction")
-    q = Fraction(q)
+    q = Fraction(require_rational(q))
     if q.denominator % ctx.p == 0:
         raise NonInvertibleDenominator(
             f"denominator {q.denominator} not invertible mod {ctx.p}^{ctx.alpha}"

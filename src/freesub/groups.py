@@ -12,10 +12,8 @@ functions solving the quadratic ODE handled in `riccati`, with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedPrime
-from .exact import is_prime
+from .exact import Record, is_prime, require_ints
 from .riccati import RiccatiParams, riccati_series
 
 MODULAR3 = "modular3"
@@ -23,16 +21,16 @@ HECKE4 = "hecke4"
 KINDS = (MODULAR3, HECKE4)
 
 
-@dataclass(frozen=True)
-class GroupFamily:
-    kind: str
-    m: int = 1
+class GroupFamily(Record):
+    __slots__ = ("kind", "m")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
+    def __init__(self, kind: str, m: int = 1):
+        if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.m < 1:
+        require_ints(m=m)
+        if m < 1:
             raise ValueError("m must be >= 1")
+        self._set(kind, m)
 
 
 def params_for(family: GroupFamily) -> RiccatiParams:

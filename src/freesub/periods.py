@@ -14,11 +14,10 @@ it is not, the certified descent stands alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm, prod
 
 from .errors import HorizonTooShort, certify
-from .exact import ModRingCtx, factor
+from .exact import ModRingCtx, Record, factor
 from .groups import MODULAR3, GroupFamily
 from .poly import Poly, Series, _mulmod, _pow_mod
 from .reduce import RationalFormModPA, expand_form, rational_form
@@ -210,21 +209,22 @@ def least_period(
     return T, minimal
 
 
-@dataclass(frozen=True)
-class PeriodAnalysis:
+class PeriodAnalysis(Record):
     """(preperiod, period) mod p^alpha of a certified form; `minimal` is
     False where the least period only divides `period`.  `verified_horizon`
     is the requested or default horizon, which the form covers as it does
-    every order; it is not a count of scanned terms."""
+    every order; it is not a count of scanned terms.  `order_bound`,
+    `predicted` and `match` are None where there is none."""
 
-    preperiod: int
-    period: int
-    verified_horizon: int
-    order_bound: int | None
-    minimal: bool
-    predicted: int | None
-    match: bool | None
-    form: RationalFormModPA
+    __slots__ = (
+        "preperiod", "period", "verified_horizon", "order_bound",
+        "minimal", "predicted", "match", "form",
+    )
+
+    def __init__(
+        self, preperiod, period, verified_horizon, order_bound, minimal, predicted, match, form
+    ):
+        self._set(preperiod, period, verified_horizon, order_bound, minimal, predicted, match, form)
 
 
 def _window_check(

@@ -46,7 +46,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from operator import add, mul, sub
@@ -57,7 +56,7 @@ from .errors import (
     NotCoprime,
     RingMismatch,
 )
-from .exact import ModRingCtx, mod_reduce
+from .exact import ModRingCtx, Record, mod_reduce, require_rational
 
 Ring = ModRingCtx | None
 
@@ -335,7 +334,10 @@ class Poly:
             m = ring.modulus
             cs = [c % m if type(c) is int else mod_reduce(c, ring) for c in coeffs]
         else:
-            cs = [Fraction(c) if isinstance(c, Fraction) else int(c) for c in coeffs]
+            cs = [
+                Fraction(c) if isinstance(c, Fraction) else int(require_rational(c))
+                for c in coeffs
+            ]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -502,12 +504,13 @@ class Poly:
         return f"Poly({list(self.coeffs)}, ring={self.ring})"
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """Truncated power series: exactly `length` coefficients, order explicit."""
 
-    coeffs: tuple
-    ring: Ring = None
+    __slots__ = ("coeffs", "ring")
+
+    def __init__(self, coeffs: tuple, ring: Ring = None):
+        self._set(coeffs, ring)
 
     @classmethod
     def of(cls, coeffs, ring: Ring = None, length: int | None = None) -> "Series":
@@ -575,12 +578,13 @@ def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
     return Series(tuple(out), ring)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * prod(factor^multiplicity) equals the factored polynomial."""
 
-    unit: object
-    factors: tuple  # of (Poly, int)
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit, factors: tuple):  # factors: of (Poly, int)
+        self._set(unit, factors)
 
     def expand(self, ring: Ring) -> Poly:
         out = Poly((self.unit,), ring)

@@ -25,7 +25,6 @@ series solution both routes must agree, which the tests exercise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import prod
 
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     DegreeBoundExceeded,
     certify,
 )
-from .exact import ModRingCtx, vp_rational
+from .exact import ModRingCtx, Record, vp_rational
 from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
 from .riccati import pade_pair, residual_factors, riccati_series
@@ -43,32 +42,32 @@ from .riccati import pade_pair, residual_factors, riccati_series
 _MAX_DOUBLINGS = 6
 
 
-@dataclass(frozen=True)
-class FractionTerm:
+class FractionTerm(Record):
     """residue / factor^exponent with deg(residue) < deg(factor).
 
     The factor is kept as a small integer polynomial (constant term 1,
     balanced coefficients); the residue as canonical values in [0, p^alpha).
     """
 
-    factor: Poly
-    exponent: int
-    residue: Poly
+    __slots__ = ("factor", "exponent", "residue")
+
+    def __init__(self, factor: Poly, exponent: int, residue: Poly):
+        self._set(factor, exponent, residue)
 
 
-@dataclass(frozen=True)
-class RationalFormModPA:
-    """poly_part + proper / den_alpha, den_alpha = prod(factors)^alpha."""
+class RationalFormModPA(Record):
+    """poly_part + proper / den_alpha, den_alpha = prod(factors)^alpha, all
+    three over the mod ring, deg proper < deg den_alpha.  q_base is the
+    exact integer denominator, of degree d; `fractions` holds a FractionTerm
+    for every exponent 1..alpha per factor, and `factors` the display
+    factors of D, small integer polynomials."""
 
-    ctx: ModRingCtx
-    family: GroupFamily
-    d: int
-    q_base: Poly  # exact integer denominator of degree d
-    poly_part: Poly  # over the mod ring
-    fractions: tuple  # of FractionTerm, every exponent 1..alpha per factor
-    factors: tuple  # of the display factors of D, small integer polynomials
-    proper: Poly  # over the mod ring, deg < deg den_alpha
-    den_alpha: Poly  # over the mod ring
+    __slots__ = (
+        "ctx", "family", "d", "q_base", "poly_part", "fractions", "factors", "proper", "den_alpha"
+    )
+
+    def __init__(self, ctx, family, d, q_base, poly_part, fractions, factors, proper, den_alpha):
+        self._set(ctx, family, d, q_base, poly_part, fractions, factors, proper, den_alpha)
 
 
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:

@@ -23,14 +23,13 @@ that `residual_factors` yields.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
-from .exact import ModRingCtx, mod_reduce, pochhammer
+from .exact import ModRingCtx, Rational, Record, mod_reduce, pochhammer, require_rational
 from .poly import (
     Poly,
     Series,
@@ -51,41 +50,34 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
-    """The four ODE constants, B nonzero.  E, the square root of the
-    discriminant A^2 - 4CD, is derived from them and never given: the
-    nonnegative rational root, or None when the discriminant is not a
-    rational square, in which case only the linear-algebra route is
+class RiccatiParams(Record):
+    """The four ODE constants, ints or Fractions, B nonzero.  E, the square
+    root of the discriminant A^2 - 4CD, is derived from them and never
+    given: the nonnegative rational root, or None when the discriminant is
+    not a rational square, in which case only the linear-algebra route is
     available.  The closed forms are even in E, so the one root serves.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction | None = field(init=False)
+    __slots__ = ("a", "b", "c", "d", "e")
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.b == 0:
+    def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational):
+        a, b, c, d = (Fraction(require_rational(v)) for v in (a, b, c, d))
+        if b == 0:
             raise ValueError("B must be nonzero")
-        object.__setattr__(self, "e", _rational_sqrt(self.a * self.a - 4 * self.c * self.d))
+        self._set(a, b, c, d, _rational_sqrt(a * a - 4 * c * d))
 
     def is_integral(self) -> bool:
         # a rational root of an integer is an integer, so E follows A..D
         return all(v.denominator == 1 for v in (self.a, self.b, self.c, self.d))
 
 
-@dataclass(frozen=True)
-class PadePair:
+class PadePair(Record):
     """Order-n approximant: P, Q of degree <= n, P(0) = Q(0) = 1."""
 
-    n: int
-    p: Poly
-    q: Poly
-    residual_const: Fraction
+    __slots__ = ("n", "p", "q", "residual_const")
+
+    def __init__(self, n: int, p: Poly, q: Poly, residual_const: Fraction):
+        self._set(n, p, q, residual_const)
 
 
 def _toom_block(x: list, y: list, width: int) -> list:

@@ -36,12 +36,11 @@ coefficients by direct computation for both group families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
-from .exact import is_prime, pochhammer, vp_rational
+from .exact import Record, is_prime, pochhammer, require_ints, vp_rational
 from .groups import MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .riccati import pade_pair
 
@@ -56,24 +55,21 @@ _VARIANTS = {"expp": ("u", 1), "expp2": ("w", 1), "expp3": ("u", 5), "expp4": ("
 VARIANTS = tuple(_VARIANTS)
 
 
-@dataclass(frozen=True)
-class ValuationCase:
-    p: int
-    n: int
-    k: int
-    j: int
-    variant: str
+class ValuationCase(Record):
+    __slots__ = ("p", "n", "k", "j", "variant")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    def __init__(self, p: int, n: int, k: int, j: int, variant: str):
+        if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if not 0 <= self.j <= self.k <= self.n:
+        require_ints(p=p, n=n, k=k, j=j)
+        if not 0 <= j <= k <= n:
             raise ValueError("need 0 <= j <= k <= n")
-        want = _VARIANTS[self.variant][1]
-        if self.p % 6 != want:
-            raise ValueError(f"variant {self.variant} needs p = {want} (mod 6)")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        want = _VARIANTS[variant][1]
+        if p % 6 != want:
+            raise ValueError(f"variant {variant} needs p = {want} (mod 6)")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._set(p, n, k, j, variant)
 
 
 def _multiples(x: Fraction, length: int, q: int) -> int:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,10 @@ from freesub.exact import (
     vp_rational,
 )
 from freesub.groups import GroupFamily
+from freesub.poly import Factorization, Series
 from freesub.periods import bound_factors, order_bound
 from freesub.reduce import rational_form
+from freesub.valuations import ValuationCase
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -59,6 +63,54 @@ def test_ctx_rejects_composite_and_bad_alpha():
     with pytest.raises(ValueError):
         ModRingCtx(7, 0)
     assert is_prime(2) and is_prime(17) and not is_prime(49)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModRingCtx(7, 1.5),
+        lambda: ModRingCtx(7.0, 1),
+        lambda: ModRingCtx(7, True),
+        lambda: GroupFamily("modular3", 1.5),
+        lambda: GroupFamily("hecke4", 2.0),
+        lambda: ValuationCase(7.0, 3, 2, 1, "expp"),
+        lambda: ValuationCase(7, 3, 2.0, 1, "expp"),
+    ],
+    ids=["alpha-float", "p-float", "alpha-bool", "m-float", "m-whole-float", "case-p", "case-k"],
+)
+def test_record_int_fields_refuse_other_types(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: ModRingCtx(7, 2), ("p", "alpha")),
+        (lambda: GroupFamily("hecke4", 2), ("kind", "m")),
+        (lambda: Series((1, 2), ModRingCtx(7, 1)), ("coeffs", "ring")),
+    ],
+    ids=["ModRingCtx", "GroupFamily", "Series"],
+)
+def test_records_are_immutable_values(make, fields):
+    record, twin = make(), make()
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == twin and record is not twin and hash(record) == hash(twin)
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    values = tuple(getattr(record, name) for name in fields)
+    assert record != values and values != record
+    with pytest.raises(TypeError):
+        iter(record)
+
+
+def test_records_of_different_classes_differ():
+    assert ModRingCtx(7, 2) != ModRingCtx(7, 3)
+    assert Series((1, 2)) != Factorization((1, 2), None)
+    assert GroupFamily("modular3") == GroupFamily(kind="modular3", m=1)
 
 
 def test_mod_reduce_examples():

@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import freesub
@@ -256,3 +259,20 @@ def test_periods_imports_no_private_name_from_reduce():
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "reduce"]
     assert imports
     assert [a.name for n in imports for a in n.names if a.name.startswith("_")] == []
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_difflib():
+    # every CLI run pays for what `import freesub.cli` loads: dataclasses
+    # (with the inspect, ast and dis it imports) generates code for each
+    # record at import, and difflib only prints a golden mismatch; measured
+    # against a bare interpreter, which may load some of them through site
+    watched = {"dataclasses", "inspect", "difflib"}
+    src = str(Path(freesub.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def loaded(code: str) -> set:
+        probe = f"import sys; {code}; print(*set(sys.modules).intersection({sorted(watched)!r}))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    assert loaded("import freesub.cli; freesub.cli.build_parser()") - loaded("pass") == set()

@@ -74,6 +74,16 @@ def test_modular_coefficients_refuse_what_has_no_image(build):
             build([1, c], ctx)
 
 
+def test_exact_coefficients_are_ints_or_fractions():
+    # the rule of mod_reduce: int(2.7) would truncate, int("3") would parse
+    for c in (2.7, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            Poly([1, c])
+    with pytest.raises(TypeError):
+        Poly([2.7]).map_ring(ModRingCtx(7, 1))
+    assert Poly([True, Fraction(1, 2), 3]).coeffs == (1, Fraction(1, 2), 3)
+
+
 def test_map_ring_refuses_a_denominator_divisible_by_p():
     with pytest.raises(NonInvertibleDenominator):
         Poly([1, Fraction(1, 14)]).map_ring(ModRingCtx(7, 2))

@@ -502,6 +502,17 @@ def test_e_is_derived_from_the_discriminant():
         RiccatiParams(4, 6, 1, 0, 4)
 
 
+def test_params_take_ints_and_fractions_only():
+    # a float would enter as its binary value: 0.1 is 3602879701896397/2^55
+    for bad in (0.1, 2.0, "1/10", None):
+        for k in range(4):
+            args = [1, 1, 1, 1]
+            args[k] = bad
+            with pytest.raises(TypeError):
+                RiccatiParams(*args)
+    assert RiccatiParams(Fraction(1, 10), 1, 1, 1).a == Fraction(1, 10)
+
+
 def test_closed_form_errors_are_kept():
     no_e = RiccatiParams(1, 1, 1, 1)  # discriminant -3 has no rational root
     zero_e = RiccatiParams(2, 1, 1, 1)
