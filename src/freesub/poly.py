@@ -14,15 +14,15 @@ Arithmetic over Z/p^alpha runs on one kernel.  `kronecker` packs a list of
 residues into a single integer, one fixed slot per coefficient, so that one
 big-integer product multiplies two polynomials (Kronecker substitution,
 Harvey, JSC 44, 2009); only operands of at most `SCHOOLBOOK_MAX` terms are
-multiplied term by term.  Division with remainder takes a quotient of at
-most `SCHOOLBOOK_MAX` terms by long division, as in every Euclid step, and a
-longer one by multiplying with a truncated inverse of the reversed divisor
-(Newton iteration; von zur Gathen-Gerhard, *Modern Computer Algebra*,
-ch. 9).  For a fixed modulus f that inverse is computed once (`_mulmod`), and
-every remainder, and every power mod f, then costs products alone; a modulus
-of degree at most `TERMWISE_MODULUS_MAX`, as the D^alpha of the period
-descent at small p, reduces term by term instead.  Power-series division
-runs in blocks through the inverse of the denominator.
+multiplied term by term.  Division with remainder takes a quotient short
+for its divisor (`LONG_DIVISION_MAX`) by long division, as in every Euclid
+step, and a longer one by multiplying with a truncated inverse of the
+reversed divisor (Newton iteration; von zur Gathen-Gerhard, *Modern Computer
+Algebra*, ch. 9).  For a fixed modulus f that inverse is computed once
+(`_mulmod`), and every remainder, and every power mod f, then costs products
+alone; a modulus of degree at most `TERMWISE_MODULUS_MAX`, as the D^alpha of
+the period descent at small p, reduces term by term instead.  Power-series
+division runs in blocks through the inverse of the denominator.
 
 Exact integer products of big coefficients go through `_toom4`
 (Toom-Cook 4-way): seven quarter-size products, and evaluation and
@@ -47,7 +47,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import repeat, starmap, zip_longest
 from operator import add, mul, sub
 
 from .errors import (
@@ -310,6 +310,13 @@ def _divmod_residues(a: list, f: list, finv: list, modulus: int) -> tuple[list, 
     return q, r
 
 
+# `divmod` takes long division for at most SCHOOLBOOK_MAX quotient terms, or
+# where quotient terms times deg f are at most this.  Measured on random
+# operands mod 307, 197^2 and 7^5, Newton division wins from that product
+# 960-3072 at deg f = 6 to 30, 800-1200 at 50 and 600-800 at 100.
+LONG_DIVISION_MAX = 800
+
+
 def _long_division(a: list, f: list, lead_inv: int, modulus: int) -> tuple[list, list]:
     """(q, r) as `_divmod_residues` gives them, by schoolbook long division:
     one row update per quotient term, for quotients too short for the
@@ -357,6 +364,8 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    __delattr__ = __setattr__
+
     @classmethod
     def zero(cls, ring: Ring = None) -> "Poly":
         return cls((), ring)
@@ -399,11 +408,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         ring = _check_same_ring(self.ring, other.ring)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-            ring,
-        )
+        return Poly(list(starmap(add, zip_longest(self.coeffs, other.coeffs, fillvalue=0))), ring)
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs], self.ring)
@@ -488,10 +493,11 @@ class Poly:
             raise NonInvertible(
                 f"leading coefficient {den.leading()} not invertible in {ring}"
             ) from None
-        if len(a) - len(f) < SCHOOLBOOK_MAX:
+        terms = len(a) - len(f) + 1
+        if terms <= SCHOOLBOOK_MAX or terms * (len(f) - 1) <= LONG_DIVISION_MAX:
             q, r = _long_division(a, f, lead_inv, m)
         else:
-            q, r = _divmod_residues(a, f, _inverse(f[::-1], m, len(a) - len(f) + 1), m)
+            q, r = _divmod_residues(a, f, _inverse(f[::-1], m, terms), m)
         return Poly._residues(q, ring), Poly._residues(r, ring)
 
     def __floordiv__(self, den: "Poly") -> "Poly":
@@ -510,7 +516,8 @@ class Series(Record):
     __slots__ = ("coeffs", "ring")
 
     def __init__(self, coeffs: tuple, ring: Ring = None):
-        self._set(coeffs, ring)
+        # exact coefficients are ints or Fractions, as in an exact Poly
+        self._set(tuple(map(require_rational, coeffs)) if ring is None else coeffs, ring)
 
     @classmethod
     def of(cls, coeffs, ring: Ring = None, length: int | None = None) -> "Series":

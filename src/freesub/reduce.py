@@ -12,10 +12,11 @@ polynomial).  The pipeline here is:
      balanced coefficients in (-p/2, p/2); the product D of these small
      integer polynomials is the working denominator (any lift of the mod-p
      denominator serves, and this one matches the classical displays);
-  3. multiply the reduced series by D^alpha, find where the coefficients
-     become identically zero (a verified zero-run), check that the product
-     vanishes on enough terms to prove the form to every order, then split
-     into polynomial part plus partial fractions over the factor powers.
+  3. multiply the reduced series by D^alpha, take the product up to where
+     its coefficients become zero (a zero-run) as the numerator N, prove
+     N / D^alpha to be the series mod p^alpha to every order by the Riccati
+     equation itself, then split into polynomial part plus partial
+     fractions over the factor powers.
 
 A second, independent route reduces the explicit approximant P_n/Q_n for an
 n chosen so the residual constant vanishes mod p^alpha; by uniqueness of the
@@ -35,7 +36,7 @@ from .errors import (
 from .exact import ModRingCtx, Record, vp_rational
 from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
-from .riccati import pade_pair, residual_factors, riccati_series
+from .riccati import pade_pair, residual_factors, riccati_residual, riccati_series
 
 # on a missing or false zero-run the numerator search doubles its length up
 # to this many times before it gives up
@@ -145,41 +146,34 @@ def rational_form(
 def _bounded_numerator(
     family: GroupFamily, ctx: ModRingCtx, den_alpha: Poly, length: int | None, window: int | None
 ) -> Poly:
-    """Multiply the series S by den = D^alpha and certify that the product
-    is a polynomial N: a zero-run of the configured width must follow its
-    last nonzero coefficient among the first L, and it must vanish past
-    that on K = 2 max(L, deg den + 1) terms.  As den(0) = 1, G = N / den
-    then reproduces S on K terms, which proves G = S mod p^alpha to every
-    order.  With M = max(deg N, deg den) and the ODE Phi(H) = (1 - Az) H -
-    B z^2 H' - C z H^2 - 1 - D z, den^2 Phi(G) is a polynomial of degree
-    <= 2M + 1 < K that vanishes mod z^K, hence mod p^alpha; the recurrence
-    is monic in each new coefficient, so G is the unique solution S.  With
-    the denominator 1 (d = 0) this certifies that the series terminates.
+    """Multiply the series S by den = D^alpha on its first L terms; where a
+    zero-run of the configured width follows the last nonzero coefficient,
+    the product up to it is the candidate N, certified by the identity
+    den^2 Phi(N / den) = 0 mod p^alpha (`riccati_residual`).  As den(0) = 1,
+    that proves N / den = S mod p^alpha to every order, whatever the series
+    engine returned; with den = 1 (d = 0), that the series terminates.
 
-    The default window is W = deg den + 32.  The default start L = deg den
-    + p (alpha - 1) + W + 1 leaves W zeros past a numerator of degree deg
-    den + p (alpha - 1), the largest measured (not proven) on either family;
-    an explicit window does not move it.  A search with no zero-run, or
-    whose zero-run is not followed by a vanishing tail (a short window can
+    The default window is 1, and the default start L = deg den + p (alpha -
+    1) + 2 leaves one zero past a numerator of degree deg den + p (alpha -
+    1), the largest measured (not proven) on either family.  A search with
+    no zero-run, or whose candidate fails the identity (a short window can
     stop at a false run), doubles L."""
     for name, value in (("length", length), ("window", window)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, not {value}")
-    default_window = den_alpha.degree + 32
-    window = window or default_window
-    length = length or den_alpha.degree + ctx.p * (ctx.alpha - 1) + default_window + 1
+    window = window or 1
+    length = length or den_alpha.degree + ctx.p * (ctx.alpha - 1) + 2
     for _ in range(_MAX_DOUBLINGS + 1):
-        # one product serves the search on its first L terms and the check on all
-        terms = 2 * max(length, den_alpha.degree + 1)
-        product = reduce_series(family, ctx, terms).mul(den_alpha).coeffs
-        last = max((i for i, c in enumerate(product[:length]) if c), default=-1)
-        zero_run = length - 1 - last >= window
-        if zero_run and not any(product[last + 1 :]):
-            return Poly(product[: last + 1], ctx)
+        product = reduce_series(family, ctx, length).mul(den_alpha)
+        numerator = Poly._residues(list(product.coeffs), ctx)
+        zero_run = length - 1 - numerator.degree >= window
+        if zero_run and riccati_residual(params_for(family), numerator, den_alpha).is_zero():
+            return numerator
         length *= 2
-    # a zero-run on the last search whose tail never vanished is a failed
-    # check, not a short search
-    certify(not zero_run, f"numerator / denominator reproduces the series on {terms} terms")
+    # a zero-run on the last search whose candidate fails the identity is a
+    # failed certificate, not a short search
+    identity = "(1 - Az) N Q - B z^2 (N'Q - N Q') - C z N^2 - (1 + Dz) Q^2 = 0 mod p^alpha"
+    certify(not zero_run, identity + ", Q = D^alpha")
     raise DegreeBoundExceeded(
         f"no zero-run of width {window} within {length // 2} terms; "
         "raise the search length (the length argument / --length)"

@@ -396,6 +396,30 @@ def build_pade(params: RiccatiParams, n: int, allow_fallback: bool = True):
         return pade_oracle(params, n), "oracle"
 
 
+def _cleared_lhs(p: Poly, q: Poly, m, a, b, c, d) -> Poly:
+    """(m - a z) p q - b z^2 (p' q - p q') - c z p^2 - (m + d z) q^2 over the
+    ring of p and q: m times the left side of the defining identity for the
+    constants A, B, C, D = a/m, b/m, c/m, d/m."""
+    ring = p.ring
+    wronskian = p.derivative() * q - p * q.derivative()
+    return (
+        Poly([m, -a], ring) * p * q
+        - Poly([0, 0, b], ring) * wronskian
+        - Poly([0, c], ring) * (p * p)
+        - Poly([m, d], ring) * (q * q)
+    )
+
+
+def riccati_residual(params: RiccatiParams, num: Poly, den: Poly) -> Poly:
+    """den^2 Phi(num / den) over Z/p^alpha, the ring of num and den, for the
+    equation Phi(F) = 0 above.  Where den(0) is a unit it is zero exactly
+    when num / den is the series mod p^alpha: the recurrence is monic in
+    each new coefficient, so the solution is unique."""
+    ctx = num.ring
+    consts = (mod_reduce(v, ctx) for v in (params.a, params.b, params.c, params.d))
+    return _cleared_lhs(num, den, 1, *consts)
+
+
 def _identity_lhs(pair: PadePair, params: RiccatiParams) -> Poly:
     """The left side of the defining identity, computed in integers over one
     common denominator: with P = P'/N, Q = Q'/N and the constants A, B, C, D
@@ -406,14 +430,7 @@ def _identity_lhs(pair: PadePair, params: RiccatiParams) -> Poly:
     m = lcm(*(v.denominator for v in consts))
     p = Poly([_over(den, Fraction(v)) for v in pair.p.coeffs])
     q = Poly([_over(den, Fraction(v)) for v in pair.q.coeffs])
-    a, b, c, d = (_over(m, v) for v in consts)
-    wronskian = p.derivative() * q - p * q.derivative()
-    lhs = (
-        Poly([m, -a]) * p * q
-        - Poly([0, 0, b]) * wronskian
-        - Poly([0, c]) * p * p
-        - Poly([m, d]) * q * q
-    )
+    lhs = _cleared_lhs(p, q, m, *(_over(m, v) for v in consts))
     return Poly([Fraction(v, den * den * m) for v in lhs.coeffs])
 
 

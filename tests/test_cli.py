@@ -244,12 +244,12 @@ def test_reduce_degree_bound_exit4(capsys):
 
 
 def test_explicit_window_does_not_move_the_search_start(capsys):
-    # the start is derived from deg D^alpha and p alone: at 7^1 it is 35
+    # the start is derived from deg D^alpha and p alone: at 7^1 it is 3
     # terms, so a 3000-term window with no --length gives up after six
     # doublings; an explicit length long enough still answers
     code, out, err = run(capsys, "reduce", "--p", "7", "--alpha", "1", "--window", "3000")
     assert (code, out) == (4, "")
-    assert "no zero-run of width 3000 within 2240 terms" in err
+    assert "no zero-run of width 3000 within 192 terms" in err
     command = "reduce --family modular3 --p 7 --alpha 1 --length 3100 --window 3000 --format json"
     code, out, _ = run(capsys, *command.split())
     assert code == 0 and _digest(code, out) == CLI_DIGESTS[command]
@@ -630,14 +630,14 @@ def test_not_squarefree_mod_p_exit3(capsys, monkeypatch):
 
 
 def test_failed_certification_exit7(capsys, monkeypatch):
-    # one reduced-series coefficient skewed past the numerator makes the
-    # product check S * D^alpha = N mod z^(2L) fail for real; the check
-    # divides nothing, so series_div must not be reached
+    # one reduced-series coefficient skewed inside the numerator leaves the
+    # zero-run, and the Riccati identity on N / D^alpha fails for real; the
+    # check divides nothing, so series_div must not be reached
     real = freesub.reduce.reduce_series
 
     def skewed(family, ctx, length):
         s = real(family, ctx, length)
-        return Series.of((*s.coeffs[:-1], s.coeffs[-1] + 1), ctx)
+        return Series.of((s.coeffs[0], s.coeffs[1] + 1, *s.coeffs[2:]), ctx)
 
     def no_division(num, den, length):
         raise AssertionError("the numerator check must not divide")

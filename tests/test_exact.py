@@ -19,7 +19,7 @@ from freesub.exact import (
     vp_rational,
 )
 from freesub.groups import GroupFamily
-from freesub.poly import Factorization, Series
+from freesub.poly import Factorization, Poly, Series
 from freesub.periods import bound_factors, order_bound
 from freesub.reduce import rational_form
 from freesub.valuations import ValuationCase
@@ -105,6 +105,16 @@ def test_records_are_immutable_values(make, fields):
     assert record != values and values != record
     with pytest.raises(TypeError):
         iter(record)
+
+
+def test_poly_refuses_assignment_and_deletion():
+    p = Poly([1, 2])
+    for name in ("coeffs", "ring", "other"):
+        with pytest.raises(AttributeError, match="Poly is immutable"):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError, match="Poly is immutable"):
+            delattr(p, name)
+    assert p == Poly([1, 2]) and repr(p) == "Poly([1, 2], ring=None)"
 
 
 def test_records_of_different_classes_differ():

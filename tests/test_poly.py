@@ -17,6 +17,7 @@ from freesub.exact import ModRingCtx, is_prime
 from freesub.groups import GroupFamily
 import freesub.poly
 from freesub.poly import (
+    LONG_DIVISION_MAX,
     SCHOOLBOOK_MAX,
     Factorization,
     Poly,
@@ -75,10 +76,12 @@ def test_modular_coefficients_refuse_what_has_no_image(build):
 
 
 def test_exact_coefficients_are_ints_or_fractions():
-    # the rule of mod_reduce: int(2.7) would truncate, int("3") would parse
+    # the rule of mod_reduce: int(2.7) would truncate, int("3") would parse;
+    # an exact Series keeps its coefficients as given, so it must refuse too
     for c in (2.7, 2.0, "3", None):
-        with pytest.raises(TypeError):
-            Poly([1, c])
+        for build in (Poly, Series, Series.of):
+            with pytest.raises(TypeError):
+                build([1, c])
     with pytest.raises(TypeError):
         Poly([2.7]).map_ring(ModRingCtx(7, 1))
     assert Poly([True, Fraction(1, 2), 3]).coeffs == (1, Fraction(1, 2), 3)
@@ -474,9 +477,8 @@ def test_kernel_divmod_matches_schoolbook(ring):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_long_division_matches_newton_division(data):
-    # quotients of 0 to SCHOOLBOOK_MAX + 2 terms, on both sides of the
-    # cutoff; the dividend may carry trailing zeros, which lengthen the
-    # quotient by as many zero terms
+    # quotients of 0 to SCHOOLBOOK_MAX + 2 terms; the dividend may carry
+    # trailing zeros, which lengthen the quotient by as many zero terms
     ring = data.draw(st.sampled_from(KERNEL_RINGS))
     m = ring.modulus
     residue = st.integers(0, m - 1)
@@ -493,8 +495,36 @@ def test_long_division_matches_newton_division(data):
     assert divmod(Poly(a, ring), Poly(f, ring)) == school_divmod(Poly(a, ring), Poly(f, ring))
 
 
+def _spy_on_inverse(monkeypatch) -> list:
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _inverse(*args)
+
+    monkeypatch.setattr(freesub.poly, "_inverse", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+@pytest.mark.parametrize("k", [1, 6, 50, 200])
+def test_divmod_takes_long_division_for_short_quotients(monkeypatch, ring, k):
+    # a quotient of t terms by a divisor of degree k is taken by long
+    # division while t <= SCHOOLBOOK_MAX or t k <= LONG_DIVISION_MAX, and by
+    # Newton division past both; the two give the same (q, r)
+    calls = _spy_on_inverse(monkeypatch)
+    rng = random.Random(k)
+    f = _random_poly(rng, ring, k, unit_lead=True)
+    edge = max(LONG_DIVISION_MAX // k, SCHOOLBOOK_MAX)
+    for t, newton in ((edge, False), (edge + 1, True)):
+        calls.clear()
+        a = _random_poly(rng, ring, k + t - 1)
+        assert divmod(a, f) == school_divmod(a, f)
+        assert bool(calls) == newton, (k, t)
+
+
 @pytest.mark.parametrize("ring", KERNEL_RINGS[1:], ids=str)
-@pytest.mark.parametrize("t", range(SCHOOLBOOK_MAX + 3))
+@pytest.mark.parametrize("t", [*range(SCHOOLBOOK_MAX + 3), LONG_DIVISION_MAX // 6 + 1])
 def test_divmod_non_unit_leading_coefficient(ring, t):
     # both the long-division and the Newton path refuse a divisor whose
     # leading coefficient is a multiple of p, also when deg a < deg f
@@ -509,13 +539,7 @@ def test_divmod_non_unit_leading_coefficient(ring, t):
 def test_gcd_builds_no_newton_inverse(monkeypatch):
     # every Euclid step divides by a quotient of one or two terms, which
     # long division takes without an inverse of the reversed divisor
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _inverse(*args)
-
-    monkeypatch.setattr(freesub.poly, "_inverse", spy)
+    calls = _spy_on_inverse(monkeypatch)
     ring = ModRingCtx(10007, 1)
     rng = random.Random(50)
     c = _random_poly(rng, ring, 10)

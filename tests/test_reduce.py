@@ -1,16 +1,19 @@
 import json
 import random
+from functools import cache
 from math import prod
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freesub.reduce
 from freesub.errors import CertificationFailed, DegreeBoundExceeded, UnsupportedPrime
 from freesub.exact import ModRingCtx, is_prime
 from freesub.groups import GroupFamily, params_for
 from freesub.poly import Poly, Series, series_div
-from freesub.riccati import pade_pair, riccati_series, verify_identity
+from freesub.riccati import pade_pair, riccati_residual, riccati_series, verify_identity
 from freesub.reduce import (
     JSON_SCHEMA,
     denominator_base,
@@ -314,39 +317,36 @@ def _spy_on_attempts(monkeypatch) -> list:
 
 
 def test_search_plan_keeps_explicit_knobs(monkeypatch):
-    # None selects the default start L = deg D^alpha + p (alpha - 1) + W + 1
-    # with W = deg D^alpha + 32, here 2 + 7 + 34 + 1 = 44, and the first
-    # product covers 2L terms; an explicit knob is used as given
+    # None selects the default start L = deg D^alpha + p (alpha - 1) + 2,
+    # here 2 + 7 + 2 = 11, and a one-term window; the series is read on L
+    # terms, and an explicit knob is used as given
     ctx = ModRingCtx(7, 2)
     calls = _spy_on_attempts(monkeypatch)
     form = rational_form(M1, ctx)
-    assert calls == [88]
+    assert calls == [11]
     calls.clear()
     assert rational_form(M1, ctx, length=50) == form
-    assert calls == [100]
+    assert calls == [50]
     calls.clear()
-    # length 1 is raised to deg D^alpha + 1 = 3 for the check only, and the
-    # one-term window stops at the first zero, so the search doubles
+    # a one-term search has no room for a zero-run, so the search doubles
     assert rational_form(M1, ctx, length=1, window=1) == form
-    assert calls[0] == 6 and len(calls) > 1
+    assert calls[0] == 1 and len(calls) > 1
     calls.clear()
-    # an explicit window does not move the start: 88 terms, then doublings
-    # up to 64 x 44 terms
-    with pytest.raises(DegreeBoundExceeded, match="no zero-run of width 5000 within 2816 terms"):
+    # an explicit window does not move the start: 11 terms, then doublings
+    # up to 64 x 11 terms
+    with pytest.raises(DegreeBoundExceeded, match="no zero-run of width 5000 within 704 terms"):
         rational_form(M1, ctx, window=5000)
-    assert calls == [88 * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
+    assert calls == [11 * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
 
 
 def _first_attempt_finds(monkeypatch, family, p, alphas):
-    """Every default search over the given alphas ends on its first
-    reduce_series call, which is never longer than the 2 (alpha d + 2 p
-    alpha + 64) terms of the start it replaced."""
+    """Every default search over the given alphas ends on one reduce_series
+    call, of deg D^alpha + p (alpha - 1) + 2 terms."""
     calls = _spy_on_attempts(monkeypatch)
     for alpha in alphas:
         calls.clear()
         form = rational_form(family, ModRingCtx(p, alpha))
-        assert len(calls) == 1, (family, p, alpha, calls)
-        assert calls[0] <= 2 * (alpha * form.d + 2 * p * alpha + 64), (family, p, alpha, calls)
+        assert calls == [form.den_alpha.degree + p * (alpha - 1) + 2], (family, p, alpha, calls)
 
 
 def _primes(lo, hi):
@@ -355,10 +355,11 @@ def _primes(lo, hi):
 
 # deg N <= deg D^alpha + p (alpha - 1) is measured, not proven: these grids
 # keep it checked, so a form past it shows here and not only as a slower run
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 5])
 @pytest.mark.parametrize("kind", ["modular3", "hecke4"])
 def test_default_search_ends_on_its_first_attempt(monkeypatch, kind, m):
-    for p in _primes(5, 60):
+    # 2 families x 3 lifts x 27 primes x 3 alphas = 486 forms
+    for p in _primes(5, 110):
         _first_attempt_finds(monkeypatch, GroupFamily(kind, m), p, (1, 2, 3))
 
 
@@ -466,49 +467,52 @@ def test_reduce_series_reduces_the_exact_series(family, p, alpha):
     assert reduce_series(family, ctx, 200).coeffs == tuple(c % ctx.modulus for c in exact)
 
 
-def test_numerator_checks_the_doubled_horizon(monkeypatch):
-    # the reduced series past the search length must match numerator / D^alpha;
-    # one product S * D^alpha of twice the search length serves both, so
-    # skewing the series past its first half leaves the search alone and
-    # fails only the check, at the first and at the last term it covers.
-    # A failed check doubles the search like a missing zero-run does; the
-    # skew follows every doubling, so the last check fails and is reported
+@pytest.mark.parametrize(
+    "position,error,message",
+    [
+        # a coefficient inside N leaves the zero-run, and only the identity
+        # can tell the candidate is wrong
+        (1, CertificationFailed, "N Q - B z\\^2 \\(N'Q - N Q'\\)"),
+        # the last coefficient read breaks the zero-run
+        (-1, DegreeBoundExceeded, "no zero-run of width 1 within 704 terms"),
+    ],
+    ids=["inside-numerator", "last-term"],
+)
+def test_a_skewed_series_doubles_the_search_and_fails(monkeypatch, position, error, message):
+    # the skew follows every doubling, so the last attempt fails too and is
+    # reported; the numerator check divides nothing
     real = freesub.reduce.reduce_series
+    calls = []
+
+    def skewed(family, ctx, length):
+        s = real(family, ctx, length)
+        calls.append(length)
+        cs = list(s.coeffs)
+        cs[position] += 1
+        return Series.of(cs, ctx)
 
     def no_division(num, den, length):
         raise AssertionError("the numerator check must not divide")
 
     monkeypatch.setattr(freesub.reduce, "series_div", no_division)
-    for position in ("first", "last"):
-        calls = []
-
-        def skewed(family, ctx, length):
-            s = real(family, ctx, length)
-            calls.append(length)
-            cs = list(s.coeffs)
-            cs[length // 2 if position == "first" else -1] += 1
-            return Series.of(cs, ctx)
-
-        monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
-        with pytest.raises(CertificationFailed, match="terms") as info:
-            rational_form(M1, ModRingCtx(7, 2))
-        assert calls == [calls[0] * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
-        assert f"on {calls[-1]} terms" in str(info.value)
+    monkeypatch.setattr(freesub.reduce, "reduce_series", skewed)
+    with pytest.raises(error, match=message):
+        rational_form(M1, ModRingCtx(7, 2))
+    assert calls == [11 * 2**k for k in range(freesub.reduce._MAX_DOUBLINGS + 1)]
 
 
 @pytest.mark.parametrize(
     "knobs,terms",
     [
-        # the search starts at one term, but the check must still cover
-        # 2 (deg D^alpha + 1) = 14 terms to prove the form to every order
-        ({"length": 1, "window": 1}, 14),
-        # under the default knobs L = 6 + 13*2 + (6 + 32) + 1 = 71 > deg D^alpha,
-        # so the check covers exactly 2L
-        ({}, 142),
+        # the identity proves the form to every order, so the series is read
+        # on the search length alone, even on one term
+        ({"length": 1, "window": 1}, 1),
+        # under the default knobs L = 6 + 13*2 + 2 = 34
+        ({}, 34),
     ],
     ids=["short-search", "default-knobs"],
 )
-def test_numerator_check_covers_the_residual_degree(monkeypatch, knobs, terms):
+def test_numerator_search_reads_the_series_on_its_length(monkeypatch, knobs, terms):
     calls = []
 
     class FirstCall(Exception):
@@ -522,6 +526,36 @@ def test_numerator_check_covers_the_residual_degree(monkeypatch, knobs, terms):
     with pytest.raises(FirstCall):
         rational_form(M1, ModRingCtx(13, 3), **knobs)
     assert calls == [terms]
+
+
+@cache
+def _certified_pair(kind, m, p, alpha):
+    form = rational_form(GroupFamily(kind, m), ModRingCtx(p, alpha))
+    return form.poly_part * form.den_alpha + form.proper, form.den_alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["modular3", "hecke4"]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.data(),
+)
+def test_the_identity_refuses_a_perturbed_form(kind, m, p, alpha, in_numerator, data):
+    # adding k p^(alpha - 1) z^i, p not dividing k, to N or to D^alpha gives
+    # a pair whose quotient is not the series: N is not 0 mod p, and D^alpha
+    # keeps its constant term 1, so the quotient is still a power series
+    num, den = _certified_pair(kind, m, p, alpha)
+    params = params_for(GroupFamily(kind, m))
+    assert riccati_residual(params, num, den).is_zero()
+    target = num if in_numerator else den
+    i = data.draw(st.integers(0 if in_numerator else 1, target.degree + 1), label="i")
+    k = data.draw(st.integers(1, p - 1), label="k")
+    bumped = target + Poly([0] * i + [k * p ** (alpha - 1)], target.ring)
+    pair = (bumped, den) if in_numerator else (num, bumped)
+    assert not riccati_residual(params, *pair).is_zero()
 
 
 @pytest.mark.parametrize("family,p", [(M1, 13), (H1, 7), (H1, 19)], ids=["modular3-13", "hecke4-7", "hecke4-19"])
