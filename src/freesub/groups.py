@@ -65,8 +65,9 @@ def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
 def free_subgroup_numbers(family: GroupFamily, length: int) -> tuple:
     """f_1..f_length, exact, as a tuple; the implicit f_0 is 1.  The family
     parameters are integers, so the series engine runs with scale 1 and
-    every coefficient is an int; A, B and C are positive and D = (1-m)(1-5m)
-    or (1-m)(1-3m) is >= 0, so the recurrence adds no negative term."""
+    every coefficient is an int.  A, B, C and A + C + D = 5m^2 or 3m^2 are
+    positive, so every weight beta_h and gamma_h of the engine's J-fraction
+    is positive, and its path sums add no negative term."""
     if length < 1:
         raise ValueError("length must be >= 1")
     return riccati_series(params_for(family), length + 1).coeffs[1:]

@@ -24,12 +24,13 @@ alone; a modulus of degree at most `TERMWISE_MODULUS_MAX`, as the D^alpha of
 the period descent at small p, reduces term by term instead.  Power-series
 division runs in blocks through the inverse of the denominator.
 
-Exact integer products of big coefficients go through `_toom4`
-(Toom-Cook 4-way): seven quarter-size products, and evaluation and
+Exact integer products of big coefficients in `Poly.__mul__` go through
+`_toom4` (Toom-Cook 4-way): seven quarter-size products, and evaluation and
 interpolation by additions, shifts and exact divisions by 3 and 5 of linear
 cost, which pays once a product of two coefficients costs far more than a
-sum (`_toom_pays`).  Products with a Fraction, a short operand or small
-coefficients stay term by term.
+sum (`_toom_pays`).  Its thresholds were measured on the blocks of the
+former exact series engine, and now serve `Poly.__mul__` only.  Products
+with a Fraction, a short operand or small coefficients stay term by term.
 
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
 Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
@@ -162,9 +163,11 @@ def _folded(x: list, y: list, width: int, scale=1) -> list:
 # than TOOM_LEAF terms and some coefficient has at least TOOM_BITS bits;
 # below either, a product of two coefficients costs about as much as the
 # additions, shifts and calls that Toom-Cook trades for it.  TOOM_LEAF is
-# also the recursion's leaf size and must be at least 1.  Measured on the
-# series engine in both families, whose coefficients reach 8.6 kbit at
-# L = 801 and 24 kbit at L = 2001: leaves of 2 and 3 are equally fast; 4 is
+# also the recursion's leaf size and must be at least 1.  Both were measured
+# on the blocks of the former exact series engine (relaxed multiplication,
+# now replaced by the J-fraction in `riccati`) and serve `Poly.__mul__` only.
+# In both families, whose coefficients reach 8.6 kbit at L = 801 and
+# 24 kbit at L = 2001: leaves of 2 and 3 are equally fast; 4 is
 # 6-9% slower at L = 801 and 30-40% slower at L = 2001, and 8 a quarter
 # slower at L = 801.  On random blocks of 4 to 8.6 kbit, a leaf of 1 is up
 # to 80% slower at 128 terms and 4 up to 60% slower at 256.  Of the gates
@@ -365,6 +368,9 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild it through the constructor
+        return Poly, (self.coeffs, self.ring)
 
     @classmethod
     def zero(cls, ring: Ring = None) -> "Poly":

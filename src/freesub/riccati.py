@@ -17,7 +17,14 @@ The approximant pair (P_n, Q_n) has constant terms 1 and satisfies
     (1-Az) P Q - B z^2 (P'Q - PQ') - C z P^2 - (1+Dz) Q^2 = -r z^(2n+1)
 
 for a scalar r (`residual_const`): the product of the first n + 1 factors
-that `residual_factors` yields.
+that `residual_factors` yields.  P_n/Q_n is the n-th convergent of the
+J-fraction
+
+    F = 1 + (A + C + D) z/(1 - beta_0 z - gamma_1 z^2/(1 - beta_1 z - gamma_2 z^2/(1 - ...))),
+
+with beta_h = A + 2C + (2h + 1) B and gamma_h the h-th of those factors, so
+Q_{n+1} = (1 - beta_n z) Q_n - gamma_n z^2 Q_{n-1}, and P_n likewise.  The
+exact series engine reads the coefficients of F off this fraction.
 """
 
 from __future__ import annotations
@@ -30,14 +37,7 @@ from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
 from .exact import ModRingCtx, Rational, Record, mod_reduce, pochhammer, require_rational
-from .poly import (
-    Poly,
-    Series,
-    _folded,
-    _toom4,
-    _toom_pays,
-    kronecker,
-)
+from .poly import Poly, Series, kronecker
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -80,14 +80,6 @@ class PadePair(Record):
         self._set(n, p, q, residual_const)
 
 
-def _toom_block(x: list, y: list, width: int) -> list:
-    """A block of `_online_square` over Z: by `poly._toom4` once the
-    coefficients are big enough for it to pay, term by term before."""
-    if not _toom_pays(x, y):
-        return _folded(x, y, width, 2)
-    return _toom4(x, x if x is y else [2 * v for v in y])[:width]
-
-
 def _kronecker_block(modulus: int, length: int):
     """Block product over Z/modulus by Kronecker substitution (Harvey 2009).
 
@@ -110,7 +102,7 @@ def _kronecker_block(modulus: int, length: int):
 # at it; 1 runs every block.  Measured on the engine mod 7^5, 307^2 and
 # 10007^5 at L = 142, 1088 and 5000 and mod 17^3 at L = 40000: 16 and 64 are
 # nowhere more than 2% faster than 32 and up to 17% slower, 128 up to 62%
-# slower; over Z at L = 801 and 2001 the lead makes no difference beyond noise.
+# slower.
 DIRECT_LEAD = 32
 
 
@@ -160,47 +152,97 @@ def _over(den: int, v: Fraction) -> int:
     return v.numerator * (den // v.denominator)
 
 
+def _numerators(params: RiccatiParams) -> tuple[int, tuple[int, int, int, int]]:
+    """(M, the numerators of A, B, C and D over M), M their common
+    denominator."""
+    consts = (params.a, params.b, params.c, params.d)
+    m = lcm(*(v.denominator for v in consts))
+    return m, tuple(_over(m, v) for v in consts)
+
+
+def _gammas(a: int, b: int, c: int, d: int) -> Iterator[int]:
+    """M^2 gamma_l for l = 1, 2, ..., from the numerators a, b, c, d of A, B,
+    C, D over M: gamma_l = B^2 l^2 + B (A + 2C) l + C (A + C + D) is the l-th
+    residual factor and the l-th partial numerator of the J-fraction."""
+    return (l * l * b * b + l * b * (a + 2 * c) + c * (a + c + d) for l in count(1))
+
+
+def _jacobi_series(a: int, b: int, c: int, d: int, length: int) -> list[int]:
+    """The first `length` coefficients of the solution for the integer
+    constants A, B, C, D = a, b, c, d, read off its J-fraction
+
+        F = 1 + (A + C + D) z K,
+        K = 1/(1 - beta_0 z - gamma_1 z^2/(1 - beta_1 z - gamma_2 z^2/(1 - ...))),
+
+    with beta_h = A + 2C + (2h + 1) B and gamma_h from `_gammas`.  The
+    coefficient of z^t in K is the weighted count of Motzkin paths of t
+    steps from height 0 back to 0: a rise weighs 1, a level step at height
+    h weighs beta_h and a fall from h to h - 1 weighs gamma_h (Flajolet,
+    Discrete Math. 32, 1980).  Row u_t holds those counts for the paths
+    that end at each height h, so
+
+        u_{t+1}[h] = u_t[h-1] + beta_h u_t[h] + gamma_{h+1} u_t[h+1]
+
+    and f_{t+1} = (A + C + D) u_t[0].  A row keeps only the heights that can
+    still fall back to 0 by the last step, so the whole series costs about
+    L^2/4 products of a small by a big integer, and no convolution.
+    """
+    lead = a + c + d
+    half = length // 2 + 1
+    betas = [a + 2 * c + (2 * h + 1) * b for h in range(half)]
+    gammas = list(islice(_gammas(a, b, c, d), half))  # gammas[h] = gamma_{h+1}
+    f, u = [1], [1]
+    for t in range(length - 1):
+        f.append(lead * u[0])
+        u.append(0)
+        rise, level = chain([0], u), map(mul, betas, u)
+        fall = chain(map(mul, gammas, u[1:]), [0])
+        top = min(t + 1, length - 3 - t)  # the highest height of u_{t+1} kept
+        u = list(islice(map(add, map(add, rise, level), fall), max(top + 1, 0)))
+    return f
+
+
 def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> Series:
     """The unique solution series with F(0) = 1, to `length` coefficients.
 
-    Over Z/p^alpha the same recurrence is run on reduced parameters; this is
-    well-defined because the recurrence never divides. Integer parameters
-    keep integer coefficients; other rational ones give Fractions. Those run
-    over Z too: with a, b, c, d the numerators of A, B, C, D over their
-    common denominator M, g_n = M^n f_n satisfies the same recurrence with
-    g_0 = 1, and f_n = g_n / M^n. The convolution comes from
-    `_online_square`, whose block product is the only part that depends on
-    the ring: Toom-Cook over Z and Kronecker packing over Z/p^alpha.
+    The ring picks the algorithm.  Over Z and Q the coefficients are read
+    off the J-fraction (`_jacobi_series`), whose products all have one small
+    factor.  Rational parameters run on integers: with a, b, c, d the
+    numerators of A, B, C, D over their common denominator M,
+    g_n = M^n f_n is the series for the constants a, b, c, d, and
+    f_n = g_n / M^n.  Integer parameters keep integer coefficients; other
+    rational ones give Fractions.
+
+    Over Z/p^alpha the recurrence itself is run on reduced parameters; this
+    is well-defined because the recurrence never divides.  Its convolution
+    comes from `_online_square` with Kronecker-packed blocks, which beat
+    the J-fraction's L^2/4 residue products there.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    consts = (params.a, params.b, params.c, params.d)
-    if ctx is not None:
-        a, b, c, d = (mod_reduce(v, ctx) for v in consts)
-        scale, modulus, block = 1, ctx.modulus, _kronecker_block(ctx.modulus, length)
-    else:
-        scale, modulus, block = lcm(*(v.denominator for v in consts)), None, _toom_block
-        a, b, c, d = (_over(scale, v) for v in consts)
+    if ctx is None:
+        scale, (a, b, c, d) = _numerators(params)
+        f = _jacobi_series(a, b, c, d, length)
+        if scale > 1:
+            f = list(map(Fraction, f, accumulate(repeat(scale, length - 1), mul, initial=1)))
+        return Series(tuple(f))
+    a, b, c, d = (mod_reduce(v, ctx) for v in (params.a, params.b, params.c, params.d))
+    modulus = ctx.modulus
     f = [1]
-    for n, s_n in enumerate(_online_square(f, length - 1, block)):
+    for n, s_n in enumerate(_online_square(f, length - 1, _kronecker_block(modulus, length))):
         # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0]
         v = (a + b * n) * f[n] + c * s_n
         if n == 0:
             v += d
-        f.append(v if modulus is None else v % modulus)
-    if scale > 1:
-        f = list(map(Fraction, f, accumulate(repeat(scale, length - 1), mul, initial=1)))
+        f.append(v % modulus)
     return Series(tuple(f), ctx)
 
 
 def _residual_numerators(params: RiccatiParams) -> tuple[int, Iterator[int]]:
     """(M^2, the factors of `residual_factors` times M^2), M the common
     denominator of A, B, C and D: each factor is quadratic in them."""
-    consts = (params.a, params.b, params.c, params.d)
-    m = lcm(*(v.denominator for v in consts))
-    a, b, c, d = (_over(m, v) for v in consts)
-    rest = (l * a * b + a * c + c * d + l * l * b * b + 2 * l * b * c + c * c for l in count(1))
-    return m * m, chain([m * (a + c + d)], rest)
+    m, (a, b, c, d) = _numerators(params)
+    return m * m, chain([m * (a + c + d)], _gammas(a, b, c, d))
 
 
 def residual_factors(params: RiccatiParams) -> Iterator[Fraction]:
@@ -425,12 +467,11 @@ def _identity_lhs(pair: PadePair, params: RiccatiParams) -> Poly:
     common denominator: with P = P'/N, Q = Q'/N and the constants A, B, C, D
     integers over M, the left side is quadratic in P, Q and linear in the
     constants, so it is an integer polynomial over N^2 M."""
-    consts = (params.a, params.b, params.c, params.d)
     den = lcm(*(Fraction(v).denominator for v in pair.p.coeffs + pair.q.coeffs))
-    m = lcm(*(v.denominator for v in consts))
+    m, consts = _numerators(params)
     p = Poly([_over(den, Fraction(v)) for v in pair.p.coeffs])
     q = Poly([_over(den, Fraction(v)) for v in pair.q.coeffs])
-    lhs = _cleared_lhs(p, q, m, *(_over(m, v) for v in consts))
+    lhs = _cleared_lhs(p, q, m, *consts)
     return Poly([Fraction(v, den * den * m) for v in lhs.coeffs])
 
 

@@ -117,6 +117,22 @@ def test_poly_refuses_assignment_and_deletion():
     assert p == Poly([1, 2]) and repr(p) == "Poly([1, 2], ring=None)"
 
 
+@pytest.mark.parametrize(
+    "p", [Poly([1, 2, 3], ModRingCtx(7, 2)), Poly([Fraction(1, 2), 0, 3])], ids=["modular", "exact"]
+)
+def test_poly_copies_and_pickles(p):
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and repr(twin) == repr(p) and hash(twin) == hash(p)
+        with pytest.raises(AttributeError, match="Poly is immutable"):
+            twin.coeffs = ()
+
+
+def test_rational_form_pickles():
+    # the certified record holds Polys, in its fields and in its factors
+    form = rational_form(GroupFamily("modular3"), ModRingCtx(7, 2))
+    assert pickle.loads(pickle.dumps(form)) == form == copy.deepcopy(form)
+
+
 def test_records_of_different_classes_differ():
     assert ModRingCtx(7, 2) != ModRingCtx(7, 3)
     assert Series((1, 2)) != Factorization((1, 2), None)

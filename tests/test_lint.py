@@ -196,34 +196,25 @@ def test_mulmod_packs_the_modulus_once():
 
 
 def test_series_engine_has_two_rings():
-    # the block product is the only ring-dependent part of the engine:
-    # Toom-Cook over Z (rational parameters run on their numerators) and
-    # Kronecker packing over Z/p^alpha; a third block type would be a third
+    # the ring picks the algorithm: the J-fraction over Z (rational
+    # parameters run on their numerators) and the relaxed recurrence with
+    # Kronecker-packed blocks over Z/p^alpha; a third path would be a third
     # engine to keep equal to the oracle
     tree = next(tree for path, tree in _package_trees() if path.name == "riccati.py")
     engine = _function(tree, "riccati_series")
-    (call,) = [
-        n for n in ast.walk(engine)
-        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_online_square"
-    ]
-    handed = [call.args[2]]
-    if getattr(handed[0], "id", None) == "block":
-        handed = []
-        for node in ast.walk(engine):
-            for target in node.targets if isinstance(node, ast.Assign) else []:
-                if "block" not in {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}:
-                    continue
-                if isinstance(target, ast.Name):
-                    handed.append(node.value)
-                else:
-                    # a block bound by unpacking is traced only from a literal tuple
-                    assert isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple), node.lineno
-                    handed += [v for t, v in zip(target.elts, node.value.elts) if getattr(t, "id", None) == "block"]
-    assert handed
-    for value in handed:
-        toom = isinstance(value, ast.Name) and value.id == "_toom_block"
-        kronecker = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_kronecker_block"
-        assert toom or kronecker, ast.unparse(value)
+
+    def calls(node, name: str) -> list:
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
+
+    (exact,) = [n for n in ast.walk(engine) if isinstance(n, ast.If) and ast.unparse(n.test) == "ctx is None"]
+    assert not exact.orelse and isinstance(exact.body[-1], ast.Return)
+    assert calls(exact, "_jacobi_series") and not calls(exact, "_online_square")
+    (relaxed,) = calls(engine, "_online_square")
+    (block,) = relaxed.args[2:] + [k.value for k in relaxed.keywords if k.arg == "block"]
+    assert calls(block, "_kronecker_block") == [block], ast.unparse(block)
+    for path, tree in _package_trees():
+        names = {getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(tree)}
+        assert "_toom_block" not in names, path.name
 
 
 def test_termwise_cutoff_is_read_by_mulmod_only():

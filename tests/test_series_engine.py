@@ -1,8 +1,10 @@
-"""The online series engine against the plain O(L^2) recurrence it replaced.
+"""The series engine against the plain O(L^2) recurrence it replaced.
 
-`reference_series` is that recurrence, kept here as the oracle: a folded
-convolution loop over Z/p^alpha and an unfolded one over Z and Q. Every
-comparison is exact equality of whole coefficient tuples, types included.
+The engine reads exact coefficients off the J-fraction of the solution and
+runs the relaxed recurrence over Z/p^alpha. `reference_series` is the plain
+recurrence, kept here as the oracle: a folded convolution loop over
+Z/p^alpha and an unfolded one over Z and Q. Every comparison is exact
+equality of whole coefficient tuples, types included.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -17,8 +20,8 @@ from conftest import random_integer_params
 from freesub import riccati
 from freesub.exact import ModRingCtx, mod_reduce
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
-from freesub.poly import _folded
-from freesub.riccati import RiccatiParams, riccati_series
+from freesub.poly import Poly, _folded
+from freesub.riccati import RiccatiParams, pade_pair, residual_factors, riccati_series
 
 
 def reference_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> tuple:
@@ -79,7 +82,8 @@ def test_every_length_mod_prime_power():
 
 
 def _check_every_length_exact_int(top_exponent: int) -> None:
-    # every length cuts the last Toom-Cook blocks at another place
+    # the rows of the J-fraction keep only the heights that can still fall
+    # back to 0 by the last step, so every length trims them differently
     params = params_for(GroupFamily(HECKE4, 2))
     lengths = _edge_lengths(top_exponent)
     oracle = reference_series(params, lengths[-1])
@@ -101,15 +105,16 @@ def test_every_length_exact_int_up_to_1025():
 @pytest.mark.parametrize(
     "kind,digest",
     [
-        # recorded with the Karatsuba block product that Toom-Cook replaced
+        # recorded with the relaxed recurrence and its Karatsuba blocks, which
+        # Toom-Cook blocks and then the J-fraction replaced
         (MODULAR3, "dc41d28ee20ca1d99fa3599c48c3ffa035f3ff403dd25c66986dab7c421bc9e3"),
         (HECKE4, "d82603e020fac3e2564a057f7ae08374115139ad9e6fde16b53a5b7b7f7fab9b"),
     ],
 )
 def test_exact_series_digest_at_2001(kind, digest):
-    # a length with a full 512-term block, whose product recurses four Toom
-    # levels deep; the oracle tests stop at 1025 terms, where that block is
-    # cut to 2.  Hex, because str() refuses ints past 4300 digits
+    # the oracle tests stop at 1025 terms; past them, rows of up to 1000
+    # heights and coefficients of 24 kbit.  Hex, because str() refuses ints
+    # past 4300 digits
     coeffs = riccati_series(params_for(GroupFamily(kind)), 2001).coeffs
     assert hashlib.sha256(" ".join(map(hex, coeffs)).encode()).hexdigest() == digest
 
@@ -165,11 +170,8 @@ def test_17_cubed_long_window():
 
 
 # ---------------------------------------------------------------------------
-# the direct lead: every lead gives the oracle's coefficients, and the direct
-# pairs plus the blocks tile the index pairs exactly once
+# exact parameters at many lengths, and the J-fraction the exact engine reads
 # ---------------------------------------------------------------------------
-
-LEADS = [1, 2, 8, 32, 128]
 
 
 def _check_lengths(params, lengths, ctx=None) -> None:
@@ -178,17 +180,8 @@ def _check_lengths(params, lengths, ctx=None) -> None:
         assert _typed(riccati_series(params, n, ctx).coeffs) == oracle[:n], n
 
 
-@pytest.mark.parametrize("lead", LEADS)
-@pytest.mark.parametrize("p,alpha", [(7, 5), (10007, 5)])
-def test_every_lead_mod_prime_power(monkeypatch, lead, p, alpha):
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
-    _check_lengths(params_for(GroupFamily(MODULAR3, 1)), _edge_lengths(10), ModRingCtx(p, alpha))
-
-
-@pytest.mark.parametrize("lead", LEADS)
 @pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
-def test_every_lead_exact_int(monkeypatch, lead, kind):
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+def test_edge_lengths_exact_int(kind):
     _check_lengths(params_for(GroupFamily(kind, 1)), _edge_lengths(8))
 
 
@@ -213,30 +206,95 @@ def _random_scaled_params(rng: random.Random, with_c: bool) -> RiccatiParams:
 
 @pytest.mark.parametrize("with_c", [True, False])
 @pytest.mark.parametrize("seed", range(3))
-def test_rational_params_through_the_integer_blocks(with_c, seed):
-    # the numerators over the common denominator M run the Z engine, whose
-    # first 32-term block runs at length 64 and whose blocks reach Toom-Cook
-    # further on; each length cuts the last blocks at another place
+def test_rational_params_through_the_integer_engine(with_c, seed):
+    # the numerators over the common denominator M run the J-fraction over
+    # Z, with C = 0 as well, where every gamma_h is B h (B h + A); each
+    # length trims the rows at another place
     params = _random_scaled_params(random.Random(100 * seed + with_c), with_c)
     lengths = [*range(63, 67), *range(127, 131), 200, 256, 257, 300]
     _check_lengths(params, lengths)
     assert all(type(c) is Fraction for c in riccati_series(params, 300).coeffs)
 
 
-@pytest.mark.parametrize("lead", LEADS)
-def test_every_lead_fraction_params(monkeypatch, lead):
+def test_fraction_params_edge_lengths():
     # the Fraction oracle costs seconds at 300 terms, so every length up to
-    # 70 and the block edges past it; the slow tier takes all of 1..300
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
+    # 70 and the powers of two past it; the slow tier takes all of 1..300
     lengths = sorted(set(range(1, 71)) | _edges(8) | {300})
-    _check_lengths(_random_fraction_params(random.Random(lead)), lengths)
+    _check_lengths(_random_fraction_params(random.Random(32)), lengths)
 
 
 @pytest.mark.slow
+def test_fraction_params_every_length():
+    _check_lengths(_random_fraction_params(random.Random(32)), _edge_lengths(8))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_any_rational_params_short_lengths(seed):
+    # the J-fraction identity is polynomial in A..D: it needs no rational E
+    # and no C != 0, and it holds for integer and rational constants of
+    # either sign alike
+    rng = random.Random(seed)
+    kinds = Counter()
+    for _ in range(100):
+        vals = [Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 6])) for _ in range(4)]
+        vals[1] = vals[1] or Fraction(1)
+        if rng.random() < 0.25:
+            vals[2] = Fraction(0)
+        params = RiccatiParams(*vals)
+        kinds.update(c=params.c == 0, e=params.e is None, integral=params.is_integral())
+        n = rng.randint(1, 60)
+        assert _typed(riccati_series(params, n).coeffs) == _typed(reference_series(params, n)), params
+    assert min(kinds.values()) > 0
+
+
+def _expand(p: Poly, q: Poly, length: int) -> list:
+    """The first `length` terms of p/q, for q(0) = 1."""
+    s: list = []
+    for k in range(length):
+        s.append(p.coeff(k) - sum(q.coeff(j) * s[k - j] for j in range(1, min(k, q.degree) + 1)))
+    return s
+
+
+@pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_j_fraction_convergents_are_the_pade_pairs(kind, m):
+    # the weights of the engine's Motzkin paths against the paper: gamma_h
+    # is the h-th residual factor, and A + C + D the 0-th; the three-term
+    # recurrence of the convergents gives the closed-form pairs (P_n, Q_n),
+    # and their expansions the series
+    top = 12
+    params = params_for(GroupFamily(kind, m))
+    a, b, c, d = params.a, params.b, params.c, params.d
+    betas = [a + 2 * c + (2 * h + 1) * b for h in range(top)]
+    gammas = [a + c + d] + [b * b * h * h + b * (a + 2 * c) * h + c * (a + c + d) for h in range(1, top + 1)]
+    assert list(islice(residual_factors(params), top + 1)) == gammas
+    ps = [Poly([1]), Poly([1, gammas[0] - betas[0]])]
+    qs = [Poly([1]), Poly([1, -betas[0]])]
+    for n in range(1, top):
+        step, fall = Poly([1, -betas[n]]), Poly([0, 0, -gammas[n]])
+        ps.append(step * ps[n] + fall * ps[n - 1])
+        qs.append(step * qs[n] + fall * qs[n - 1])
+    oracle = list(reference_series(params, 2 * top + 1))
+    for n in range(top + 1):
+        pair = pade_pair(params, n)
+        assert (pair.p, pair.q) == (ps[n], qs[n]), n
+        assert _expand(ps[n], qs[n], 2 * n + 1) == oracle[: 2 * n + 1], n
+
+
+# ---------------------------------------------------------------------------
+# the direct lead of the relaxed engine over Z/p^alpha: every lead gives the
+# oracle's coefficients, and the direct pairs plus the blocks tile the index
+# pairs exactly once
+# ---------------------------------------------------------------------------
+
+LEADS = [1, 2, 8, 32, 128]
+
+
 @pytest.mark.parametrize("lead", LEADS)
-def test_every_lead_fraction_params_every_length(monkeypatch, lead):
+@pytest.mark.parametrize("p,alpha", [(7, 5), (10007, 5)])
+def test_every_lead_mod_prime_power(monkeypatch, lead, p, alpha):
     monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
-    _check_lengths(_random_fraction_params(random.Random(lead)), _edge_lengths(8))
+    _check_lengths(params_for(GroupFamily(MODULAR3, 1)), _edge_lengths(10), ModRingCtx(p, alpha))
 
 
 class _Mark:
