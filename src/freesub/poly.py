@@ -24,13 +24,8 @@ alone; a modulus of degree at most `TERMWISE_MODULUS_MAX`, as the D^alpha of
 the period descent at small p, reduces term by term instead.  Power-series
 division runs in blocks through the inverse of the denominator.
 
-Exact integer products of big coefficients in `Poly.__mul__` go through
-`_toom4` (Toom-Cook 4-way): seven quarter-size products, and evaluation and
-interpolation by additions, shifts and exact divisions by 3 and 5 of linear
-cost, which pays once a product of two coefficients costs far more than a
-sum (`_toom_pays`).  Its thresholds were measured on the blocks of the
-former exact series engine, and now serve `Poly.__mul__` only.  Products
-with a Fraction, a short operand or small coefficients stay term by term.
+Exact products in `Poly.__mul__` are taken term by term (`_convolve`): their
+callers check the Pade identity exactly, off every hot path.
 
 The modular kernels at the bottom (gcd, factorization, Hensel lifting,
 Bezout cofactors) are what partial-fraction decomposition over Z/p^alpha is
@@ -137,125 +132,6 @@ def kronecker(modulus: int, terms: int):
         return words.tolist()
 
     return pack, unpack
-
-
-def _folded(x: list, y: list, width: int, scale=1) -> list:
-    """Terms 0..width-1 of x*x when `x is y`, else of scale*x*y, each one
-    sum of products; any coefficient type.  A square is its own mirror
-    image, so it is folded: each pair i < t-i is multiplied once and
-    doubled, plus the middle square."""
-    out = []
-    ny = len(y)
-    for t in range(width):
-        lo = max(0, t - ny + 1)
-        if x is y:
-            hi = (t + 1) // 2
-            v = 2 * sum(map(mul, x[lo:hi], x[t - lo : t - hi : -1]))
-            if t % 2 == 0:
-                v += x[t // 2] * x[t // 2]
-        else:
-            v = scale * sum(map(mul, x[lo : t + 1], y[t - lo :: -1]))
-        out.append(v)
-    return out
-
-
-# Exact int products go through `_toom4` only when both operands have more
-# than TOOM_LEAF terms and some coefficient has at least TOOM_BITS bits;
-# below either, a product of two coefficients costs about as much as the
-# additions, shifts and calls that Toom-Cook trades for it.  TOOM_LEAF is
-# also the recursion's leaf size and must be at least 1.  Both were measured
-# on the blocks of the former exact series engine (relaxed multiplication,
-# now replaced by the J-fraction in `riccati`) and serve `Poly.__mul__` only.
-# In both families, whose coefficients reach 8.6 kbit at L = 801 and
-# 24 kbit at L = 2001: leaves of 2 and 3 are equally fast; 4 is
-# 6-9% slower at L = 801 and 30-40% slower at L = 2001, and 8 a quarter
-# slower at L = 801.  On random blocks of 4 to 8.6 kbit, a leaf of 1 is up
-# to 80% slower at 128 terms and 4 up to 60% slower at 256.  Of the gates
-# 1000, 1500 and 2000 bits, 1500 is 8-20% faster than 1000 at L = 201, where
-# the first blocks pass it; at L = 401 and 801 the three are within noise,
-# except 2000, which is 7-11% slower at L = 401.
-TOOM_LEAF = 3
-TOOM_BITS = 1500
-
-
-def _toom_pays(x: list, y: list) -> bool:
-    """Whether `_toom4` is the faster product of the int lists x, y."""
-    if min(len(x), len(y)) <= TOOM_LEAF:
-        return False
-    return max(map(int.bit_length, x + y)) >= TOOM_BITS
-
-
-def _toom_points(x: list, h: int) -> list:
-    """x split into four parts of h terms, zero-padded, evaluated as
-    polynomials in the part variable at 0, 1, -1, 2, -2, as 8 x(1/2) and
-    at infinity: seven lists of h terms."""
-    x = x + [0] * (4 * h - len(x))
-    x0, x1, x2, x3 = x[:h], x[h : 2 * h], x[2 * h : 3 * h], x[3 * h :]
-    p1, m1, p2, m2, half = [], [], [], [], []
-    for u0, u1, u2, u3 in zip(x0, x1, x2, x3):
-        s, t = u0 + u2, u1 + u3
-        p1.append(s + t)
-        m1.append(s - t)
-        s, t = u0 + (u2 << 2), (u1 << 1) + (u3 << 3)
-        p2.append(s + t)
-        m2.append(s - t)
-        half.append((u0 << 3) + (u1 << 2) + (u2 << 1) + u3)
-    return [x0, p1, m1, p2, m2, half, x3]
-
-
-def _toom4(x: list, y: list) -> list:
-    """All len(x) + len(y) - 1 terms of x*y for int lists of either sign, by
-    Toom-Cook 4-way (Toom 1963, Cook 1966): each operand is split into four
-    parts, and the product is seven quarter-size products at 0, 1, -1, 2,
-    -2, 1/2 and infinity, interpolated with shifts and exact divisions by 3
-    and 5 (Bodrato and Zanoni, ISSAC 2007).  A square (`x is y`) recurses as
-    seven squares.  An operand that is at most half as long as the other
-    multiplies that one piece by piece."""
-    nx, ny = len(x), len(y)
-    if min(nx, ny) <= TOOM_LEAF:
-        return _folded(x, y, nx + ny - 1) if nx and ny else []
-    if nx < ny:
-        x, y, nx, ny = y, x, ny, nx
-    if ny <= (nx + 1) // 2:
-        out = [0] * (nx + ny - 1)
-        for i in range(0, nx, ny):
-            part = _toom4(x[i : i + ny], y)
-            out[i : i + len(part)] = map(add, out[i : i + len(part)], part)
-        return out
-    h = (nx + 3) // 4
-    px = _toom_points(x, h)
-    py = px if x is y else _toom_points(y, h)
-    # each pair of points is let go once multiplied; when x is y, u is v and
-    # the product recurses as a square
-    r = []
-    for k in range(7):
-        u, v = px[k], py[k]
-        px[k] = py[k] = None
-        r.append(_toom4(u, v))
-    r0, a, b, c, d, e, r6 = r
-    # r_k is the coefficient of the part variable^k; the products at 1, -1,
-    # 2, -2 and 1/2 are overwritten in place by r1, r2, r3, r4, r5
-    for i, (v0, v6) in enumerate(zip(r0, r6)):
-        av, bv, cv, dv = a[i], b[i], c[i], d[i]
-        o1 = (av - bv) >> 1  # r1 + r3 + r5
-        u = ((av + bv) >> 1) - v0 - v6  # r2 + r4
-        o2 = (cv - dv) >> 2  # r1 + 4 r3 + 16 r5
-        v = (((cv + dv) >> 1) - v0 - (v6 << 6)) >> 2  # r2 + 4 r4
-        r4 = (v - u) // 3
-        r2 = u - r4
-        eh = (e[i] - (v0 << 6) - (r2 << 4) - (r4 << 2) - v6) >> 1  # 16 r1 + 4 r3 + r5
-        p = (o2 - o1) // 3  # r3 + 5 r5
-        q = ((o1 << 4) - eh) // 3  # 4 r3 + 5 r5
-        r3 = (q - p) // 3
-        r5 = (p - r3) // 5
-        a[i], b[i], c[i], d[i], e[i] = o1 - r3 - r5, r2, r3, r4, r5
-    # the even products r0, r2, r4, r6 fill 2h - 1 terms each from 0, 2h,
-    # 4h and 6h; the odd ones r1, r3, r5 land between them from h, 3h, 5h
-    out = r0 + [0] + b + [0] + d + [0] + r6
-    odd = a + [0] + c + [0] + e
-    out[h : h + len(odd)] = map(add, out[h : h + len(odd)], odd)
-    del out[nx + ny - 1 :]
-    return out
 
 
 def _convolve(x: list, y: list, width: int) -> list:
@@ -426,13 +302,11 @@ class Poly:
         ring = _check_same_ring(self.ring, other.ring)
         if self.is_zero() or other.is_zero():
             return Poly.zero(ring)
-        # one list for a square, so that both kernels take their square path
+        # one list for a square, so that the packed product squares
         a = list(self.coeffs)
         b = a if other is self else list(other.coeffs)
         width = len(a) + len(b) - 1
         if ring is None:
-            if all(type(c) is int for c in a + b) and _toom_pays(a, b):
-                return Poly(_toom4(a, b))
             return Poly(_convolve(a, b, width))
         return Poly._residues(_product(a, b, ring.modulus, width), ring)
 
@@ -522,8 +396,21 @@ class Series(Record):
     __slots__ = ("coeffs", "ring")
 
     def __init__(self, coeffs: tuple, ring: Ring = None):
-        # exact coefficients are ints or Fractions, as in an exact Poly
-        self._set(tuple(map(require_rational, coeffs)) if ring is None else coeffs, ring)
+        # exact coefficients are ints or Fractions, as in an exact Poly, and
+        # modular ones are reduced as in a modular Poly
+        if ring is None:
+            coeffs = map(require_rational, coeffs)
+        else:
+            m = ring.modulus
+            coeffs = [c % m if type(c) is int else mod_reduce(c, ring) for c in coeffs]
+        self._set(tuple(coeffs), ring)
+
+    @classmethod
+    def _residues(cls, cs: list, ring: ModRingCtx) -> "Series":
+        """A Series from a list of residues in [0, modulus); no reduction."""
+        out = object.__new__(cls)
+        out._set(tuple(cs), ring)
+        return out
 
     @classmethod
     def of(cls, coeffs, ring: Ring = None, length: int | None = None) -> "Series":
@@ -533,9 +420,6 @@ class Series(Record):
                 cs = cs[:length]
             else:
                 cs += [0] * (length - len(cs))
-        if ring is not None:
-            m = ring.modulus
-            cs = [c % m if type(c) is int else mod_reduce(c, ring) for c in cs]
         return cls(tuple(cs), ring)
 
     @property
@@ -546,7 +430,7 @@ class Series(Record):
         """Product over Z/p^alpha truncated to self's length."""
         ring = _modular(_check_same_ring(self.ring, other.ring))
         x, y = list(self.coeffs), list(other.coeffs)
-        return Series(tuple(_product(x, y, ring.modulus, self.length)), ring)
+        return Series._residues(_product(x, y, ring.modulus, self.length), ring)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)}, ring={self.ring})"
@@ -588,7 +472,7 @@ def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
         carry = _product(dc, out[lo:i0], m, i0 - lo + span)[i0 - lo :]
         rhs = [(u - v) % m for u, v in zip(list(nc[i0 : i0 + span]) + [0] * span, carry)]
         out += [v % m for v in unpack(pack(rhs) * inv, width)]
-    return Series(tuple(out), ring)
+    return Series._residues(out, ring)
 
 
 class Factorization(Record):

@@ -37,7 +37,7 @@ from operator import add, mul
 
 from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
 from .exact import ModRingCtx, Rational, Record, mod_reduce, pochhammer, require_rational
-from .poly import Poly, Series, kronecker
+from .poly import Poly, Series
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -78,73 +78,6 @@ class PadePair(Record):
 
     def __init__(self, n: int, p: Poly, q: Poly, residual_const: Fraction):
         self._set(n, p, q, residual_const)
-
-
-def _kronecker_block(modulus: int, length: int):
-    """Block product over Z/modulus by Kronecker substitution (Harvey 2009).
-
-    Each operand, residues in [0, modulus), is packed by `poly.kronecker`;
-    one big-integer product then does the whole block, and the slots of the
-    result are its coefficients.  The slots hold 2 * length * (modulus - 1)^2,
-    the largest coefficient of a doubled block with at most `length` terms
-    per operand.
-    """
-    pack, unpack = kronecker(modulus, 2 * length)
-
-    def block(x: list, y: list, width: int) -> list:
-        packed = pack(x)
-        return unpack(packed * packed if x is y else packed * pack(y) << 1, width)
-
-    return block
-
-
-# The lead of `_online_square`: a power of two, since the block sizes start
-# at it; 1 runs every block.  Measured on the engine mod 7^5, 307^2 and
-# 10007^5 at L = 142, 1088 and 5000 and mod 17^3 at L = 40000: 16 and 64 are
-# nowhere more than 2% faster than 32 and up to 17% slower, 128 up to 62%
-# slower.
-DIRECT_LEAD = 32
-
-
-def _online_square(f: list, count: int, block) -> Iterator:
-    """Yield S_n = sum_{i+j=n} f_i f_j for n = 0..count-1, each as soon as
-    f_n has been appended to `f` (relaxed multiplication, van der Hoeven,
-    "Relax, but don't be too lazy", JSC 34, 2002).
-
-    Square blocks of power-of-two size tile the quadrant of index pairs. At
-    step n, for each size s = 2^k with s | n+2 and 2s <= n+2, the rows
-    [s-1, 2s-1) meet the columns [n+1-s, n+1). Such a block has largest index
-    n and smallest index sum n, so it can be added once f_n is known and S_n
-    is complete right after. The block with n+1-s = s-1 lies on the diagonal;
-    every other one also stands for its mirror image. Sums at index `count`
-    or beyond are never needed, so operands and results are cut there.
-    `block(x, y, width)` returns terms 0..width-1 of x*x for a diagonal
-    block (`x is y`) and of 2*x*y for any other, which stands for itself
-    and its mirror image.
-
-    The blocks smaller than DIRECT_LEAD hold exactly the pairs with
-    min(i, j) < DIRECT_LEAD - 1. Those are summed directly at step n, in one
-    folded dot product over i < min(DIRECT_LEAD - 1, ceil(n/2)) plus the
-    middle square, so only the blocks of DIRECT_LEAD terms and more are run.
-    """
-    s = [0] * count
-    lead = DIRECT_LEAD - 1
-    for n in range(count):
-        h = min(lead, (n + 1) // 2)
-        v = 2 * sum(map(mul, f[:h], f[n : n - h : -1]))
-        if n % 2 == 0 and n // 2 < lead:
-            v += f[n // 2] * f[n // 2]
-        size = DIRECT_LEAD
-        while (n + 2) % size == 0 and n + 2 >= 2 * size:
-            width = min(2 * size - 1, count - n)
-            take = min(size, width)
-            x = f[size - 1 : size - 1 + take]
-            col = n + 1 - size
-            y = x if col == size - 1 else f[col : col + take]
-            s[n : n + width] = map(add, s[n : n + width], block(x, y, width))
-            size *= 2
-        yield s[n] + v
-        s[n] = 0  # release the sum early: it is never read again
 
 
 def _over(den: int, v: Fraction) -> int:
@@ -214,9 +147,9 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     rational ones give Fractions.
 
     Over Z/p^alpha the recurrence itself is run on reduced parameters; this
-    is well-defined because the recurrence never divides.  Its convolution
-    comes from `_online_square` with Kronecker-packed blocks, which beat
-    the J-fraction's L^2/4 residue products there.
+    is well-defined because the recurrence never divides.  S_n is one
+    folded dot product per term, about L^2/4 residue products in all, for
+    the few hundred terms that certifying a rational form reads.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -229,13 +162,18 @@ def riccati_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = 
     a, b, c, d = (mod_reduce(v, ctx) for v in (params.a, params.b, params.c, params.d))
     modulus = ctx.modulus
     f = [1]
-    for n, s_n in enumerate(_online_square(f, length - 1, _kronecker_block(modulus, length))):
-        # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0]
+    for n in range(length - 1):
+        # f_{n+1} = (A + n B) f_n + C S_n + D [n = 0], with S_n = sum_{i+j=n}
+        # f_i f_j folded: each pair i < n - i once and doubled, plus f_{n/2}^2
+        h = (n + 1) // 2
+        s_n = 2 * sum(map(mul, f[:h], f[n : n - h : -1]))
+        if n % 2 == 0:
+            s_n += f[h] * f[h]
         v = (a + b * n) * f[n] + c * s_n
         if n == 0:
             v += d
         f.append(v % modulus)
-    return Series(tuple(f), ctx)
+    return Series._residues(f, ctx)
 
 
 def _residual_numerators(params: RiccatiParams) -> tuple[int, Iterator[int]]:

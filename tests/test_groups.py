@@ -1,6 +1,11 @@
+from fractions import Fraction
+from math import factorial, lcm
+
 import pytest
 
 from freesub.groups import (
+    HECKE4,
+    MODULAR3,
     GroupFamily,
     free_subgroup_numbers,
     params_for,
@@ -82,3 +87,46 @@ def test_counts_monotone_at_m1():
     vals = free_subgroup_numbers(GroupFamily("modular3", 1), 200)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
+
+
+def _free_actions(k: int, n: int) -> int:
+    """N_k(n) = n!/(k^(n/k) (n/k)!): the permutations of n points whose
+    cycles all have length k, that is the free actions of C_k; 0 unless k
+    divides n."""
+    if n % k:
+        return 0
+    return factorial(n) // (k ** (n // k) * factorial(n // k))
+
+
+def _hall_counts(family: GroupFamily, count: int) -> tuple:
+    """The free subgroup numbers of index s l, l = 1..count, from their
+    definition.  An action of C_2m *_Cm C_qm on n points in which both
+    vertex groups act freely is a pair of free actions of C_2m and C_qm that
+    agree on C_m, so there are h_n = N_2m(n) N_qm(n) / N_m(n) of them, and n
+    is a multiple of s = lcm(2m, qm).  Hall's exp/log relation,
+    sum_n h_n z^n/n! = exp(sum_n a_n z^n/n) with a_n the number of free
+    subgroups of index n (M. Hall, Canad. J. Math. 1, 1949; I. M. S. Dey,
+    Proc. Glasgow Math. Assoc. 7, 1965), turns the actions into subgroups:
+    on w = z^s, with h_j = h_{sj}/(sj)!, b_l = l h_l - sum_{k<l} h_{l-k} b_k
+    and a_{sl} = s b_l."""
+    m, q = family.m, 3 if family.kind == MODULAR3 else 4
+    s = lcm(2 * m, q * m)
+    h = [
+        Fraction(_free_actions(2 * m, n) * _free_actions(q * m, n), _free_actions(m, n) * factorial(n))
+        for n in range(0, s * count + 1, s)
+    ]
+    b = [Fraction(0)]
+    for l in range(1, count + 1):
+        b.append(l * h[l] - sum(h[l - k] * b[k] for k in range(1, l)))
+    return tuple(s * v for v in b[1:])
+
+
+@pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_counts_from_their_definition(kind, m):
+    # the Riccati constants of `params_for` come from the paper; this derives
+    # the counts from what they count, independent of the equation
+    family = GroupFamily(kind, m)
+    expected = _hall_counts(family, 40)
+    assert all(v.denominator == 1 for v in expected)
+    assert free_subgroup_numbers(family, 40) == expected

@@ -195,26 +195,56 @@ def test_mulmod_packs_the_modulus_once():
     assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_inverse" for n in ast.walk(inner))
 
 
+# the relaxed engine with its Kronecker blocks and the Toom-Cook kernel, sized
+# for horizons that no computation reads any more
+DELETED_KERNELS = {
+    "_online_square", "_kronecker_block", "DIRECT_LEAD", "_toom_block", "_toom4",
+    "_toom_points", "_toom_pays", "TOOM_LEAF", "TOOM_BITS", "_folded",
+}
+
+
+def _called(node) -> set:
+    """The names of every function or method called under `node`."""
+    return {
+        getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+
+
+def _packers(tree) -> set:
+    """`kronecker`, what it returns, and every function of `tree` that calls
+    one of them, directly or through another."""
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    packers = {"kronecker", "pack", "unpack"}
+    while grown := {f.name for f in functions if _called(f) & packers} - packers:
+        packers |= grown
+    return packers
+
+
 def test_series_engine_has_two_rings():
     # the ring picks the algorithm: the J-fraction over Z (rational
-    # parameters run on their numerators) and the relaxed recurrence with
-    # Kronecker-packed blocks over Z/p^alpha; a third path would be a third
-    # engine to keep equal to the oracle
+    # parameters run on their numerators) and the plain recurrence over
+    # Z/p^alpha, one folded dot product per term, with no packed product: a
+    # third path would be a third engine to keep equal to the oracle
     tree = next(tree for path, tree in _package_trees() if path.name == "riccati.py")
     engine = _function(tree, "riccati_series")
-
-    def calls(node, name: str) -> list:
-        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
-
-    (exact,) = [n for n in ast.walk(engine) if isinstance(n, ast.If) and ast.unparse(n.test) == "ctx is None"]
+    local = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    (exact,) = [n for n in engine.body if isinstance(n, ast.If) and ast.unparse(n.test) == "ctx is None"]
     assert not exact.orelse and isinstance(exact.body[-1], ast.Return)
-    assert calls(exact, "_jacobi_series") and not calls(exact, "_online_square")
-    (relaxed,) = calls(engine, "_online_square")
-    (block,) = relaxed.args[2:] + [k.value for k in relaxed.keywords if k.arg == "block"]
-    assert calls(block, "_kronecker_block") == [block], ast.unparse(block)
+    assert _called(exact) & local == {"_numerators", "_jacobi_series"}
+    modular = engine.body[engine.body.index(exact) + 1 :]
+    called = set().union(*map(_called, modular))
+    assert "mod_reduce" in called
+    assert called & local == set()
+    assert called & _packers(_poly_tree()) == set()
+    assert "_product" in _packers(_poly_tree())
     for path, tree in _package_trees():
-        names = {getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(tree)}
-        assert "_toom_block" not in names, path.name
+        names = {
+            getattr(n, "id", None) or getattr(n, "name", None) or getattr(n, "attr", None)
+            for n in ast.walk(tree)
+        }
+        assert names & DELETED_KERNELS == set(), path.name
 
 
 def test_termwise_cutoff_is_read_by_mulmod_only():

@@ -13,7 +13,7 @@ from freesub.errors import (
     NotCoprime,
     RingMismatch,
 )
-from freesub.exact import ModRingCtx, is_prime
+from freesub.exact import ModRingCtx, is_prime, mod_reduce
 from freesub.groups import GroupFamily
 import freesub.poly
 from freesub.poly import (
@@ -22,7 +22,6 @@ from freesub.poly import (
     Factorization,
     Poly,
     Series,
-    _convolve,
     _divmod_residues,
     _ext_gcd_fp,
     _gcd_fp,
@@ -31,8 +30,6 @@ from freesub.poly import (
     _long_division,
     _mulmod,
     _pow_mod,
-    _toom4,
-    _toom_pays,
     ext_gcd_coprime,
     factor_mod_p,
     hensel_lift,
@@ -63,8 +60,8 @@ def test_modular_coefficients_are_images_of_ints_and_fractions():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda cs, ctx: Poly(cs, ctx), lambda cs, ctx: Series.of(cs, ctx)],
-    ids=["Poly", "Series.of"],
+    [lambda cs, ctx: Poly(cs, ctx), lambda cs, ctx: Series(cs, ctx), lambda cs, ctx: Series.of(cs, ctx)],
+    ids=["Poly", "Series", "Series.of"],
 )
 def test_modular_coefficients_refuse_what_has_no_image(build):
     ctx = ModRingCtx(7, 2)
@@ -73,6 +70,20 @@ def test_modular_coefficients_refuse_what_has_no_image(build):
     for c in (2.7, 2.0, "3", None):
         with pytest.raises(TypeError):
             build([1, c], ctx)
+
+
+def test_modular_series_reduces_its_coefficients():
+    # the constructor reduces as Poly's does: `Series.mul` packs residues
+    # into slots sized for [0, p^alpha), so an unreduced 2^20 spilled into
+    # the next slot and 2^70 overflowed the 64-bit packer
+    ring = ModRingCtx(7, 1)
+    f = Poly([1, 2, 3, 4, 5, 6, 1, 2], ring)
+    for c in (50, -3, 2**20, 2**70, Fraction(1, 2)):
+        s = Series((c,) * 12, ring)
+        assert s == Series.of((c,) * 12, ring)
+        assert s.coeffs == (mod_reduce(c, ring),) * 12
+        assert s.mul(f) == school_series_mul(s, f)
+    assert Series((2**20,) * 12, ring).mul(f).coeffs == (4, 5, 3, 5, 4, 0, 4, 5, 5, 5, 5, 5)
 
 
 def test_exact_coefficients_are_ints_or_fractions():
@@ -258,7 +269,7 @@ def test_ext_gcd_lifted(p, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the exact Toom-Cook kernel against the term-by-term product
+# exact products against the schoolbook product
 # ---------------------------------------------------------------------------
 
 
@@ -267,99 +278,43 @@ def _signed_ints(rng: random.Random, n: int, big: int = 600) -> list[int]:
     return [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((0, 5, 64, big))) for _ in range(n)]
 
 
-def _toom_lengths(rng: random.Random) -> list[int]:
-    # every length to 70: each n mod 4 many times over, and every n whose
-    # parts of ceil(n/4) terms come out short (n not a multiple of 4) or
-    # empty (5, 6, 9), at the top and one level down (17 to 20 split into
-    # parts of 5); then the power-of-two edges and a spread up to 300
-    return list(range(0, 70)) + [127, 128, 129, 130, 255, 256, 257] + [rng.randint(70, 300) for _ in range(3)] + [300]
-
-
-def _full_product(x: list, y: list) -> list:
-    return _convolve(x, y, len(x) + len(y) - 1 if x and y else 0)
-
-
-@pytest.mark.parametrize("leaf", [1, freesub.poly.TOOM_LEAF])
-def test_toom4_matches_convolve(monkeypatch, leaf):
-    # at leaf 1 every operand of two terms or more splits, so the short and
-    # empty parts of the small lengths run through the interpolation too
-    monkeypatch.setattr(freesub.poly, "TOOM_LEAF", leaf)
-    rng = random.Random(2002 + leaf)
-    lengths = _toom_lengths(rng)
-    for n in lengths if leaf > 1 else lengths[:70]:
-        x, y = _signed_ints(rng, n), _signed_ints(rng, n)
-        assert _toom4(x, y) == _full_product(x, y), n
-        # `x is y` recurses as squares; a copy of x takes the product path
-        square = _toom4(x, x)
-        assert square == _full_product(x, list(x)) == _toom4(x, list(x)), n
-        # unequal lengths: short sides, about half (the piecewise cut), just
-        # over half (split at the longer side's parts) and nearly equal
-        for m in {0, 1, 2, 3, 5, n // 2, (n + 1) // 2, (n + 1) // 2 + 1, max(n - 1, 0), rng.randint(0, 100)}:
-            z = _signed_ints(rng, m)
-            assert _toom4(x, z) == _full_product(x, z), (n, m)
-            assert _toom4(z, x) == _full_product(z, x), (m, n)
-
-
-_ints = st.lists(st.integers(min_value=-(1 << 700), max_value=1 << 700), max_size=80)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_ints, _ints)
-def test_toom4_property(x, y):
-    assert _toom4(x, y) == _full_product(x, y)
-    assert _toom4(x, x) == _full_product(x, x)
-
-
 def test_exact_poly_products_match_schoolbook():
-    # coefficients on both sides of TOOM_BITS, so both paths run
     rng = random.Random(1962)
-    big = freesub.poly.TOOM_BITS + 100
-    kernel = 0
-    for n in _toom_lengths(rng):
-        a = Poly(_signed_ints(rng, n, rng.choice((100, big))))
+    for n in [*range(0, 70), 127, 128, 129, 255, 256, 257, *(rng.randint(70, 300) for _ in range(3)), 300]:
+        a = Poly(_signed_ints(rng, n, rng.choice((100, 1600))))
         for m in {0, 1, 3, n // 2, n + 1}:
-            b = Poly(_signed_ints(rng, m, big))
-            kernel += _toom_pays(list(a.coeffs), list(b.coeffs))
+            b = Poly(_signed_ints(rng, m, 1600))
             assert a * b == school_mul(a, b), (n, m)
         assert a * a == school_mul(a, a), n
-        # a Fraction coefficient keeps the term-by-term product
+        # a Fraction coefficient mixes with the ints
         c = Poly(list(a.coeffs) + [Fraction(1, 3)])
         assert c * a == school_mul(c, a), n
-    assert kernel > 20
 
 
 def test_poly_square_takes_the_square_path(monkeypatch):
-    # `p * p` hands one list to both kernels, so that they square; the
+    # `p * p` hands one list to the packed product, so that it squares; the
     # product with an equal copy gives the same polynomial
     seen = []
+    product = freesub.poly._product
 
-    def spy(kernel):
-        def run(x, y, *rest):
-            seen.append((kernel.__name__, x is y))
-            return kernel(x, y, *rest)
+    def spy(x, y, *rest):
+        seen.append(x is y)
+        return product(x, y, *rest)
 
-        return run
-
-    # the spy also sees the kernel's own recursive calls, which square
-    # exactly when the top call does
-    monkeypatch.setattr(freesub.poly, "_toom4", spy(_toom4))
-    monkeypatch.setattr(freesub.poly, "_product", spy(freesub.poly._product))
+    monkeypatch.setattr(freesub.poly, "_product", spy)
     rng = random.Random(1966)
-    exact = Poly(_signed_ints(rng, 40, freesub.poly.TOOM_BITS + 100))
-    residues = Poly([rng.randrange(7**5) for _ in range(40)], ModRingCtx(7, 5))
-    for p, kernel in ((exact, "_toom4"), (residues, "_product")):
-        copy = Poly(p.coeffs, p.ring)
-        assert copy is not p
-        seen.clear()
-        square = p * p
-        assert seen and set(seen) == {(kernel, True)}
-        seen.clear()
-        assert square == p * copy == school_mul(p, copy)
-        assert seen and set(seen) == {(kernel, False)}
+    p = Poly([rng.randrange(7**5) for _ in range(40)], ModRingCtx(7, 5))
+    copy = Poly(p.coeffs, p.ring)
+    assert copy is not p
+    square = p * p
+    assert seen == [True]
+    seen.clear()
+    assert square == p * copy == school_mul(p, copy)
+    assert seen == [False]
     # every squaring step of a power squares
     seen.clear()
-    assert exact**5 == school_mul(school_mul(exact, exact), school_mul(exact, school_mul(exact, exact)))
-    assert ("_toom4", True) in seen
+    assert p**5 == school_mul(school_mul(p, p), school_mul(p, school_mul(p, p)))
+    assert seen.count(True) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -458,13 +458,21 @@ def test_stable_denominator_every_prime_below_1000():
                 _check_stable_denominator(family, p)
 
 
-@pytest.mark.parametrize("family", [M1, H1], ids=["modular3", "hecke4"])
-@pytest.mark.parametrize("p,alpha", [(7, 4), (13, 3)])
-def test_reduce_series_reduces_the_exact_series(family, p, alpha):
-    # 200 terms reach the Kronecker blocks of the engine, which start at n = 62
-    ctx = ModRingCtx(p, alpha)
-    exact = riccati_series(params_for(family), 200).coeffs
-    assert reduce_series(family, ctx, 200).coeffs == tuple(c % ctx.modulus for c in exact)
+@cache
+def _exact_series(family: GroupFamily, length: int) -> tuple:
+    return riccati_series(params_for(family), length).coeffs
+
+
+@pytest.mark.parametrize("kind", ["modular3", "hecke4"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("p,alpha", [(7, 4), (13, 3), (10007, 5)])
+def test_reduce_series_reduces_the_exact_series(kind, m, p, alpha):
+    # the J-fraction over Z, reduced, is an oracle independent of the
+    # recurrence the engine runs mod p^alpha; 600 terms pass the longest
+    # series that certifying a form reads (411 terms in the bench)
+    family, ctx = GroupFamily(kind, m), ModRingCtx(p, alpha)
+    exact = _exact_series(family, 600)
+    assert reduce_series(family, ctx, 600).coeffs == tuple(c % ctx.modulus for c in exact)
 
 
 @pytest.mark.parametrize(

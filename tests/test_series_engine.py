@@ -1,26 +1,26 @@
-"""The series engine against the plain O(L^2) recurrence it replaced.
+"""The series engine against the plain O(L^2) recurrence.
 
 The engine reads exact coefficients off the J-fraction of the solution and
-runs the relaxed recurrence over Z/p^alpha. `reference_series` is the plain
-recurrence, kept here as the oracle: a folded convolution loop over
-Z/p^alpha and an unfolded one over Z and Q. Every comparison is exact
-equality of whole coefficient tuples, types included.
+runs the plain recurrence over Z/p^alpha. `reference_series` is that
+recurrence, kept here as the oracle: an unfolded convolution loop over Z
+and Q, and over Z/p^alpha the folded loop the engine runs itself, so the
+modular engine is also checked against the exact series reduced mod p^alpha
+(`tests/test_reduce.py`). Every comparison is exact equality of whole
+coefficient tuples, types included.
 """
 
 import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 
 import pytest
 
 from conftest import random_integer_params
-from freesub import riccati
 from freesub.exact import ModRingCtx, mod_reduce
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
-from freesub.poly import Poly, _folded
+from freesub.poly import Poly
 from freesub.riccati import RiccatiParams, pade_pair, residual_factors, riccati_series
 
 
@@ -60,45 +60,33 @@ def _typed(coeffs) -> list:
     return [(type(c), c) for c in coeffs]
 
 
-def _edges(top_exponent: int) -> set[int]:
-    """2^k - 2 .. 2^k + 1 for 2 <= k <= top_exponent: where blocks end."""
-    return {n for k in range(2, top_exponent + 1) for n in (2**k - 2, 2**k - 1, 2**k, 2**k + 1)}
-
-
-def _edge_lengths(top_exponent: int) -> list[int]:
-    """Every length 1..300, plus 2^k - 2 .. 2^k + 1 up to 2^top_exponent."""
-    return sorted(set(range(1, 301)) | _edges(top_exponent))
-
-
 def test_every_length_mod_prime_power():
-    # the engine cuts its blocks at the requested length, so each length is
-    # its own case; the oracle's prefixes serve all of them
+    # every length the certification of a rational form asks for, and more;
+    # the oracle's prefixes serve all of them
     params = params_for(GroupFamily(MODULAR3, 1))
     ctx = ModRingCtx(7, 4)
-    lengths = _edge_lengths(13)
-    oracle = reference_series(params, lengths[-1], ctx)
-    for n in lengths:
+    oracle = reference_series(params, 600, ctx)
+    for n in range(1, 601):
         assert riccati_series(params, n, ctx).coeffs == oracle[:n], n
 
 
-def _check_every_length_exact_int(top_exponent: int) -> None:
+def _check_every_length_exact_int(top: int) -> None:
     # the rows of the J-fraction keep only the heights that can still fall
     # back to 0 by the last step, so every length trims them differently
     params = params_for(GroupFamily(HECKE4, 2))
-    lengths = _edge_lengths(top_exponent)
-    oracle = reference_series(params, lengths[-1])
-    for n in lengths:
+    oracle = reference_series(params, top)
+    for n in range(1, top + 1):
         got = riccati_series(params, n).coeffs
         assert _typed(got) == _typed(oracle[:n]), n
 
 
 def test_every_length_exact_int():
-    _check_every_length_exact_int(9)
+    _check_every_length_exact_int(300)
 
 
 @pytest.mark.slow
-def test_every_length_exact_int_up_to_1025():
-    _check_every_length_exact_int(10)
+def test_every_length_exact_int_up_to_600():
+    _check_every_length_exact_int(600)
 
 
 @pytest.mark.slow
@@ -112,7 +100,7 @@ def test_every_length_exact_int_up_to_1025():
     ],
 )
 def test_exact_series_digest_at_2001(kind, digest):
-    # the oracle tests stop at 1025 terms; past them, rows of up to 1000
+    # the oracle tests stop at 600 terms; past them, rows of up to 1000
     # heights and coefficients of 24 kbit.  Hex, because str() refuses ints
     # past 4300 digits
     coeffs = riccati_series(params_for(GroupFamily(kind)), 2001).coeffs
@@ -155,18 +143,11 @@ def test_long_mod_windows(kind, p, alpha):
     assert riccati_series(params, 5000, ctx).coeffs == reference_series(params, 5000, ctx)
 
 
-def test_large_modulus_slots():
-    # a modulus above 2^64 widens the packing slots past one machine word
+def test_large_modulus():
+    # residues above 2^64, whose products are big integers
     params = params_for(GroupFamily(MODULAR3, 1))
     ctx = ModRingCtx(10007, 5)
     assert riccati_series(params, 600, ctx).coeffs == reference_series(params, 600, ctx)
-
-
-@pytest.mark.slow
-def test_17_cubed_long_window():
-    params = params_for(GroupFamily(MODULAR3, 1))
-    ctx = ModRingCtx(17, 3)
-    assert riccati_series(params, 40000, ctx).coeffs == reference_series(params, 40000, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +162,8 @@ def _check_lengths(params, lengths, ctx=None) -> None:
 
 
 @pytest.mark.parametrize("kind", [MODULAR3, HECKE4])
-def test_edge_lengths_exact_int(kind):
-    _check_lengths(params_for(GroupFamily(kind, 1)), _edge_lengths(8))
+def test_every_length_exact_int_m1(kind):
+    _check_lengths(params_for(GroupFamily(kind, 1)), list(range(1, 301)))
 
 
 def _random_fraction_params(rng: random.Random) -> RiccatiParams:
@@ -216,16 +197,16 @@ def test_rational_params_through_the_integer_engine(with_c, seed):
     assert all(type(c) is Fraction for c in riccati_series(params, 300).coeffs)
 
 
-def test_fraction_params_edge_lengths():
+def test_fraction_params_short_lengths():
     # the Fraction oracle costs seconds at 300 terms, so every length up to
-    # 70 and the powers of two past it; the slow tier takes all of 1..300
-    lengths = sorted(set(range(1, 71)) | _edges(8) | {300})
+    # 70 and a few past it; the slow tier takes all of 1..300
+    lengths = [*range(1, 71), 150, 299, 300]
     _check_lengths(_random_fraction_params(random.Random(32)), lengths)
 
 
 @pytest.mark.slow
 def test_fraction_params_every_length():
-    _check_lengths(_random_fraction_params(random.Random(32)), _edge_lengths(8))
+    _check_lengths(_random_fraction_params(random.Random(32)), list(range(1, 301)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -279,116 +260,3 @@ def test_j_fraction_convergents_are_the_pade_pairs(kind, m):
         pair = pade_pair(params, n)
         assert (pair.p, pair.q) == (ps[n], qs[n]), n
         assert _expand(ps[n], qs[n], 2 * n + 1) == oracle[: 2 * n + 1], n
-
-
-# ---------------------------------------------------------------------------
-# the direct lead of the relaxed engine over Z/p^alpha: every lead gives the
-# oracle's coefficients, and the direct pairs plus the blocks tile the index
-# pairs exactly once
-# ---------------------------------------------------------------------------
-
-LEADS = [1, 2, 8, 32, 128]
-
-
-@pytest.mark.parametrize("lead", LEADS)
-@pytest.mark.parametrize("p,alpha", [(7, 5), (10007, 5)])
-def test_every_lead_mod_prime_power(monkeypatch, lead, p, alpha):
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
-    _check_lengths(params_for(GroupFamily(MODULAR3, 1)), _edge_lengths(10), ModRingCtx(p, alpha))
-
-
-class _Mark:
-    """A stand-in coefficient that knows its index: a product of two is the
-    multiset holding their index pair, unordered."""
-
-    def __init__(self, i: int):
-        self.i = i
-
-    def __mul__(self, other: "_Mark") -> "_Pairs":
-        return _Pairs({(min(self.i, other.i), max(self.i, other.i)): 1})
-
-
-class _Pairs(Counter):
-    """Multisets of index pairs that add and scale like coefficients; 0 is
-    the empty one."""
-
-    def __add__(self, other):
-        return self if isinstance(other, int) and other == 0 else _Pairs(Counter.__add__(self, other))
-
-    __radd__ = __add__
-
-    def __rmul__(self, k: int):
-        return _Pairs({key: k * v for key, v in self.items()})
-
-
-def _square_sums(count: int) -> list:
-    """The sums `_online_square` yields on marks, each a multiset of pairs."""
-    f = [_Mark(0)]
-    sums = []
-    for n, s_n in enumerate(riccati._online_square(f, count, partial(_folded, scale=2))):
-        sums.append(s_n)
-        f.append(_Mark(n + 1))
-    return sums
-
-
-def _recorded_blocks(count: int) -> list:
-    """The (rows, columns, width) of every block `_online_square` hands to
-    `block`, run on f_i = i; columns are None on the diagonal."""
-    blocks = []
-
-    def block(x, y, width):
-        blocks.append((x, None if x is y else y, width))
-        return [0] * width
-
-    f = [0]
-    for n, _ in enumerate(riccati._online_square(f, count, block)):
-        f.append(n + 1)
-    return blocks
-
-
-def _ordered_pairs(count: int, lead: int, blocks: list) -> list:
-    """How often each ordered pair (i, j) with i + j < count is covered by
-    the direct pairs plus the blocks, each off-diagonal block standing for
-    itself and its mirror image."""
-    cover = [bytearray(count - i) for i in range(count)]
-    for i in range(count):
-        for j in range(count - i):
-            if min(i, j) < lead - 1:
-                cover[i][j] += 1
-    for rows, cols, width in blocks:
-        for a, i in enumerate(rows):
-            for b, j in enumerate(rows if cols is None else cols):
-                if a + b < width:
-                    cover[i][j] += 1
-                    if cols is not None:
-                        cover[j][i] += 1
-    return cover
-
-
-def test_direct_lead_is_a_power_of_two():
-    # the block sizes start at DIRECT_LEAD: any other value would drop or
-    # repeat pairs without a sign
-    lead = riccati.DIRECT_LEAD
-    assert lead >= 1 and lead & (lead - 1) == 0
-
-
-@pytest.mark.parametrize("lead", [1, 2, 4, 8, 32, 64, 128])
-@pytest.mark.parametrize("count", [50, 257, 1000])
-def test_direct_pairs_and_blocks_tile_once(monkeypatch, lead, count):
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
-    blocks = _recorded_blocks(count)
-    for rows, cols, width in blocks:
-        size = rows[0] + 1
-        assert size >= lead and size & (size - 1) == 0
-        assert rows == list(range(size - 1, size - 1 + len(rows))) and len(rows) <= size
-    cover = _ordered_pairs(count, lead, blocks)
-    assert all(c == 1 for row in cover for c in row)
-
-
-@pytest.mark.parametrize("lead", [1, 2, 4, 8, 32, 64, 128])
-def test_direct_pairs_and_blocks_sum_each_pair_once(monkeypatch, lead):
-    # the sums the engine reads hold exactly the pairs of their index
-    monkeypatch.setattr(riccati, "DIRECT_LEAD", lead)
-    for n, s_n in enumerate(_square_sums(257)):
-        want = {(i, n - i): 1 if 2 * i == n else 2 for i in range(n // 2 + 1)}
-        assert dict(s_n) == want, n
