@@ -291,6 +291,23 @@ def test_exact_poly_products_match_schoolbook():
         assert c * a == school_mul(c, a), n
 
 
+_exact_coeffs = st.lists(
+    st.integers(min_value=-(1 << 700), max_value=1 << 700) | st.fractions(max_denominator=50), max_size=60
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_coeffs, _exact_coeffs, _exact_coeffs)
+def test_exact_products_obey_the_ring_laws(x, y, z):
+    # ints of up to 700 bits mixed with Fractions, trailing zeros and the
+    # empty polynomial: the product is the schoolbook one, and it commutes,
+    # associates and distributes over the sum
+    a, b, c = Poly(x), Poly(y), Poly(z)
+    assert a * b == school_mul(a, b) == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
 def test_poly_square_takes_the_square_path(monkeypatch):
     # `p * p` hands one list to the packed product, so that it squares; the
     # product with an equal copy gives the same polynomial

@@ -18,6 +18,7 @@ from itertools import islice
 import pytest
 
 from conftest import random_integer_params
+from freesub.errors import NonInvertibleDenominator
 from freesub.exact import ModRingCtx, mod_reduce
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
 from freesub.poly import Poly
@@ -148,6 +149,48 @@ def test_large_modulus():
     params = params_for(GroupFamily(MODULAR3, 1))
     ctx = ModRingCtx(10007, 5)
     assert riccati_series(params, 600, ctx).coeffs == reference_series(params, 600, ctx)
+
+
+# the modular engine for random constants against the exact series reduced
+# mod p^alpha: p = 2 and 3 as well, where the doubled cross terms of S_n and
+# B mod p can vanish, and a modulus past 2^64
+MOD_RINGS = [(2, 12), (3, 7), (5, 4), (7, 5), (11, 3), (13, 1), (307, 2), (10007, 5), (2**31 - 1, 3)]
+
+
+@pytest.mark.parametrize("p,alpha", MOD_RINGS)
+def test_random_params_mod_prime_power(p, alpha):
+    ctx = ModRingCtx(p, alpha)
+    rng = random.Random(1000 * p + alpha)
+    dens = [v for v in (1, 1, 2, 3, 5, 6, 7, 10) if v % p]
+    for _ in range(25):
+        vals = [Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(4)]
+        vals[1] = vals[1] or Fraction(1)
+        if rng.random() < 0.25:
+            vals[2] = Fraction(0)
+        params = RiccatiParams(*vals)
+        n = rng.randint(1, 160)
+        exact = riccati_series(params, n).coeffs
+        assert riccati_series(params, n, ctx).coeffs == tuple(mod_reduce(v, ctx) for v in exact), (params, n)
+
+
+@pytest.mark.parametrize("ctx", [None, ModRingCtx(7, 2)], ids=["exact", "7^2"])
+@pytest.mark.parametrize("length", [0, -1])
+def test_series_refuses_lengths_below_one(ctx, length):
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        riccati_series(params_for(GroupFamily(MODULAR3, 1)), length, ctx)
+
+
+@pytest.mark.parametrize("slot", range(4), ids=["A", "B", "C", "D"])
+def test_mod_series_refuses_a_constant_with_p_in_its_denominator(slot):
+    # the recurrence never divides, but each constant must have an image
+    vals = [Fraction(2), Fraction(3), Fraction(1), Fraction(5)]
+    vals[slot] = Fraction(1, 14)
+    params = RiccatiParams(*vals)
+    assert riccati_series(params, 8, ModRingCtx(3, 2)).coeffs == tuple(
+        mod_reduce(v, ModRingCtx(3, 2)) for v in riccati_series(params, 8).coeffs
+    )
+    with pytest.raises(NonInvertibleDenominator):
+        riccati_series(params, 8, ModRingCtx(7, 2))
 
 
 # ---------------------------------------------------------------------------
