@@ -14,7 +14,7 @@ it is not, the certified descent stands alone.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .errors import HorizonTooShort, certify
 from .exact import ModRingCtx, Record, factor
@@ -54,6 +54,12 @@ def _min_preperiod(coeffs, T: int) -> int:
     return hi
 
 
+def _divisors(bound: int, top: int) -> list[int]:
+    """The divisors of bound up to top, in increasing order."""
+    small = [t for t in range(1, min(top, isqrt(bound)) + 1) if bound % t == 0]
+    return small + [bound // t for t in reversed(small) if t * t < bound and bound // t <= top]
+
+
 def detect_period(series: Series, certificate_bound: int | None = None) -> tuple[int, int]:
     """Minimal (preperiod, period) of the window.  Candidates T run upward
     to a third of the window; with a certified bound only its divisors are
@@ -62,9 +68,8 @@ def detect_period(series: Series, certificate_bound: int | None = None) -> tuple
     safety margin."""
     coeffs = series.coeffs
     n = len(coeffs)
-    for T in range(1, n // _MARGIN + 1):
-        if certificate_bound is not None and certificate_bound % T:
-            continue
+    top = n // _MARGIN
+    for T in range(1, top + 1) if certificate_bound is None else _divisors(certificate_bound, top):
         # cheap prefilter before the full backward scan
         if coeffs[n - T : n] != coeffs[n - 2 * T : n - T]:
             continue

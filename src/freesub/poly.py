@@ -80,23 +80,37 @@ def _modular(ring: Ring) -> ModRingCtx:
 # operands.
 SCHOOLBOOK_MAX = 5
 
+# `kronecker` packs in 64-bit words where an operand has at most this many
+# terms: past it the wider product costs more than the strided copies save
+# (with 1024-term partners mod 23, 307, 13^3, 7^5 and 10007, even at 6).
+WORD_SLOTS_MAX = 5
+
 
 def kronecker(modulus: int, terms: int):
     """(pack, unpack) for Kronecker substitution over Z/modulus.
 
     `pack(values)` writes residues in [0, modulus) into one integer, one
-    fixed slot of whole bytes per value, constant term lowest; `unpack(x,
-    count)` reads the first `count` slots of x back as integers.  A slot
-    holds terms * (modulus - 1)^2, so the product of two packed lists, or a
-    sum of up to `terms` such products per slot, carries nothing from one
-    slot into the next: its slots are the coefficients of the product,
-    unreduced.
+    fixed slot per value, constant term lowest; `unpack(x, count)` reads the
+    first `count` slots of x back as residues.  A slot holds terms *
+    (modulus - 1)^2, of n bits, so the product of two packed lists, or a sum
+    of up to `terms` such products per slot, carries nothing from one slot
+    into the next: its slots are the coefficients of the product.
 
-    Slots of at most 8 bytes pass through an array of 64-bit words, whose
-    bytes are moved to and from the slots by strided slice copies; that
-    keeps the per-value work in C.  Wider slots convert value by value.
+    Where 2n + 2 <= 64 and terms <= WORD_SLOTS_MAX, slots are 64-bit words
+    reduced on the packed integer (division by an invariant integer,
+    Granlund-Montgomery, PLDI 1994): for s = n + bitlen(modulus - 1) and
+    mu = ceil(2^s/modulus), each slot of x * mu is below 2^63, and the low
+    64 - s bits of each slot of (x * mu) >> s are its quotient.  Elsewhere
+    slots are whole bytes, up to 8 of them moved through an array of 64-bit
+    words by strided slice copies, and values are reduced one by one.
     """
-    slot = (2 * modulus.bit_length() + terms.bit_length() + 7) // 8
+    n = (terms * (modulus - 1) ** 2).bit_length()
+    fused = 2 * n + 2 <= 64 and terms <= WORD_SLOTS_MAX
+    slot = 8 if fused else (n + 7) // 8
+    if fused:
+        shift = n + (modulus - 1).bit_length()
+        mu = -(-(1 << shift) // modulus)
+        low, masks = ((1 << 64 - shift) - 1).to_bytes(8, "little"), {}
 
     if slot > 8:
 
@@ -106,7 +120,7 @@ def kronecker(modulus: int, terms: int):
         def unpack(x: int, count: int) -> list:
             size = count * slot
             buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-            return [int.from_bytes(buf[i : i + slot], "little") for i in range(0, size, slot)]
+            return [int.from_bytes(buf[i : i + slot], "little") % modulus for i in range(0, size, slot)]
 
         return pack, unpack
 
@@ -115,21 +129,28 @@ def kronecker(modulus: int, terms: int):
         if sys.byteorder == "big":
             words.byteswap()
         raw = words.tobytes()
-        buf = bytearray(len(words) * slot)
-        for j in range(slot):
-            buf[j::slot] = raw[j::8]
-        return int.from_bytes(buf, "little")
+        if slot < 8:
+            raw, buf = bytearray(len(words) * slot), raw
+            for j in range(slot):
+                raw[j::slot] = buf[j::8]
+        return int.from_bytes(raw, "little")
 
     def unpack(x: int, count: int) -> list:
         size = count * slot
-        buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        raw = bytearray(8 * count)
-        for j in range(slot):
-            raw[j::8] = buf[j::slot]
+        x &= (1 << 8 * size) - 1
+        if fused:
+            if count not in masks:
+                masks[count] = int.from_bytes(low * count, "little")
+            x -= ((x * mu >> shift) & masks[count]) * modulus
+        raw = x.to_bytes(size, "little")
+        if slot < 8:
+            raw, buf = bytearray(8 * count), raw
+            for j in range(slot):
+                raw[j::8] = buf[j::slot]
         words = array("Q", raw)
         if sys.byteorder == "big":
             words.byteswap()
-        return words.tolist()
+        return words.tolist() if fused else [v % modulus for v in words]
 
     return pack, unpack
 
@@ -157,7 +178,7 @@ def _product(x: list, y: list, modulus: int, width: int) -> list:
         return [v % modulus for v in _convolve(x, y, width)]
     pack, unpack = kronecker(modulus, short)
     px = pack(x)
-    return [v % modulus for v in unpack(px * px if square else px * pack(y), width)]
+    return unpack(px * px if square else px * pack(y), width)
 
 
 def _inverse(h: list, modulus: int, n: int) -> list:
@@ -438,8 +459,9 @@ class Series(Record):
 
 # Power-series division over Z/p^alpha produces this many terms per block.
 # Measured at 100000 terms with denominators of degree 1 to 60 mod 7^5, 23
-# and 10007^5: 1024 is at or near the fastest, and below 256 the per-block
-# work dominates.
+# and 10007^5, 1024 and 2048 are the fastest, 512 is 4-13% slower and 256
+# 15-50%; on the period windows of 5371 to 57666 terms 512 and 1024 tie and
+# 2048 is 14% slower.
 _DIVISION_BLOCK = 1024
 
 
@@ -447,22 +469,30 @@ def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
     """Power-series quotient over Z/p^alpha to the given truncation length.
 
     Requires an invertible constant term in the denominator.  The quotient
-    comes in blocks of B terms: the terms already known enter the next
-    block only through D times its last deg(D) terms, and the block is
-    (numerator - that carry) / D mod z^B, one product with the packed
-    inverse of D mod z^B.
-    """
+    comes in blocks of B terms through the inverse of D mod z^B, which
+    Newton iteration takes to max(64, 2 deg D) terms and the same blocks,
+    with numerator 1, extend to B terms."""
     ring = _modular(_check_same_ring(num.ring, den.ring))
-    m, nc, dc = ring.modulus, num.coeffs, list(den.coeffs)
+    m, dc = ring.modulus, list(den.coeffs)
     d0 = dc[0] if dc else 0
     try:
         pow(d0, -1, m)
     except ValueError:
         raise NonInvertibleConstantTerm(f"constant term {d0} not invertible in {ring}") from None
     block = max(1, min(length, _DIVISION_BLOCK))
-    k = len(dc) - 1
-    pack, unpack = kronecker(m, block)
-    inv = pack(_inverse(dc, m, block))
+    inv = _inverse(dc, m, min(block, max(64, 2 * len(dc) - 2)))
+    inv = _quotient_blocks([1], dc, inv, m, block)
+    return Series._residues(_quotient_blocks(num.coeffs, dc, inv, m, length), ring)
+
+
+def _quotient_blocks(nc, dc: list, inv: list, m: int, length: int) -> list:
+    """Terms 0..length-1 of nc/dc over Z/m in blocks of B = len(inv) terms,
+    inv = 1/dc mod z^B.  Known terms enter the next block only through D
+    times its last k = deg D terms: the block is (numerator - that carry) *
+    inv mod z^B.  Past the numerator that right side has k terms, and slots
+    sized for k terms hold the product."""
+    block, k = len(inv), len(dc) - 1
+    layouts: dict = {}
     out: list = []
     for i0 in range(0, length, block):
         width = min(block, length - i0)
@@ -471,8 +501,12 @@ def series_div(num: Series | Poly, den: Series | Poly, length: int) -> Series:
         lo = max(0, i0 - k)
         carry = _product(dc, out[lo:i0], m, i0 - lo + span)[i0 - lo :]
         rhs = [(u - v) % m for u, v in zip(list(nc[i0 : i0 + span]) + [0] * span, carry)]
-        out += [v % m for v in unpack(pack(rhs) * inv, width)]
-    return Series._residues(out, ring)
+        if span not in layouts:
+            pack, unpack = kronecker(m, max(span, 1))
+            layouts[span] = pack, unpack, pack(inv)
+        pack, unpack, packed = layouts[span]
+        out += unpack(pack(rhs) * packed, width)
+    return out
 
 
 class Factorization(Record):
@@ -586,11 +620,11 @@ def _mulmod(f: Poly):
     def mulmod(x: list, y: list) -> list:
         width = max(len(x) + len(y) - 1, 0)
         px = pack(x)
-        a = [v % m for v in unpack(px * px if x is y else px * pack(y), width)]
+        a = unpack(px * px if x is y else px * pack(y), width)
         if width <= k:
             return a + [0] * (k - width)
         # the quotient reversed is rev(a) / rev(f) to width - k terms
-        q = [v % m for v in unpack(pack(a[: k - 1 : -1]) * inv, width - k)]
+        q = unpack(pack(a[: k - 1 : -1]) * inv, width - k)
         return [(u - v) % m for u, v in zip(a, unpack(pack(q[::-1]) * low_f, k))]
 
     return mulmod
@@ -627,7 +661,7 @@ def _frobenius(f: Poly, mulmod):
         row = mulmod(row, zp)
 
     def frobenius(h: list) -> list:
-        return [v % p for v in unpack(sum(map(mul, h, rows)), k)]
+        return unpack(sum(map(mul, h, rows)), k)
 
     return frobenius
 

@@ -46,6 +46,25 @@ def test_one_packing_helper():
     assert outside == []
 
 
+def test_unpacked_residues_are_not_reduced_again():
+    # `unpack` returns residues in [0, modulus): a caller that reduces them
+    # again pays a Python pass over every term, the cost the packed
+    # reduction inside `kronecker` removes
+    def unpacks(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "unpack"
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.Mod)
+        and any(unpacks(gen.iter) for gen in node.generators)
+    ]
+    assert found == []
+
+
 def test_int_digit_limit_is_set_in_cli_only():
     # the limit on int -> str conversion is process-wide: it is lifted, and
     # restored, in one place that prints exact counts

@@ -1,5 +1,6 @@
 import json
 import time
+from math import lcm
 
 import jsonschema
 import pytest
@@ -16,6 +17,7 @@ from freesub.poly import TERMWISE_MODULUS_MAX, Poly
 from freesub.periods import (
     PERIOD_SCHEMA,
     PeriodAnalysis,
+    _divisors,
     _min_preperiod,
     analysis_json_dict,
     analyze,
@@ -90,6 +92,15 @@ def test_detect_horizon_too_short():
 def test_detect_with_certificate_bound():
     series = reduce_series(M1, ModRingCtx(7, 2), 400)
     assert detect_period(series, certificate_bound=294)[1] == 42
+
+
+def test_divisors_up_to_a_limit_match_brute_force():
+    # 1, a prime, prime powers and composites; limits above the bound, and
+    # limits whose square is far below it
+    bounds = [1, 101, 2**10, 7**5, 30, 6 * 7**4, 42 * (10**12 + 1), lcm(*range(1, 24))]
+    for bound in bounds:
+        for top in (1, 2, 9, 40, 101, 3000, 19222):
+            assert _divisors(bound, top) == [t for t in range(1, top + 1) if bound % t == 0], (bound, top)
 
 
 def test_detect_with_a_huge_certificate_bound_stays_in_the_window():

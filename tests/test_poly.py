@@ -19,9 +19,11 @@ import freesub.poly
 from freesub.poly import (
     LONG_DIVISION_MAX,
     SCHOOLBOOK_MAX,
+    WORD_SLOTS_MAX,
     Factorization,
     Poly,
     Series,
+    _convolve,
     _divmod_residues,
     _ext_gcd_fp,
     _gcd_fp,
@@ -33,9 +35,10 @@ from freesub.poly import (
     ext_gcd_coprime,
     factor_mod_p,
     hensel_lift,
+    kronecker,
     series_div,
 )
-from freesub.reduce import denominator_base
+from freesub.reduce import denominator_base, expand_form, rational_form
 
 
 def test_basic_arithmetic():
@@ -579,6 +582,85 @@ def test_kernel_series_div_matches_schoolbook(ring):
             # lengths below, at and past one division block
             for length in (1, 2, 7, 200, 1023, 1024, 1025, 2500):
                 assert series_div(num, den, length) == school_series_div(num, den, length)
+
+
+# `kronecker` moduli: the packed reduction needs 2n + 2 <= 64, which ends
+# at many millions of terms, at a few hundred, at a few or, mod 32771, just
+# past 2^15, at one, where two terms at their bound already overflow a word
+# by the reduction; mod 23^3 a shift one bit short gives wrong quotients
+# near the bound; mod 10007^2 and 10007^5 it never applies, and slots are 7
+# bytes, or wider than a word
+KRONECKER_RINGS = [
+    ModRingCtx(2, 1), ModRingCtx(3, 1), ModRingCtx(7, 5), ModRingCtx(11, 4), ModRingCtx(13, 3),
+    ModRingCtx(23, 3), ModRingCtx(32771, 1), ModRingCtx(10007, 2), ModRingCtx(10007, 5),
+]
+
+
+def _reduction_edge(m: int) -> int:
+    """The largest `terms` whose slots, of n = bitlen(terms * (m-1)^2)
+    bits, satisfy 2n + 2 <= 64; 0 where none does."""
+    return (2**31 - 1) // (m - 1) ** 2
+
+
+@pytest.mark.parametrize("ring", KRONECKER_RINGS, ids=str)
+def test_kronecker_unpacks_residues_on_both_sides_of_the_word_layout(ring):
+    # 64-bit word slots, reduced on the packed integer, need 2n + 2 <= 64
+    # and at most WORD_SLOTS_MAX terms: both bounds from both sides
+    m = ring.modulus
+    rng = random.Random(m)
+    edge = _reduction_edge(m)
+    for terms in sorted({WORD_SLOTS_MAX, WORD_SLOTS_MAX + 1, edge, edge + 1} - {0}):
+        n = (terms * (m - 1) ** 2).bit_length()
+        assert (2 * n + 2 <= 64) == (terms <= edge)
+        pack, unpack = kronecker(m, terms)
+        assert (pack([0, 1]) == 1 << 64) == (terms <= min(edge, WORD_SLOTS_MAX))
+        # the 2000 slot values up to the bound and random ones reduce; `pack`
+        # writes any value that fits its slot
+        bound = terms * (m - 1) ** 2
+        values = [0, m - 1, m] + list(range(bound, max(bound - 2000, -1), -1))
+        values += [rng.randrange(bound + 1) for _ in range(500)]
+        assert unpack(pack(values), len(values)) == [v % m for v in values]
+        short = min(terms, 300)
+        for x, y in (
+            ([rng.randrange(m) for _ in range(short)], [rng.randrange(m) for _ in range(rng.randint(short, 700))]),
+            ([m - 1] * short, [m - 1] * 500),
+        ):
+            width = len(x) + len(y) - 1
+            px = pack(x)
+            assert unpack(px * pack(y), width) == [v % m for v in _convolve(x, y, width)]
+            assert unpack(px * px, 2 * len(x) - 1) == [v % m for v in _convolve(x, x, 2 * len(x) - 1)]
+        # a `_frobenius` sum: one packed row per coefficient of h
+        rows = [[rng.randrange(m) for _ in range(40)] for _ in range(min(terms, 60))]
+        h = [rng.randrange(m) for _ in rows]
+        want = [sum(c * row[i] for c, row in zip(h, rows)) % m for i in range(40)]
+        assert unpack(sum(c * pack(row) for c, row in zip(h, rows)), 40) == want
+        # and `terms` copies of (m-1) times one row: every slot at its bound
+        row = [m - 1] * 39 + [rng.randrange(m)]
+        scale = terms * (m - 1)
+        assert unpack(scale * pack(row), 41) == [scale * v % m for v in row] + [0]
+
+
+def test_expand_form_7_5_matches_schoolbook_on_the_full_window():
+    # the window the period check scans at 7^5: 57,666 terms of which all
+    # but the first block are the narrow tail blocks of deg D = 5 terms
+    form = rational_form(GroupFamily("modular3"), ModRingCtx(7, 5))
+    num = form.poly_part * form.den_alpha + form.proper
+    assert form.den_alpha.degree == 5
+    assert expand_form(form, 57666) == school_series_div(num, form.den_alpha, 57666)
+
+
+@pytest.mark.parametrize("ring", KRONECKER_RINGS, ids=str)
+def test_series_div_past_a_long_numerator_matches_schoolbook(ring):
+    # numerators longer than a block, then several tail blocks, for every
+    # denominator degree up to 10
+    m, p = ring.modulus, ring.p
+    rng = random.Random(m + 5)
+    for dd in range(11):
+        units = [u for u in (1, m - 1, 2, 3) if u % p]
+        den = Poly([rng.choice(units)] + [rng.randrange(m) for _ in range(dd)], ring)
+        num = Poly([rng.randrange(m) for _ in range(rng.randint(1025, 2200))], ring)
+        length = 3 * 1024 + rng.randint(1, 1023)
+        assert series_div(num, den, length) == school_series_div(num, den, length)
 
 
 # ---------------------------------------------------------------------------
