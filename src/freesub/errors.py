@@ -34,7 +34,7 @@ class DegenerateParameters(FreesubError):
 
 
 class SingularPadeSystem(FreesubError):
-    """The linear system defining the approximant is inconsistent."""
+    """A constructed approximant pair fails its defining identity."""
 
 
 class IntegralityViolation(FreesubError):

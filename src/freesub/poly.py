@@ -350,14 +350,15 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.ring)
 
     def eval(self, x):
-        """Horner evaluation; x is reduced into the ring if modular."""
+        """Horner evaluation; x is reduced into the ring if modular.  x must
+        be an int or a Fraction (TypeError otherwise)."""
         if self.ring is not None:
-            m = self.ring.modulus
+            m, x = self.ring.modulus, mod_reduce(x, self.ring)
             acc = 0
             for c in reversed(self.coeffs):
                 acc = (acc * x + c) % m
             return acc
-        acc = 0
+        x, acc = require_rational(x), 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -4,7 +4,7 @@
 
 and its order-n rational approximants P_n/Q_n, both via closed-form
 coefficient formulas (parameterized by E with E^2 = A^2 - 4CD) and via an
-independent linear-algebra route that never touches E.
+independent route, the convergents of a J-fraction, that never touches E.
 
 Comparing coefficients of z^m in the ODE gives a recurrence that is monic in
 the new coefficient, so the series exists over the rationals and over any
@@ -24,7 +24,8 @@ J-fraction
 
 with beta_h = A + 2C + (2h + 1) B and gamma_h the h-th of those factors, so
 Q_{n+1} = (1 - beta_n z) Q_n - gamma_n z^2 Q_{n-1}, and P_n likewise.  The
-exact series engine reads the coefficients of F off this fraction.
+exact series engine reads the coefficients of F off this fraction, and
+`pade_oracle` builds the pairs by this recurrence.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class RiccatiParams(Record):
     """The four ODE constants, ints or Fractions, B nonzero.  E, the square
     root of the discriminant A^2 - 4CD, is derived from them and never
     given: the nonnegative rational root, or None when the discriminant is
-    not a rational square, in which case only the linear-algebra route is
-    available.  The closed forms are even in E, so the one root serves.
+    not a rational square, in which case only the J-fraction route
+    (`pade_oracle`) is available.  The closed forms are even in E, so the
+    one root serves.
     """
 
     __slots__ = ("a", "b", "c", "d", "e")
@@ -93,6 +95,13 @@ def _numerators(params: RiccatiParams) -> tuple[int, tuple[int, int, int, int]]:
     return m, tuple(_over(m, v) for v in consts)
 
 
+def _betas(a: int, b: int, c: int, d: int) -> Iterator[int]:
+    """M beta_h for h = 0, 1, ..., from the numerators a, b, c, d of A, B, C,
+    D over M: beta_h = A + 2C + (2h + 1) B is the h-th partial denominator's
+    coefficient in the J-fraction."""
+    return (a + 2 * c + (2 * h + 1) * b for h in count())
+
+
 def _gammas(a: int, b: int, c: int, d: int) -> Iterator[int]:
     """M^2 gamma_l for l = 1, 2, ..., from the numerators a, b, c, d of A, B,
     C, D over M: gamma_l = B^2 l^2 + B (A + 2C) l + C (A + C + D) is the l-th
@@ -107,7 +116,7 @@ def _jacobi_series(a: int, b: int, c: int, d: int, length: int) -> list[int]:
         F = 1 + (A + C + D) z K,
         K = 1/(1 - beta_0 z - gamma_1 z^2/(1 - beta_1 z - gamma_2 z^2/(1 - ...))),
 
-    with beta_h = A + 2C + (2h + 1) B and gamma_h from `_gammas`.  The
+    with beta_h from `_betas` and gamma_h from `_gammas`.  The
     coefficient of z^t in K is the weighted count of Motzkin paths of t
     steps from height 0 back to 0: a rise weighs 1, a level step at height
     h weighs beta_h and a fall from h to h - 1 weighs gamma_h (Flajolet,
@@ -122,7 +131,7 @@ def _jacobi_series(a: int, b: int, c: int, d: int, length: int) -> list[int]:
     """
     lead = a + c + d
     half = length // 2 + 1
-    betas = [a + 2 * c + (2 * h + 1) * b for h in range(half)]
+    betas = list(islice(_betas(a, b, c, d), half))
     gammas = list(islice(_gammas(a, b, c, d), half))  # gammas[h] = gamma_{h+1}
     f, u = [1], [1]
     for t in range(length - 1):
@@ -317,57 +326,40 @@ def pade_pair(params: RiccatiParams, n: int) -> PadePair:
     return PadePair(n, Poly(ps), Poly(qs), residual_constant(params, n))
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction.  Consistent singular systems are
-    resolved by zeroing free variables; inconsistent ones raise."""
-    n = len(rhs)
-    m = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                fac = aug[i][col] / aug[r][col]
-                for j in range(col, m + 1):
-                    aug[i][j] -= fac * aug[r][j]
-        piv_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            raise SingularPadeSystem("inconsistent linear system")
-    x = [Fraction(0)] * m
-    for i, col in enumerate(piv_cols):
-        x[col] = aug[i][m] / aug[i][col]
-    return x
-
-
 def pade_oracle(params: RiccatiParams, n: int) -> PadePair:
-    """Order-n approximant from the series alone: solve F*Q - P = O(z^(2n+1))
-    with Q(0) = 1.  Uses no closed form and never needs E."""
-    f = riccati_series(params, 2 * n + 1).coeffs
-    # rows m = n+1 .. 2n:  sum_{j=1..n} q_j f_{m-j} = -f_m
-    rows = [[f[m - j] for j in range(1, n + 1)] for m in range(n + 1, 2 * n + 1)]
-    rhs = [-f[m] for m in range(n + 1, 2 * n + 1)]
-    qs = [Fraction(1)] + _solve_exact(rows, rhs)
-    ps = [sum(qs[j] * f[k - j] for j in range(min(k, n) + 1)) for k in range(n + 1)]
-    p, q = Poly(ps), Poly(qs)
+    """Order-n approximant as the n-th convergent of the J-fraction, by the
+    three-term recurrence
+
+        x_k = (1 - beta_(k-1) z) x_(k-1) + a_k x_(k-2),   x = P, Q,
+
+    from (P_(-1), Q_(-1)) = (1, 0) and (P_0, Q_0) = (1, 1), with partial
+    numerators a_1 = (A + C + D) z and a_k = -gamma_(k-1) z^2 past it.  Uses
+    no closed form and never needs E.  It runs on the numerators of A, B, C,
+    D over M in w = z/M, so the coefficient of z^k is that of w^k over M^k.
+
+    The fraction ends at the first partial numerator that vanishes: the
+    pair is then (P_h, Q_h) for the last h reached, and P_h/Q_h solves the
+    equation exactly.  The defining identity is checked to order 2n, and the
+    residual constant read off its z^(2n+1) coefficient.
+    """
+    m, (a, b, c, d) = _numerators(params)
+    partials = chain([Poly([0, a + c + d])], (Poly([0, 0, -g]) for g in _gammas(a, b, c, d)))
+    (p0, q0), (p, q) = (Poly([1]), Poly([])), (Poly([1]), Poly([1]))
+    for beta, partial in islice(zip(_betas(a, b, c, d), partials), n):
+        if partial.is_zero():
+            break
+        step = Poly([1, -beta])
+        (p0, q0), (p, q) = (p, q), (step * p + partial * p0, step * q + partial * q0)
+    p, q = (Poly([Fraction(v, m**k) for k, v in enumerate(x.coeffs)]) for x in (p, q))
     lhs = _identity_lhs(PadePair(n, p, q, Fraction(0)), params)
-    for k in range(2 * n + 1):
-        if lhs.coeff(k) != 0:
-            raise SingularPadeSystem("solution does not satisfy the identity")
+    if any(lhs.coeff(k) != 0 for k in range(2 * n + 1)):
+        raise SingularPadeSystem("the convergent does not satisfy the identity")
     return PadePair(n, p, q, -Fraction(lhs.coeff(2 * n + 1)))
 
 
 def build_pade(params: RiccatiParams, n: int, allow_fallback: bool = True):
     """Public pair construction: closed form when defined, otherwise the
-    linear-algebra route.  Returns (pair, route)."""
+    J-fraction route of `pade_oracle`.  Returns (pair, route)."""
     try:
         return pade_pair(params, n), "closed-form"
     except DegenerateParameters:

@@ -151,6 +151,18 @@ def test_series_div_roundtrip(ring):
         assert back.coeffs == expect.coeffs
 
 
+def test_eval_reduces_its_argument():
+    ctx7 = ModRingCtx(7, 1)
+    # 1 + 2/3 with 1/3 = 5 mod 7
+    assert Poly([1, 2], ctx7).eval(Fraction(1, 3)) == 4
+    with pytest.raises(NonInvertibleDenominator):
+        Poly([1, 2], ctx7).eval(Fraction(1, 7))
+    assert Poly([1, 2]).eval(Fraction(1, 3)) == Fraction(5, 3)
+    for ring in (None, ctx7):
+        with pytest.raises(TypeError):
+            Poly([1, 2], ring).eval(0.5)
+
+
 def test_factor_examples():
     ctx7 = ModRingCtx(7, 1)
     fac = factor_mod_p(Poly([1, 2], ctx7))

@@ -1,14 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import comb, prod
 
 import pytest
 
 import freesub.riccati
 from conftest import random_integer_params
-from freesub.errors import DegenerateParameters, IntegralityViolation
+from freesub.errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
 from freesub.exact import pochhammer
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
 from freesub.poly import Poly
@@ -243,6 +243,122 @@ def test_degenerate_fallback():
     assert verify_identity(pair, params)
     with pytest.raises(DegenerateParameters):
         build_pade(params, 2, allow_fallback=False)
+
+
+# ---------------------------------------------------------------------------
+# the J-fraction convergents against the Gaussian elimination they replaced
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(rows, rhs):
+    """Gaussian elimination over Fraction.  Consistent singular systems are
+    resolved by zeroing free variables; inconsistent ones raise."""
+    n = len(rhs)
+    m = len(rows[0]) if rows else 0
+    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    piv_cols = []
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        for i in range(n):
+            if i != r and aug[i][col] != 0:
+                fac = aug[i][col] / aug[r][col]
+                for j in range(col, m + 1):
+                    aug[i][j] -= fac * aug[r][j]
+        piv_cols.append(col)
+        r += 1
+        if r == n:
+            break
+    assert all(aug[i][m] == 0 for i in range(r, n)), "inconsistent linear system"
+    x = [Fraction(0)] * m
+    for i, col in enumerate(piv_cols):
+        x[col] = aug[i][m] / aug[i][col]
+    return x
+
+
+def reference_pade_oracle(params, n):
+    """(P, Q, residual) as `pade_oracle` first computed them: solve
+    F Q - P = O(z^(2n+1)) with Q(0) = 1 by elimination, O(n^3) Fraction
+    operations, and read the residual off the z^(2n+1) coefficient of
+    F Q - P.  Kept as the oracle for the J-fraction recurrence."""
+    f = riccati_series(params, 2 * n + 2).coeffs
+    # rows m = n+1 .. 2n:  sum_{j=1..n} q_j f_{m-j} = -f_m
+    rows = [[f[m - j] for j in range(1, n + 1)] for m in range(n + 1, 2 * n + 1)]
+    rhs = [-f[m] for m in range(n + 1, 2 * n + 1)]
+    qs = [Fraction(1)] + _solve_exact(rows, rhs)
+    ps = [sum(qs[j] * f[k - j] for j in range(min(k, n) + 1)) for k in range(n + 1)]
+    p, q = Poly(ps), Poly(qs)
+    return p, q, (Poly(f) * q - p).coeff(2 * n + 1)
+
+
+ORACLE_KINDS = ("rational", "A + C + D = 0", "gamma_h = 0", "C = 0", "E = 0", "E irrational")
+
+
+def _random_rational(rng, nonzero=False):
+    while True:
+        v = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        if v or not nonzero:
+            return v
+
+
+def oracle_params(rng, kind):
+    """Random rational (A, B, C, D) of the given kind; for "gamma_h = 0",
+    also the h whose factor vanishes, else None."""
+    while True:
+        a, b, c, d = _random_rational(rng), _random_rational(rng, True), _random_rational(rng), _random_rational(rng)
+        h = None
+        if kind == "A + C + D = 0":
+            d = -a - c
+        elif kind == "gamma_h = 0":
+            # B^2 h^2 + B (A + 2C) h + C (A + C + D) = 0, solved for D
+            h, c = rng.randint(1, 7), _random_rational(rng, True)
+            d = -(b * b * h * h + b * (a + 2 * c) * h) / c - a - c
+        elif kind == "C = 0":
+            c = Fraction(0)
+        elif kind == "E = 0":
+            c = _random_rational(rng, True)
+            d = a * a / (4 * c)
+        params = RiccatiParams(a, b, c, d)
+        if kind != "E irrational" or params.e is None:
+            return params, h
+
+
+def test_oracle_matches_the_elimination(rng):
+    for kind in ORACLE_KINDS * 30:
+        params, h = oracle_params(rng, kind)
+        for n in range(9):
+            pair = pade_oracle(params, n)
+            assert (pair.p, pair.q, pair.residual_const) == reference_pade_oracle(params, n), (params, n)
+            # the fraction ends where its first partial numerator vanishes
+            if kind == "A + C + D = 0":
+                assert pair.p == pair.q == Poly([1])
+            elif kind == "gamma_h = 0" and n > h:
+                at_h = pade_oracle(params, h)
+                assert (pair.p, pair.q, pair.residual_const) == (at_h.p, at_h.q, 0)
+
+
+def test_oracle_residual_is_the_product_formula(rng):
+    for kind in ORACLE_KINDS * 10:
+        params, _ = oracle_params(rng, kind)
+        for n in (0, 1, rng.randint(2, 12), 20):
+            assert pade_oracle(params, n).residual_const == residual_constant(params, n), (params, n)
+
+
+def test_oracle_at_order_150_without_a_rational_e():
+    params = RiccatiParams(1, 1, 1, 1)  # discriminant -3
+    pair = pade_oracle(params, 150)
+    assert pair.q.degree == 150 and pair.residual_const == residual_constant(params, 150)
+    assert verify_identity(pair, params)
+
+
+def test_oracle_certifies_its_convergents(monkeypatch):
+    # wrong level weights give a pair that fails the identity to order 2n
+    monkeypatch.setattr(freesub.riccati, "_betas", lambda *args: repeat(0))
+    with pytest.raises(SingularPadeSystem):
+        pade_oracle(MODULAR_M1, 2)
 
 
 def test_gosper_examples(rng, monkeypatch):

@@ -22,7 +22,7 @@ from freesub.errors import NonInvertibleDenominator
 from freesub.exact import ModRingCtx, mod_reduce
 from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
 from freesub.poly import Poly
-from freesub.riccati import RiccatiParams, pade_pair, residual_factors, riccati_series
+from freesub.riccati import RiccatiParams, pade_oracle, pade_pair, residual_factors, riccati_series
 
 
 def reference_series(params: RiccatiParams, length: int, ctx: ModRingCtx | None = None) -> tuple:
@@ -284,8 +284,8 @@ def _expand(p: Poly, q: Poly, length: int) -> list:
 def test_j_fraction_convergents_are_the_pade_pairs(kind, m):
     # the weights of the engine's Motzkin paths against the paper: gamma_h
     # is the h-th residual factor, and A + C + D the 0-th; the three-term
-    # recurrence of the convergents gives the closed-form pairs (P_n, Q_n),
-    # and their expansions the series
+    # recurrence of the convergents gives the closed-form pairs (P_n, Q_n)
+    # and those of `pade_oracle`, and their expansions the series
     top = 12
     params = params_for(GroupFamily(kind, m))
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -300,6 +300,6 @@ def test_j_fraction_convergents_are_the_pade_pairs(kind, m):
         qs.append(step * qs[n] + fall * qs[n - 1])
     oracle = list(reference_series(params, 2 * top + 1))
     for n in range(top + 1):
-        pair = pade_pair(params, n)
-        assert (pair.p, pair.q) == (ps[n], qs[n]), n
+        for pair in (pade_pair(params, n), pade_oracle(params, n)):
+            assert (pair.p, pair.q) == (ps[n], qs[n]), n
         assert _expand(ps[n], qs[n], 2 * n + 1) == oracle[: 2 * n + 1], n
