@@ -8,13 +8,16 @@ functions solving the quadratic ODE handled in `riccati`, with
 
     modular3:  A = 6m-2, B = 6m, C = 1, D = 1-6m+5m^2, so E = 4m
     hecke4:    A = 4m-2, B = 4m, C = 1, D = 1-4m+3m^2, so E = 2m
+
+The stable degree and the congruence classes are read off the equation's
+residual factors (`riccati.stable_index`, `riccati.class_residues`).
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedPrime
 from .exact import Record, is_prime, require_ints
-from .riccati import RiccatiParams, riccati_series
+from .riccati import RiccatiParams, class_residues, riccati_series, stable_index
 
 MODULAR3 = "modular3"
 HECKE4 = "hecke4"
@@ -42,24 +45,20 @@ def params_for(family: GroupFamily) -> RiccatiParams:
 
 def stable_degree(family: GroupFamily, p: int) -> int:
     """Degree d of the denominator Q_d that Q_n settles to mod p for n in a
-    stable congruence class: the class degree of `congruence_classes`, or 0
-    when p divides m, where the stable denominator collapses to 1.
-
-    Raises UnsupportedPrime unless p is a prime >= 5 (modular3) or >= 3
-    (hecke4).
-    """
-    d = congruence_classes(family, p)[0]
-    return 0 if family.m % p == 0 else d
+    stable congruence class: the least n with p | r_n (`stable_index`)."""
+    congruence_classes(family, p)  # raises UnsupportedPrime
+    return stable_index(params_for(family), p)
 
 
 def congruence_classes(family: GroupFamily, p: int) -> tuple[int, int]:
-    """The two residues d and -1-d of n mod p for which Q_n stabilises to
-    Q_d, with d = (p-1)//6 for modular3 and (p-1)//4 for hecke4 whatever m."""
-    lowest, parts = (5, 6) if family.kind == MODULAR3 else (3, 4)
+    """The two residues of n mod p for which Q_n stabilises to Q_d, the
+    roots of gamma_l mod p (`class_residues`), whatever m.  p must be a
+    prime >= 5 (modular3) or >= 3 (hecke4), the primes that divide no
+    denominator of a-/+ = 1/6, 5/6 or 1/4, 3/4."""
+    lowest = 5 if family.kind == MODULAR3 else 3
     if p < lowest or not is_prime(p):
         raise UnsupportedPrime(f"{family.kind} needs a prime p >= {lowest}, not {p}")
-    d = (p - 1) // parts
-    return d, p - 1 - d
+    return class_residues(params_for(family), p)
 
 
 def free_subgroup_numbers(family: GroupFamily, length: int) -> tuple:

@@ -2,9 +2,9 @@
 
 For an odd prime p not dividing the relevant torsion, the series reduced mod
 p^alpha equals a polynomial plus a proper fraction whose denominator is the
-alpha-th power of a fixed polynomial of degree d (d from the congruence
-class of p; d = 0 when p | m, in which case the series is eventually a
-polynomial).  The pipeline here is:
+alpha-th power of a fixed polynomial of degree d, the least n with p | r_n
+(`stable_degree`; d = 0 when p | m, in which case the series is eventually
+a polynomial).  The pipeline here is:
 
   1. the stable denominator mod p is the degree-d approximant denominator
      Q_d with the family's parameters (an exact integer polynomial);
@@ -33,10 +33,10 @@ from .errors import (
     DegreeBoundExceeded,
     certify,
 )
-from .exact import ModRingCtx, Record, vp_rational
-from .groups import HECKE4, MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
+from .exact import ModRingCtx, Record
+from .groups import HECKE4, MODULAR3, GroupFamily, params_for, stable_degree
 from .poly import Factorization, Poly, Series, factor_mod_p, hensel_lift, series_div
-from .riccati import pade_pair, residual_factors, riccati_residual, riccati_series
+from .riccati import pade_pair, riccati_residual, riccati_series, stable_index
 
 # on a missing or false zero-run the numerator search doubles its length up
 # to this many times before it gives up
@@ -72,10 +72,9 @@ class RationalFormModPA(Record):
 
 
 def denominator_base(family: GroupFamily, p: int) -> tuple[int, Poly]:
-    """Degree d and the exact integer stable denominator Q_d.
-
-    d is `stable_degree(family, p)`.
-    """
+    """Degree d and the exact integer stable denominator Q_d, from the
+    closed form: d is the least n whose residual constant r_n is divisible
+    by p (`stable_degree`), so Q_n mod p settles to Q_d."""
     d = stable_degree(family, p)
     if d == 0:
         return 0, Poly.one()
@@ -247,22 +246,14 @@ def pade_route(family: GroupFamily, ctx: ModRingCtx, length: int = 100) -> Serie
     """Reduce the explicit approximant P_n/Q_n instead of the recurrence.
 
     n is the smallest index (0 included) whose residual constant r has
-    p-adic valuation >= alpha; valuations accumulate factor by factor
-    (individual factors can carry valuation > 1).  Any such n serves:
+    p-adic valuation >= alpha (`stable_index`).  Any such n serves:
     Q_n(0) = 1 and the Riccati operator takes P_n/Q_n to -r z^(2n+1)/Q_n^2,
     which vanishes mod p^alpha, so P_n/Q_n is the series by uniqueness.
     P_n and Q_n are exact integer polynomials, divided only after their
     reduction mod p^alpha.
     """
-    p, alpha = ctx.p, ctx.alpha
     params = params_for(family)
-    congruence_classes(family, p)  # raises UnsupportedPrime
-    acc = 0
-    for n, factor in enumerate(residual_factors(params)):
-        acc += vp_rational(factor, p) if factor else alpha
-        if acc >= alpha:
-            break
-    pair = pade_pair(params, n)
+    pair = pade_pair(params, stable_index(params, ctx.p, ctx.alpha))
     return series_div(pair.p.map_ring(ctx), pair.q.map_ring(ctx), length)
 
 

@@ -24,8 +24,9 @@ J-fraction
 
 with beta_h = A + 2C + (2h + 1) B and gamma_h the h-th of those factors, so
 Q_{n+1} = (1 - beta_n z) Q_n - gamma_n z^2 Q_{n-1}, and P_n likewise.  The
-exact series engine reads the coefficients of F off this fraction, and
-`pade_oracle` builds the pairs by this recurrence.
+exact series engine reads the coefficients of F off this fraction,
+`pade_oracle` builds the pairs by this recurrence, and the stable degree
+and the congruence classes mod p are where the factors vanish mod p.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from itertools import accumulate, chain, count, islice, repeat
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
-from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem
-from .exact import ModRingCtx, Rational, Record, mod_reduce, pochhammer, require_rational
+from .errors import DegenerateParameters, IntegralityViolation, SingularPadeSystem, UnsupportedPrime
+from .exact import ModRingCtx, Rational, Record, is_prime, mod_reduce, pochhammer, require_rational, vp_int
 from .poly import Poly, Series
 
 
@@ -208,6 +209,37 @@ def residual_constant(params: RiccatiParams, n: int) -> Fraction:
     return Fraction(prod(islice(numerators, n + 1)), scale ** (n + 1))
 
 
+def _shifts(params: RiccatiParams) -> tuple[Fraction, Fraction]:
+    """(a-, a+) = ((A + 2C - E)/(2B), (A + 2C + E)/(2B)).  As E^2 = A^2 - 4CD,
+    the l-th residual factor is B^2 (l + a-)(l + a+)."""
+    a, b, c, e = params.a, params.b, params.c, params.e
+    return (a + 2 * c - e) / (2 * b), (a + 2 * c + e) / (2 * b)
+
+
+def class_residues(params: RiccatiParams, p: int) -> tuple[int, int]:
+    """The residues -a- and -a+ mod p, sorted: the l at which gamma_l / B^2 =
+    (l + a-)(l + a+) vanishes mod p.  Raises UnsupportedPrime unless E is
+    rational, p is prime, and B and a-/+ are p-integral."""
+    shifts = _shifts(params) if params.e is not None else ()
+    if not shifts or not is_prime(p) or any(v.denominator % p == 0 for v in (params.b, *shifts)):
+        raise UnsupportedPrime(f"the residual factors have no class of roots mod {p}")
+    return tuple(sorted(-v.numerator * pow(v.denominator, -1, p) % p for v in shifts))
+
+
+def stable_index(params: RiccatiParams, p: int, alpha: int = 1) -> int:
+    """The least n whose residual constant r_n has p-adic valuation >= alpha,
+    adding the factors' valuations (a factor 0 counts as alpha).  Once
+    `class_residues` accepts p, no factor past A + C + D has a negative
+    valuation and any p consecutive gamma_l hold a root: the walk ends."""
+    class_residues(params, p)
+    scale, numerators = _residual_numerators(params)
+    acc, shift = 0, vp_int(scale, p)
+    for n, factor in enumerate(numerators):
+        acc += vp_int(factor, p) - shift if factor else alpha
+        if acc >= alpha:
+            return n
+
+
 def _require_closed_form(params: RiccatiParams, n: int, need_c: bool) -> None:
     """Validate the preconditions of the explicit coefficient formulas."""
     if params.e is None:
@@ -227,8 +259,8 @@ def _pair_constants(params: RiccatiParams, n: int, top: int) -> tuple:
     D is the common denominator of x = E/B and a-/+ = (A + 2C -/+ E)/(2B),
     X = x D, M the common denominator of A, B and E, and divisors[kp] =
     prod_{|i|<=kp} (X + i D) = poch(x - kp, 2kp + 1) D^(2kp+1) for kp <= top."""
-    a, b, c, e = params.a, params.b, params.c, params.e
-    x, am, ap = e / b, (a + 2 * c - e) / (2 * b), (a + 2 * c + e) / (2 * b)
+    a, b, e = params.a, params.b, params.e
+    x, (am, ap) = e / b, _shifts(params)
     den = lcm(x.denominator, am.denominator, ap.denominator)
     xi, shifts = _over(den, x), (_over(den, am), _over(den, ap))
     m = lcm(a.denominator, b.denominator, e.denominator)
@@ -339,8 +371,8 @@ def pade_oracle(params: RiccatiParams, n: int) -> PadePair:
 
     The fraction ends at the first partial numerator that vanishes: the
     pair is then (P_h, Q_h) for the last h reached, and P_h/Q_h solves the
-    equation exactly.  The defining identity is checked to order 2n, and the
-    residual constant read off its z^(2n+1) coefficient.
+    equation exactly.  The pair is certified by `verify_identity`, whole,
+    with the residual constant of `residual_constant`.
     """
     m, (a, b, c, d) = _numerators(params)
     partials = chain([Poly([0, a + c + d])], (Poly([0, 0, -g]) for g in _gammas(a, b, c, d)))
@@ -351,10 +383,10 @@ def pade_oracle(params: RiccatiParams, n: int) -> PadePair:
         step = Poly([1, -beta])
         (p0, q0), (p, q) = (p, q), (step * p + partial * p0, step * q + partial * q0)
     p, q = (Poly([Fraction(v, m**k) for k, v in enumerate(x.coeffs)]) for x in (p, q))
-    lhs = _identity_lhs(PadePair(n, p, q, Fraction(0)), params)
-    if any(lhs.coeff(k) != 0 for k in range(2 * n + 1)):
+    pair = PadePair(n, p, q, residual_constant(params, n))
+    if not verify_identity(pair, params):
         raise SingularPadeSystem("the convergent does not satisfy the identity")
-    return PadePair(n, p, q, -Fraction(lhs.coeff(2 * n + 1)))
+    return pair
 
 
 def build_pade(params: RiccatiParams, n: int, allow_fallback: bool = True):
@@ -421,15 +453,8 @@ def _gosper_scale(params: RiccatiParams, n: int) -> Fraction:
 
 
 def _gosper_certificate(params: RiccatiParams, n: int, j: int) -> Fraction:
-    a, b, c, e = params.a, params.b, params.c, params.e
-    x = e / b
-    am = (a + 2 * c - e) / (2 * b)
-    return (
-        _gosper_scale(params, n)
-        * comb(n + j - 1, n)
-        * pochhammer(-x + j, n - j + 1)
-        * pochhammer(am, j)
-    )
+    scale, x = _gosper_scale(params, n) * comb(n + j - 1, n), params.e / params.b
+    return scale * pochhammer(-x + j, n - j + 1) * pochhammer(_shifts(params)[0], j)
 
 
 def verify_gosper(params: RiccatiParams, n: int) -> bool:
@@ -441,8 +466,7 @@ def verify_gosper(params: RiccatiParams, n: int) -> bool:
         raise ValueError("need n >= 1")
     _require_closed_form(params, n, need_c=True)
     a, b, c, e = params.a, params.b, params.c, params.e
-    x = e / b
-    am = (a + 2 * c - e) / (2 * b)
+    x, am = e / b, _shifts(params)[0]
 
     scale = _gosper_scale(params, n)
     total = Fraction(0)

@@ -42,6 +42,7 @@ from math import comb, factorial
 from .errors import DegenerateParameters, InvalidCongruenceClass, certify
 from .exact import Record, is_prime, pochhammer, require_ints, vp_rational
 from .groups import MODULAR3, GroupFamily, congruence_classes, params_for, stable_degree
+from .poly import Poly
 from .riccati import pade_pair
 
 # the summand shapes: starts of (top)_{n+k+1} / (bottom)_{k+1} at j = 0
@@ -148,17 +149,8 @@ def lemma_divisibility(family: GroupFamily, p: int, n: int) -> bool:
         raise InvalidCongruenceClass(
             f"n = {n} is not = {classes[0]} or {classes[1]} (mod {p})"
         )
-    params = params_for(family)
     d_full, d = classes[0], stable_degree(family, p)
-    # `Poly` drops trailing zeros, so coefficients are read with `coeff`
-    qn, qd = (pade_pair(params, k).q for k in (n, d_full))
-    for j in range(n + 1):
-        ref = qd.coeff(j) if j <= d else 0
-        if (qn.coeff(j) - ref) % p != 0:
-            return False
-    if d == 0:
-        # p | m: the stable denominator itself collapses to 1
-        for j in range(1, d_full + 1):
-            if qd.coeff(j) % p != 0:
-                return False
-    return True
+    # Q_n and Q_(d_full) agree mod p with Q_(d_full) cut at degree d (1 if p | m)
+    qn, qd = (pade_pair(params_for(family), k).q for k in (n, d_full))
+    ref = Poly(qd.coeffs[: d + 1])
+    return all(c % p == 0 for q in (qn, qd) for c in (q - ref).coeffs)

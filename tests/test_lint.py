@@ -316,3 +316,29 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_difflib():
         return set(out.stdout.split())
 
     assert loaded("import freesub.cli; freesub.cli.build_parser()") - loaded("pass") == set()
+
+
+def test_only_riccati_walks_the_residual_factors():
+    # the stable degree is the first index whose factors p divides
+    # (`riccati.stable_index`); a second walk over them elsewhere would be a
+    # second source of d
+    names = {"residual_factors", "_residual_numerators", "_gammas"}
+    walks = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names
+    ]
+    assert walks and all(w.startswith("riccati.py:") for w in walks), walks
+
+
+def test_groups_has_no_floor_division():
+    # d and the classes come from the residual factors: a family formula
+    # such as (p - 1) // 6 in `groups` would be a second source of them
+    tree = next(tree for path, tree in _package_trees() if path.name == "groups.py")
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv)
+    ]
+    assert found == []

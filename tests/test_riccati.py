@@ -14,6 +14,7 @@ from freesub.groups import HECKE4, MODULAR3, GroupFamily, params_for
 from freesub.poly import Poly
 from freesub.riccati import (
     RiccatiParams,
+    _identity_lhs,
     build_pade,
     pade_coeff_p,
     pade_coeff_q,
@@ -345,6 +346,28 @@ def test_oracle_residual_is_the_product_formula(rng):
         params, _ = oracle_params(rng, kind)
         for n in (0, 1, rng.randint(2, 12), 20):
             assert pade_oracle(params, n).residual_const == residual_constant(params, n), (params, n)
+
+
+def test_oracle_residual_read_off_the_identity_is_residual_constant(rng):
+    # the oracle certifies its pair with `residual_constant`; the z^(2n+1)
+    # coefficient of the identity's left side, read without it, agrees
+    checked = 0
+    for kind in ORACLE_KINDS * 7:
+        params, _ = oracle_params(rng, kind)
+        for n in range(9):
+            pair = pade_oracle(params, n)
+            lhs = _identity_lhs(pair, params)
+            assert -lhs.coeff(2 * n + 1) == pair.residual_const == residual_constant(params, n), (params, n)
+            checked += 1
+    assert checked == 378
+
+
+def test_oracle_rejects_a_wrong_residual_constant(monkeypatch):
+    real = freesub.riccati.residual_constant
+    monkeypatch.setattr(freesub.riccati, "residual_constant", lambda params, n: real(params, n) + 1)
+    for params in (RiccatiParams(1, 1, 1, 1), MODULAR_M1):
+        with pytest.raises(SingularPadeSystem):
+            pade_oracle(params, 3)
 
 
 def test_oracle_at_order_150_without_a_rational_e():

@@ -6,7 +6,7 @@ import pytest
 from freesub.errors import DegenerateParameters, InvalidCongruenceClass, UnsupportedPrime
 from freesub.exact import is_prime, vp_rational, pochhammer
 from freesub.groups import GroupFamily, congruence_classes, params_for, stable_degree
-from freesub.riccati import pade_coeff_q
+from freesub.riccati import RiccatiParams, class_residues, pade_coeff_q, stable_index
 from freesub.valuations import (
     ValuationCase,
     _poch_ratio,
@@ -220,6 +220,8 @@ def _piecewise_classes(family, p):
 
 
 def test_stable_degree_matches_the_piecewise_oracle():
+    # d and the classes are read off the residual factors; the oracle is
+    # the per-family formula they replaced
     checked = 0
     for p in range(3, 2000):
         if not is_prime(p):
@@ -227,12 +229,42 @@ def test_stable_degree_matches_the_piecewise_oracle():
         for kind, lowest in (("modular3", 5), ("hecke4", 3)):
             if p < lowest:
                 continue
-            for m in (1, 2, p):
+            for m in sorted({*range(1, 8), p, 2 * p}):
                 fam = GroupFamily(kind, m)
                 assert stable_degree(fam, p) == _piecewise_degree(fam, p), (kind, m, p)
                 assert congruence_classes(fam, p) == _piecewise_classes(fam, p), (kind, m, p)
                 checked += 1
-    assert checked > 1700
+    assert checked > 5000
+
+
+def test_c3c3_degree_and_classes_come_from_the_equation():
+    # C_2m *_Cm C_3m has no formula of its own in the package: a-/+ = 1/3,
+    # 2/3, so gamma_l = m^2 (3l+1)(3l+2), and A + C + D = 2m^2
+    checked = 0
+    for p in (q for q in range(5, 400) if is_prime(q)):
+        d = (p - 1) // 3
+        for m in sorted({*range(1, 8), p, 2 * p}):
+            params = RiccatiParams(3 * m - 2, 3 * m, 1, (1 - m) * (1 - 2 * m))
+            assert stable_index(params, p) == (0 if m % p == 0 else d), (m, p)
+            assert class_residues(params, p) == (d, p - 1 - d), (m, p)
+            checked += 1
+    assert checked == 76 * 9 - 2  # m = p at p = 5 and 7 is already in 1..7
+
+
+@pytest.mark.parametrize(
+    "params,p",
+    [
+        (RiccatiParams(1, 1, 1, 1), 7),  # E irrational
+        (RiccatiParams(4, 6, 1, 3), 25),  # p not prime
+        (RiccatiParams(4, 6, 1, 3), 3),  # a-/+ = 1/6, 5/6
+        (RiccatiParams(4, Fraction(6, 7), 1, 3), 7),  # B not 7-integral
+    ],
+)
+def test_class_residues_reject_what_has_no_classes(params, p):
+    with pytest.raises(UnsupportedPrime):
+        class_residues(params, p)
+    with pytest.raises(UnsupportedPrime):
+        stable_index(params, p)
 
 
 @pytest.mark.parametrize(
