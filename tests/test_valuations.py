@@ -238,7 +238,7 @@ def test_stable_degree_matches_the_piecewise_oracle():
 
 
 def test_c3c3_degree_and_classes_come_from_the_equation():
-    # C_2m *_Cm C_3m has no formula of its own in the package: a-/+ = 1/3,
+    # C_3m *_Cm C_3m has no formula of its own in the package: a-/+ = 1/3,
     # 2/3, so gamma_l = m^2 (3l+1)(3l+2), and A + C + D = 2m^2
     checked = 0
     for p in (q for q in range(5, 400) if is_prime(q)):
@@ -256,7 +256,7 @@ def test_c3c3_degree_and_classes_come_from_the_equation():
     [
         (RiccatiParams(1, 1, 1, 1), 7),  # E irrational
         (RiccatiParams(4, 6, 1, 3), 25),  # p not prime
-        (RiccatiParams(4, 6, 1, 3), 3),  # a-/+ = 1/6, 5/6
+        (RiccatiParams(4, 6, 1, 3), 3),  # a-/+ = 1/3, 2/3
         (RiccatiParams(4, Fraction(6, 7), 1, 3), 7),  # B not 7-integral
     ],
 )
